@@ -12,13 +12,12 @@ the degree-4 proportionality between pair differences and the weight-8 form.
 from .enumeration import (
     GramTarget,
     RepresentationDomainError,
-    ShellTable,
-    enumerate_shells,
     representation_count,
     representation_profile,
     shell_count,
+    shell_vectors,
 )
-from .exactnum import IntMatrix, NotPositiveDefiniteError, RatMatrix, det_exact, hnf_rowreduce, ldl_rational
+from .exactnum import IntMatrix, NotPositiveDefiniteError, RatMatrix, det_exact, ldl_rational
 from .jacobi import (
     JacobiCoefficient,
     VenkovReport,
@@ -48,8 +47,7 @@ from .niemeier import BUILTIN_NAMES, FIVE_PAIRS, RANK24_NAMES, builtin
 from .theta import (
     CURATED_GENUS4,
     GRAM_A4,
-    FormalDifference,
-    ThetaTruncation,
+    Series,
     block_factorization_check,
     distinguishing_report,
     export_series,

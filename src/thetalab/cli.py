@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from . import enumeration, jacobi, lattices, niemeier, theta
 from .enumeration import GramTarget
+from .exactnum import NotPositiveDefiniteError
 from .lattices import GlueSpec, Lattice, LatticeError
 
 EXIT_PASS = 0
@@ -61,11 +62,24 @@ class Report:
         return EXIT_PASS if self.status in ("pass", "computed") else EXIT_FAIL
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_rows(rows, what: str) -> list[list[int]]:
+    """A JSON list of lists of integers, checked (floats, strings and bools are rejected)."""
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(_is_int(x) for x in row) for row in rows
+    ):
+        raise InputError(f"{what} must be a list of lists of integers")
+    return rows
+
+
 def load_spec_file(path: str) -> Lattice:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # unreadable, not UTF-8, or not JSON
         raise InputError(f"cannot read lattice spec {path}: {e}")
     if not isinstance(data, dict):
         raise InputError("lattice spec must be a JSON object")
@@ -75,14 +89,27 @@ def load_spec_file(path: str) -> Lattice:
     name = data.get("name", path)
     try:
         if "gram" in data:
-            return lattices.from_gram(name, data["gram"])
+            gram = _int_rows(data["gram"], "gram")
+            if any(len(row) != len(gram) for row in gram):
+                raise InputError("gram must be a square matrix")
+            return lattices.from_gram(name, gram)
         if "components" in data:
-            comps = tuple((str(k), int(r)) for k, r in data["components"])
-            words = tuple(tuple(int(x) for x in w) for w in data.get("glue_words", []))
-            return lattices.glue(GlueSpec(comps, words), name=name)
+            comps = data["components"]
+            if not isinstance(comps, list) or not all(
+                isinstance(c, list) and len(c) == 2 and isinstance(c[0], str) and _is_int(c[1])
+                for c in comps
+            ):
+                raise InputError("components must be a list of [kind, rank] pairs")
+            words = _int_rows(data.get("glue_words", []), "glue_words")
+            spec = GlueSpec(tuple(map(tuple, comps)), tuple(map(tuple, words)))
+            return lattices.glue(spec, name=name)
         if data.get("construction") == "D_plus":
-            return lattices.plus_construction(int(data["n"]))
-    except LatticeError as e:
+            if not _is_int(data.get("n")):
+                raise InputError("D_plus construction needs an integer n")
+            return lattices.plus_construction(data["n"])
+    except InputError:
+        raise
+    except ValueError as e:  # LatticeError, or an invalid ADE symbol or glue class
         raise InputError(f"invalid lattice spec {path}: {e}")
     raise InputError("lattice spec needs one of: gram, components, construction")
 
@@ -120,16 +147,19 @@ def load_tset(path: str | None) -> tuple[GramTarget, ...]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # unreadable, not UTF-8, or not JSON
         raise InputError(f"cannot read target set {path}: {e}")
+    if isinstance(data, dict):
+        if "targets" not in data:
+            raise InputError("target set object needs a 'targets' list")
+        data = data["targets"]
     targets = []
-    rows = data["targets"] if isinstance(data, dict) else data
-    for upper in rows:
+    for upper in _int_rows(data, "target set"):
         n = len(upper)
         genus = {1: 1, 3: 2, 6: 3, 10: 4}.get(n)
         if genus is None:
             raise InputError(f"upper triangle of length {n} is not a valid index")
-        targets.append(GramTarget.from_upper(genus, [int(x) for x in upper]))
+        targets.append(GramTarget.from_upper(genus, upper))
     if not targets:
         raise InputError("empty target set")
     return tuple(targets)
@@ -371,7 +401,7 @@ def job_independence(args) -> Report:
                 if t.trace <= bound
             }
             series.append(
-                theta.ThetaTruncation(
+                theta.Series(
                     genus=4,
                     trace_bound=bound,
                     weight=Fraction(lat.rank, 2),
@@ -496,10 +526,8 @@ def run(argv=None) -> int:
     t0 = time.time()
     try:
         report = JOBS[args.kind](args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except (LatticeError, enumeration.RepresentationDomainError, theta.SeriesError) as e:
+    except (InputError, LatticeError, NotPositiveDefiniteError,
+            enumeration.RepresentationDomainError, theta.SeriesError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     text = report.render()
@@ -512,11 +540,9 @@ def run(argv=None) -> int:
     print(
         f"[thetalab] {args.kind}: {time.time() - t0:.2f}s  cache "
         f"mem={stats['memory_hits']} disk={stats['disk_hits']} "
-        f"miss={stats['misses']} writes={stats['writes']}",
+        f"miss={stats['misses']} writes={stats['writes']} corrupt={stats['corrupt']}",
         file=sys.stderr,
     )
-    if getattr(report, "_internal", False):
-        return EXIT_INTERNAL
     return report.exit_code
 
 

@@ -2,13 +2,15 @@
 
 Every theta coefficient in this package is a representation number
 r_L(T) = #{ordered tuples (x_1..x_g) in L^g with Q(x_i, x_j) = T_ij}, computed
-by direct counting.  Three engines cover the interesting shapes:
+by direct counting.  Four engines cover the interesting shapes:
 
 * an exact Fincke-Pohst walk for shells and for genus-1 counts (glued lattices
   instead get exact coset-decomposition counts, which agree and are fast),
 * a bitset depth-first search over the root graph when every diagonal entry
   of T is 2 (the hot path for genus 3 and 4),
-* blocked integer matrix products with histogram accumulation for genus 2.
+* blocked integer matrix products with histogram accumulation for genus 2,
+* one tuple walker over stored shells for every other shape; it also feeds
+  the Fourier-Jacobi tables in `jacobi`.
 
 All numpy arithmetic is integer-typed with proven no-overflow bounds, so the
 results are exact; nothing here uses floating point.
@@ -17,8 +19,9 @@ results are exact; nothing here uses floating point.
 from __future__ import annotations
 
 import hashlib
-import os
 import multiprocessing as mp
+import os
+import zlib
 from dataclasses import dataclass
 from math import isqrt
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -114,30 +117,6 @@ class GramTarget:
 
     def __str__(self):
         return self.key()
-
-
-# ---------------------------------------------------------------------------
-# Shell tables
-
-
-@dataclass(frozen=True)
-class ShellTable:
-    """Vectors of norm <= max_norm, grouped by norm (v and -v both present)."""
-
-    lattice_id: str
-    max_norm: int
-    counts: dict[int, int]
-    vectors: dict[int, list[tuple[int, ...]]] | None
-
-    def count(self, norm: int) -> int:
-        if norm == 0:
-            return 1
-        return self.counts.get(norm, 0)
-
-    def get(self, norm: int, default=None):
-        if self.vectors is None:
-            return default
-        return self.vectors.get(norm, [])
 
 
 # ---------------------------------------------------------------------------
@@ -321,19 +300,6 @@ def _dot_histogram(gram: np.ndarray, x_arr: np.ndarray, y_arr: np.ndarray, jobs:
 # Public shell operations
 
 
-def enumerate_shells(lat: "Lattice", bound: int, store_vectors: bool = True) -> ShellTable:
-    """All nonzero vectors with norm <= bound, complete and duplicate-free."""
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    ctx = _context(lat)
-    if store_vectors:
-        vectors = ctx.shell_vectors_original(bound)
-        counts = {q: len(v) for q, v in vectors.items()}
-        return ShellTable(lat.fingerprint, bound, counts, vectors)
-    counts = {q: c for q, c in ctx.counts_upto(bound).items() if q > 0}
-    return ShellTable(lat.fingerprint, bound, counts, None)
-
-
 def shell_counts_upto(lat: "Lattice", bound: int) -> dict[int, int]:
     """Counts by norm for 0 <= norm <= bound (norm 0 counts the zero vector)."""
     return _context(lat).counts_upto(bound)
@@ -368,11 +334,15 @@ def pairwise_dots(lat: "Lattice", vectors: Sequence[Sequence[int]]) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Coefficient cache (in-memory plus optional append-only directory)
+# Coefficient cache (in-memory plus an optional directory of checked entries)
 
 _MEM_CACHE: dict[tuple[str, str], int] = {}
 
 CACHE_ENV = "THETALAB_CACHE"
+
+# Directory of the current entry format under the cache root; entries written
+# in another format are never read.
+_CACHE_FORMAT = "v2"
 
 
 def _cache_dir() -> str | None:
@@ -383,7 +353,8 @@ def cache_stats() -> dict[str, int]:
     return dict(_CACHE_STATS)
 
 
-_CACHE_STATS = {"memory_hits": 0, "disk_hits": 0, "misses": 0, "writes": 0}
+# `corrupt` counts disk entries rejected by their check (then recomputed and replaced).
+_CACHE_STATS = {"memory_hits": 0, "disk_hits": 0, "misses": 0, "writes": 0, "corrupt": 0}
 
 
 def _disk_path(fp: str, key: str) -> str | None:
@@ -391,7 +362,25 @@ def _disk_path(fp: str, key: str) -> str | None:
     if not root:
         return None
     h = hashlib.sha1(key.encode()).hexdigest()[:24]
-    return os.path.join(root, fp[:24], f"{h}.txt")
+    return os.path.join(root, _CACHE_FORMAT, fp[:24], f"{h}.txt")
+
+
+def _entry_line(key: str, value: int) -> str:
+    """One cache entry: the key, the value and a CRC-32 of both, then a newline."""
+    body = f"{key} = {value}"
+    return f"{body} {zlib.crc32(body.encode()):08x}\n"
+
+
+def _entry_value(text: str, key: str) -> int | None:
+    """The value stored in a cache entry for `key`, or None unless the entry
+    is exactly what `_entry_line` writes (so truncated, empty and garbled
+    entries are rejected)."""
+    _, _, rest = text.partition(" = ")
+    try:
+        value = int(rest.partition(" ")[0])
+    except ValueError:
+        return None
+    return value if text == _entry_line(key, value) else None
 
 
 def _cache_get(fp: str, key: str) -> int | None:
@@ -400,35 +389,51 @@ def _cache_get(fp: str, key: str) -> int | None:
         _CACHE_STATS["memory_hits"] += 1
         return hit
     path = _disk_path(fp, key)
-    if path and os.path.exists(path):
+    if path:
         try:
             with open(path, "r", encoding="ascii") as fh:
-                stored_key, _, value = fh.read().partition(" = ")
-            if stored_key.strip() == key:
-                n = int(value.strip())
+                text = fh.read()
+        except OSError:  # absent or unreadable: a plain miss
+            text = None
+        except ValueError:  # not ASCII
+            text = ""
+        if text is not None:
+            n = _entry_value(text, key)
+            if n is not None:
                 _MEM_CACHE[(fp, key)] = n
                 _CACHE_STATS["disk_hits"] += 1
                 return n
-        except (OSError, ValueError):
-            return None
+            _CACHE_STATS["corrupt"] += 1
     _CACHE_STATS["misses"] += 1
     return None
 
 
 def _cache_put(fp: str, key: str, value: int) -> None:
+    """Publish the entry whole: write a private temp file, then rename it over
+    the entry's path, so no reader sees a partial write."""
+    if _MEM_CACHE.get((fp, key)) == value:  # a nested call (shell_count) stored it
+        return
     _MEM_CACHE[(fp, key)] = value
     path = _disk_path(fp, key)
     if not path:
         return
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
-    except FileExistsError:
-        return
+        try:
+            fh = open(tmp, "w", encoding="ascii")
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            fh = open(tmp, "w", encoding="ascii")
+        with fh:
+            fh.write(_entry_line(key, value))
+        os.replace(tmp, path)
     except OSError:
+        # The disk cache is optional: a failed write only costs a recomputation.
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
         return
-    with os.fdopen(fd, "w", encoding="ascii") as fh:
-        fh.write(f"{key} = {value}\n")
     _CACHE_STATS["writes"] += 1
 
 
@@ -560,40 +565,56 @@ def _count_root_tuples(lat: "Lattice", t: GramTarget, jobs: int) -> int:
     return 2 * total
 
 
-# ---- general engine (mixed diagonals, small shells) ------------------------
+# ---- tuple walker (mixed diagonals, small shells) --------------------------
 
 
-def _count_general(lat: "Lattice", t: GramTarget) -> int:
-    """Depth-first filtering over stored shells; meant for small lattices or
-    small bounds (work grows with the product of shell sizes)."""
-    ctx = _context(lat)
+def _walk_tuples(ctx: "_LatticeContext", t: GramTarget):
+    """Every ordered tuple with Gram matrix T (genus >= 2), grouped by its
+    first g-1 slots: yields (prefix, last), where prefix holds the indices into
+    ctx.shell_array(T_ii) chosen for slots 0..g-2 and last is the index array
+    of every slot-(g-1) vector that completes them (never empty).
+
+    Fixing a slot filters the candidates of every later slot at once.  Work
+    grows with the product of shell sizes, so this is meant for small
+    lattices or small bounds.
+    """
     g = t.genus
-    arrays = [ctx.shell_array(t.entries[i][i]) for i in range(g)]
+    diag = [t.entries[i][i] for i in range(g)]
+    shells = {d: ctx.shell_array(d).astype(np.int64) for d in set(diag)}
+    arrays = [shells[d] for d in diag]
     if any(len(a) == 0 for a in arrays):
-        return 0
+        return
     work = len(arrays[0])
-    for i in range(1, g):
-        work *= max(1, min(len(arrays[i]), 64))
+    for a in arrays[1:]:
+        work *= max(1, min(len(a), 64))
     if work > 5 * 10**7:
         raise RepresentationDomainError(
-            f"general representation count too large for {t.key()} at rank {lat.rank}"
+            f"general representation count too large for {t.key()} at rank {ctx.rank}"
         )
     gm = ctx._gram_red_np
 
-    def rec(level: int, chosen: list[np.ndarray]) -> int:
-        arr = arrays[level]
-        mask = np.ones(len(arr), dtype=bool)
-        for k, xk in enumerate(chosen):
-            want = t.entries[k][level]
-            mask &= (arr.astype(np.int64) @ (gm @ xk)) == want
+    def rec(level: int, prefix: tuple, cands: list[np.ndarray]):
+        # cands[k] indexes the candidates left for slot level + k.
         if level == g - 1:
-            return int(mask.sum())
-        total = 0
-        for row in arr[mask]:
-            total += rec(level + 1, chosen + [row.astype(np.int64)])
-        return total
+            yield prefix, cands[0]
+            return
+        row = t.entries[level]
+        for i in cands[0]:
+            gx = gm @ arrays[level][i]
+            nxt = []
+            for j, c in enumerate(cands[1:], start=level + 1):
+                c = c[arrays[j][c] @ gx == row[j]]
+                if not len(c):
+                    break
+                nxt.append(c)
+            else:
+                yield from rec(level + 1, prefix + (i,), nxt)
 
-    return rec(0, [])
+    yield from rec(0, (), [np.arange(len(a)) for a in arrays])
+
+
+def _count_general(lat: "Lattice", t: GramTarget) -> int:
+    return sum(len(last) for _, last in _walk_tuples(_context(lat), t))
 
 
 # ---------------------------------------------------------------------------

@@ -52,12 +52,6 @@ class IntMatrix:
             self.rows[i][j] == self.rows[j][i] for i in range(self.nrows) for j in range(i)
         )
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows))) if self.rows else self
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        return self.rows[ij[0]][ij[1]]
-
 
 @dataclass(frozen=True)
 class RatMatrix:
@@ -83,9 +77,6 @@ class RatMatrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(tuple(zip(*self.rows))) if self.rows else self
-
     def common_denominator(self) -> int:
         d = 1
         for r in self.rows:
@@ -99,15 +90,6 @@ class RatMatrix:
             d = self.common_denominator()
         m = IntMatrix(tuple(tuple(int(x * d) for x in r) for r in self.rows))
         return m, d
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        return self.rows[ij[0]][ij[1]]
-
-
-def mat_mul_int(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Plain integer matrix product (small matrices only)."""
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def gram_of_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -176,21 +158,12 @@ def ldl_rational(g: RatMatrix) -> tuple[list[Fraction], RatMatrix]:
     return d, RatMatrix(tuple(tuple(r) for r in u))
 
 
-def ldl_pivots(g: IntMatrix) -> tuple[list[Fraction], int]:
-    """Pivots of the LDL factorization, stopping at the first non-positive one.
-
-    Returns (pivots, fail_index); fail_index is -1 when all pivots are positive.
-    """
-    try:
-        d, _ = ldl_rational(RatMatrix.from_rows(g.rows))
-        return d, -1
-    except NotPositiveDefiniteError as e:
-        return [], e.pivot_index
-
-
 def is_positive_definite(g: IntMatrix) -> bool:
-    _, bad = ldl_pivots(g)
-    return bad == -1
+    try:
+        ldl_rational(RatMatrix.from_rows(g.rows))
+    except NotPositiveDefiniteError:
+        return False
+    return True
 
 
 def is_positive_semidefinite(g: IntMatrix) -> bool:
@@ -289,58 +262,3 @@ def row_basis_rational(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction
     scaled, d = rat.scaled_int()
     basis = _hnf_int_rows([list(r) for r in scaled.rows])
     return [[Fraction(x, d) for x in row] for row in basis]
-
-
-def hnf_rowreduce(m: RatMatrix) -> IntMatrix:
-    """Basis of the additive group generated by the rows of a rational matrix.
-
-    The rows must generate a group of full rank (= number of columns); the
-    result is returned scaled by the common denominator of the input, so it is
-    an integer basis of d*(generated group).
-    """
-    scaled, _d = m.scaled_int()
-    basis = _hnf_int_rows([list(r) for r in scaled.rows])
-    if len(basis) != m.ncols:
-        raise ValueError(
-            f"generated group has rank {len(basis)}, expected full rank {m.ncols}"
-        )
-    return IntMatrix.from_rows(basis)
-
-
-def solve_coordinates(basis: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> list[Fraction] | None:
-    """Coordinates of v in the row span of independent basis rows, or None.
-
-    Solves x * basis = v exactly (Gaussian elimination on the transposed system).
-    """
-    k = len(basis)
-    if k == 0:
-        return [] if not any(v) else None
-    m = len(basis[0])
-    # Rows of the augmented system: (basis^T | v), one row per ambient coordinate.
-    aug = [[Fraction(basis[i][c]) for i in range(k)] + [Fraction(v[c])] for c in range(m)]
-    row = 0
-    pivots: list[int] = []
-    for col in range(k):
-        piv = next((i for i in range(row, m) if aug[i][col] != 0), None)
-        if piv is None:
-            return None  # basis rows not independent; caller guarantees they are
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-    # Consistency: remaining rows must be zero.
-    for i in range(row, m):
-        if aug[i][k] != 0:
-            return None
-    return [aug[r][k] for r in range(k)]
-
-
-def in_z_span(basis: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> bool:
-    """Whether v lies in the Z-span of the given independent basis rows (exact)."""
-    coords = solve_coordinates(basis, v)
-    return coords is not None and all(c.denominator == 1 for c in coords)

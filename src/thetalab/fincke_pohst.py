@@ -11,61 +11,82 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Callable
 
-from .exactnum import RatMatrix, ldl_rational
+from .exactnum import NotPositiveDefiniteError, RatMatrix, ldl_rational
 
 
 def lll_gram(gram: list[list[int]], delta: Fraction = Fraction(3, 4)) -> tuple[list[list[int]], list[list[int]]]:
     """Exact LLL reduction driven by the Gram matrix alone.
 
     Returns (reduced_gram, u) with reduced_gram = u * gram * u^T and u unimodular.
+    The Gram-Schmidt data are kept in integers and updated in place at every
+    step (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.7):
+    d[i] is the Gram determinant of the first i basis vectors and
+    lam[i][j] = d[j + 1] * mu[i][j].  Raises NotPositiveDefiniteError when a
+    leading minor is not positive.
     """
     n = len(gram)
     g = [[int(x) for x in row] for row in gram]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     if n <= 1:
         return g, u
+    delta = Fraction(delta)
 
-    def gso():
-        bstar = [Fraction(0)] * n
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            bstar[i] = Fraction(g[i][i])
-            for j in range(i):
-                num = Fraction(g[i][j])
-                for k in range(j):
-                    num -= mu[i][k] * mu[j][k] * bstar[k]
-                mu[i][j] = num / bstar[j]
-                bstar[i] -= mu[i][j] ** 2 * bstar[j]
-        return bstar, mu
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            x = g[i][j]
+            for l in range(j):
+                x = (d[l + 1] * x - lam[i][l] * lam[j][l]) // d[l]
+            if j < i:
+                lam[i][j] = x
+            elif x <= 0:
+                raise NotPositiveDefiniteError(i)
+            else:
+                d[i + 1] = x
 
     def row_sub(i, j, q):
-        # basis_i -= q * basis_j, applied to gram and transform
+        # basis_i -= q * basis_j, applied to gram, transform and lam
         for t in range(n):
             u[i][t] -= q * u[j][t]
         for t in range(n):
             g[i][t] -= q * g[j][t]
         for t in range(n):
             g[t][i] -= q * g[t][j]
+        lam[i][j] -= q * d[j + 1]
+        for t in range(j):
+            lam[i][t] -= q * lam[j][t]
 
-    def row_swap(i, j):
-        u[i], u[j] = u[j], u[i]
-        g[i], g[j] = g[j], g[i]
+    def row_swap(k):
+        # exchange basis_k and basis_{k-1}
+        u[k], u[k - 1] = u[k - 1], u[k]
+        g[k], g[k - 1] = g[k - 1], g[k]
         for row in g:
-            row[i], row[j] = row[j], row[i]
+            row[k], row[k - 1] = row[k - 1], row[k]
+        lk, lk1 = lam[k], lam[k - 1]
+        for t in range(k - 1):
+            lk[t], lk1[t] = lk1[t], lk[t]
+        m = lk[k - 1]
+        b = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+            lam[i][k - 1] = (b * t + m * lam[i][k]) // d[k + 1]
+        d[k] = b
 
-    bstar, mu = gso()
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            q = (mu[k][j].numerator * 2 + mu[k][j].denominator) // (2 * mu[k][j].denominator)
+            # q = floor(mu[k][j] + 1/2)
+            q = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
             if q != 0:
                 row_sub(k, j, q)
-                bstar, mu = gso()
-        if bstar[k] >= (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+        # Lovasz: bstar_k >= (delta - mu[k][k-1]^2) bstar_{k-1}, times d[k] d[k-1] > 0
+        m = lam[k][k - 1]
+        if (d[k + 1] * d[k - 1] + m * m) * delta.denominator >= delta.numerator * d[k] * d[k]:
             k += 1
         else:
-            row_swap(k, k - 1)
-            bstar, mu = gso()
+            row_swap(k)
             k = max(k - 1, 1)
     return g, u
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, prod
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -46,6 +47,13 @@ class JacobiCoefficient:
         return sum(ell[i] * ell[j] * c for (t, ell), c in self.entries.items() if t == s)
 
 
+# One index's dot tables hold |shell| x |norm-2n shell| entries per diagonal
+# norm, and its histogram keys one entry per (tuple, y).  Past these sizes the
+# table would not fit in memory or finish in reasonable time.
+_TABLE_ENTRIES_LIMIT = 2 * 10**7
+_KEY_ENTRIES_LIMIT = 2 * 10**9
+
+
 def _ell_tables_for_target(lat: "Lattice", s: GramTarget, two_n: int) -> dict[tuple[int, ...], int]:
     """Joint l-histogram for one index S: pairs every Gram-S tuple with every
     vector of norm 2n."""
@@ -67,42 +75,33 @@ def _ell_tables_for_target(lat: "Lattice", s: GramTarget, two_n: int) -> dict[tu
         return {(): r_shell}
     ctx = enumeration._context(lat)
     gram = ctx._gram_red_np
-    y_arr = ctx.shell_array(two_n).astype(np.int64)
     if g == 1:
         hist = enumeration._dot_histogram(gram, ctx.shell_array(s.entries[0][0]), ctx.shell_array(two_n))
         return {(ell,): c for ell, c in hist.items()}
-    from math import isqrt
-
-    offs = [isqrt(two_n * s.entries[i][i]) for i in range(g)]
+    diag = [s.entries[i][i] for i in range(g)]
+    offs = [isqrt(two_n * d) for d in diag]
     widths = [2 * o + 1 for o in offs]
-    nbins = 1
-    for w in widths:
-        nbins *= w
+    # Mixed-radix key of l = (l_0..l_{g-1}), slot g-1 least significant.
+    strides = [prod(widths[i + 1 :]) for i in range(g)]
+    nbins = strides[0] * widths[0]
+    gy = gram @ ctx.shell_array(two_n).astype(np.int64).T  # rank x |shell|
+    ny = gy.shape[1]
+    if sum(len(ctx.shell_array(d)) for d in set(diag)) * ny > _TABLE_ENTRIES_LIMIT:
+        raise LatticeError(f"Fourier-Jacobi dot tables for {s.key()} at rank {lat.rank} too large")
+    # dots[d][k] = (Q(x_k, y))_y for the k-th vector x_k of norm d.
+    dots = {d: ctx.shell_array(d).astype(np.int64) @ gy for d in set(diag)}
+    tables = [dots[d] for d in diag]
     acc = np.zeros(nbins, dtype=np.int64)
-    if g == 2 and all(s.entries[i][i] == 2 for i in range(g)):
-        # Pairs of roots: group the second slot by the first and use the exact
-        # dot table, so nothing is materialized per tuple.
-        arr, _dots, _neg, masks = ctx.root_data()
-        gy = gram @ y_arr.T
-        dots_y = arr.astype(np.int64) @ gy  # roots x |shell|
-        b = s.entries[0][1]
-        for i1 in range(len(arr)):
-            idx2 = list(enumeration._iter_bits(masks[b][i1]))
-            if not idx2:
-                continue
-            key = (dots_y[i1] + offs[0]) * widths[1] + dots_y[idx2] + offs[1]
-            acc += np.bincount(key.ravel(), minlength=nbins)
-    else:
-        # General shape: enumerate the Gram-S tuples, then histogram joint dots.
-        tuples = _enumerate_tuples(lat, s)
-        if not tuples:
-            return {}
-        gy = gram @ y_arr.T  # rank x |shell|
-        for tup in tuples:
-            key = np.zeros(y_arr.shape[0], dtype=np.int64)
-            for i in range(g):
-                key = key * widths[i] + (tup[i] @ gy + offs[i])
-            acc += np.bincount(key, minlength=nbins)
+    keys = 0
+    for prefix, last in enumeration._walk_tuples(ctx, s):
+        base = offs[-1]
+        for i, k in enumerate(prefix):
+            base = base + (tables[i][k] + offs[i]) * strides[i]
+        key = tables[-1][last] + base
+        keys += key.size
+        if keys > _KEY_ENTRIES_LIMIT:
+            raise LatticeError(f"Fourier-Jacobi table for {s.key()} at rank {lat.rank} too large")
+        acc += np.bincount(key.ravel(), minlength=nbins)
     out: dict[tuple[int, ...], int] = {}
     for flat, c in enumerate(acc):
         if not c:
@@ -113,34 +112,6 @@ def _ell_tables_for_target(lat: "Lattice", s: GramTarget, two_n: int) -> dict[tu
             ell.append(rem % widths[i] - offs[i])
             rem //= widths[i]
         out[tuple(reversed(ell))] = int(c)
-    return out
-
-
-def _enumerate_tuples(lat: "Lattice", s: GramTarget, limit: int = 300000) -> list[np.ndarray]:
-    """All ordered tuples (reduced coordinates) with Gram matrix S."""
-    ctx = enumeration._context(lat)
-    g = s.genus
-    gram = ctx._gram_red_np
-    arrays = [ctx.shell_array(s.entries[i][i]).astype(np.int64) for i in range(g)]
-    if any(len(a) == 0 for a in arrays):
-        return []
-    out: list[np.ndarray] = []
-
-    def rec(level: int, chosen: list[np.ndarray]):
-        arr = arrays[level]
-        mask = np.ones(len(arr), dtype=bool)
-        for k, xk in enumerate(chosen):
-            mask &= (arr @ (gram @ xk)) == s.entries[k][level]
-        if level == g - 1:
-            for row in arr[mask]:
-                out.append(np.stack(chosen + [row]))
-                if len(out) > limit:
-                    raise LatticeError("tuple enumeration exceeded limit")
-            return
-        for row in arr[mask]:
-            rec(level + 1, chosen + [row])
-
-    rec(0, [])
     return out
 
 

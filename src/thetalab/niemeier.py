@@ -109,6 +109,3 @@ def builtin(name: str) -> Lattice:
         raise KeyError(f"unknown built-in lattice {name!r}")
     return glue(spec, name=name)
 
-
-def pair_by_names(a: str, b: str) -> tuple[Lattice, Lattice]:
-    return builtin(a), builtin(b)

@@ -12,9 +12,6 @@ from functools import lru_cache
 
 from .exactnum import IntMatrix, det_exact, gram_of_rows
 
-ADE_KINDS = ("A", "D", "E")
-
-
 def _check(kind: str, rank: int) -> None:
     if kind == "A" and rank >= 1:
         return

@@ -31,35 +31,9 @@ class SeriesError(ValueError):
 
 
 @dataclass
-class ThetaTruncation:
-    """A degree-g theta series known exactly on all indices with trace <= bound."""
-
-    genus: int
-    trace_bound: int
-    weight: Fraction
-    coeffs: dict[GramTarget, int]
-    provenance: str
-
-    def coefficient(self, t: GramTarget) -> int:
-        return self.coeffs.get(t, 0)
-
-    def items_sorted(self) -> list[tuple[GramTarget, int]]:
-        return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key())
-
-    def __eq__(self, other):
-        if not isinstance(other, ThetaTruncation):
-            return NotImplemented
-        return (
-            self.genus == other.genus
-            and self.trace_bound == other.trace_bound
-            and {k: v for k, v in self.coeffs.items() if v}
-            == {k: v for k, v in other.coeffs.items() if v}
-        )
-
-
-@dataclass
-class FormalDifference:
-    """Signed coefficient table of a difference of equal-weight truncations."""
+class Series:
+    """A degree-g series known exactly on all indices with trace <= bound: the
+    theta series of a lattice, or a signed combination of such series."""
 
     genus: int
     trace_bound: int
@@ -77,10 +51,21 @@ class FormalDifference:
     def items_sorted(self) -> list[tuple[GramTarget, int]]:
         return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key())
 
+    def __eq__(self, other):
+        """Equal genus, bound and nonzero coefficients (stored zeros are ignored)."""
+        if not isinstance(other, Series):
+            return NotImplemented
+        return (
+            self.genus == other.genus
+            and self.trace_bound == other.trace_bound
+            and {k: v for k, v in self.coeffs.items() if v}
+            == {k: v for k, v in other.coeffs.items() if v}
+        )
 
-def constant_one(genus: int, trace_bound: int) -> ThetaTruncation:
+
+def constant_one(genus: int, trace_bound: int) -> Series:
     """The theta series of the rank-0 lattice: constant 1 in any degree."""
-    return ThetaTruncation(
+    return Series(
         genus=genus,
         trace_bound=trace_bound,
         weight=Fraction(0),
@@ -89,12 +74,12 @@ def constant_one(genus: int, trace_bound: int) -> ThetaTruncation:
     )
 
 
-def theta_truncated(lat: "Lattice", genus: int, trace_bound: int, jobs: int = 1) -> ThetaTruncation:
+def theta_truncated(lat: "Lattice", genus: int, trace_bound: int, jobs: int = 1) -> Series:
     """Exact truncation of the degree-g theta series of a lattice."""
     if genus < 0 or trace_bound < 0:
         raise SeriesError("genus and trace bound must be nonnegative")
     coeffs = representation_profile(lat, genus, trace_bound, jobs=jobs)
-    return ThetaTruncation(
+    return Series(
         genus=genus,
         trace_bound=trace_bound,
         weight=Fraction(lat.rank, 2),
@@ -103,7 +88,7 @@ def theta_truncated(lat: "Lattice", genus: int, trace_bound: int, jobs: int = 1)
     )
 
 
-def series_difference(f: ThetaTruncation, g: ThetaTruncation) -> FormalDifference:
+def series_difference(f: Series, g: Series) -> Series:
     if f.genus != g.genus:
         raise SeriesError("difference needs equal genus")
     if f.weight != g.weight:
@@ -114,7 +99,7 @@ def series_difference(f: ThetaTruncation, g: ThetaTruncation) -> FormalDifferenc
         if t.trace <= bound:
             d = f.coefficient(t) - g.coefficient(t)
             coeffs[t] = d
-    return FormalDifference(
+    return Series(
         genus=f.genus,
         trace_bound=bound,
         weight=f.weight,
@@ -123,7 +108,7 @@ def series_difference(f: ThetaTruncation, g: ThetaTruncation) -> FormalDifferenc
     )
 
 
-def series_product(f: ThetaTruncation, g: ThetaTruncation) -> ThetaTruncation:
+def series_product(f: Series, g: Series) -> Series:
     if f.genus != g.genus:
         raise SeriesError("product needs equal genus")
     bound = min(f.trace_bound, g.trace_bound)
@@ -141,7 +126,7 @@ def series_product(f: ThetaTruncation, g: ThetaTruncation) -> ThetaTruncation:
             t = GramTarget(rows)
             coeffs[t] = coeffs.get(t, 0) + c1 * c2
     coeffs = {t: c for t, c in coeffs.items() if c}
-    return ThetaTruncation(
+    return Series(
         genus=f.genus,
         trace_bound=bound,
         weight=f.weight + g.weight,
@@ -150,7 +135,7 @@ def series_product(f: ThetaTruncation, g: ThetaTruncation) -> ThetaTruncation:
     )
 
 
-def siegel_restrict(f: ThetaTruncation | FormalDifference):
+def siegel_restrict(f: Series):
     """Drop to degree g-1: keep coefficients whose last row and column vanish."""
     if f.genus < 1:
         raise SeriesError("cannot restrict a degree-0 series")
@@ -160,8 +145,7 @@ def siegel_restrict(f: ThetaTruncation | FormalDifference):
         if any(t.entries[g - 1][j] for j in range(g)):
             continue
         coeffs[t.principal_submatrix(range(g - 1))] = c
-    cls = ThetaTruncation if isinstance(f, ThetaTruncation) else FormalDifference
-    return cls(
+    return Series(
         genus=g - 1,
         trace_bound=f.trace_bound,
         weight=f.weight,
@@ -290,7 +274,7 @@ def distinguishing_report(
     return DistinguishReport(False, None, None, None, None)
 
 
-def linear_independence_rank(series: Sequence[ThetaTruncation | FormalDifference]) -> int:
+def linear_independence_rank(series: Sequence[Series]) -> int:
     """Exact rank over Q of the coefficient matrix (rows = series)."""
     if not series:
         return 0
@@ -390,7 +374,7 @@ def k_identity_check(
 FORMAT_HEADER = "# thetalab-series 1"
 
 
-def export_series(f: ThetaTruncation | FormalDifference) -> str:
+def export_series(f: Series) -> str:
     lines = [
         FORMAT_HEADER,
         f"expr: {f.provenance}",
@@ -404,7 +388,7 @@ def export_series(f: ThetaTruncation | FormalDifference) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_series(text: str) -> ThetaTruncation:
+def parse_series(text: str) -> Series:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != FORMAT_HEADER:
         raise SeriesError("not a thetalab series file")
@@ -417,16 +401,31 @@ def parse_series(text: str) -> ThetaTruncation:
             body_start = i + 1
         else:
             break
-    genus = int(header["genus"])
+    try:
+        genus = int(header["genus"])
+        trace_bound = int(header["trace_bound"])
+        weight = Fraction(int(header["rank"]), 2)
+    except KeyError as e:
+        raise SeriesError(f"series file has no {e.args[0]!r} header")
+    except ValueError as e:
+        raise SeriesError(f"bad series header: {e}")
+    if genus < 0 or trace_bound < 0:
+        raise SeriesError("genus and trace bound must be nonnegative")
     coeffs: dict[GramTarget, int] = {}
     for ln in lines[body_start:]:
-        upper_str, _, val = ln.partition("=")
-        upper = [int(x) for x in upper_str.split()]
-        coeffs[GramTarget.from_upper(genus, upper)] = int(val.strip())
-    return ThetaTruncation(
+        upper_str, sep, val = ln.partition("=")
+        try:
+            upper = [int(x) for x in upper_str.split()]
+            value = int(val.strip())
+        except ValueError:
+            upper = None
+        if not sep or upper is None or len(upper) != genus * (genus + 1) // 2:
+            raise SeriesError(f"bad series row {ln!r}")
+        coeffs[GramTarget.from_upper(genus, upper)] = value
+    return Series(
         genus=genus,
-        trace_bound=int(header["trace_bound"]),
-        weight=Fraction(int(header["rank"]), 2),
+        trace_bound=trace_bound,
+        weight=weight,
         coeffs=coeffs,
         provenance=header.get("expr", "?"),
     )

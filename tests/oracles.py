@@ -5,9 +5,9 @@ from fractions import Fraction
 from math import isqrt
 
 
-def ldl_box_counts(gram, bound):
-    """Scan the coordinate box |x_i| <= sqrt(bound * (G^-1)_ii) and bin every
-    nonzero vector of norm <= bound.  Independent of the enumeration engine."""
+def ldl_box_vectors(gram, bound):
+    """Scan the coordinate box |x_i| <= sqrt(bound * (G^-1)_ii) and group every
+    nonzero vector of norm <= bound by norm.  Independent of the enumeration engine."""
     n = len(gram)
     ginv_diag = []
     for i in range(n):
@@ -23,14 +23,19 @@ def ldl_box_counts(gram, bound):
                     aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
         ginv_diag.append(aug[i][n])
     boxes = [int(isqrt(int(bound * d) + 1)) + 1 for d in ginv_diag]
-    counts = {}
+    vectors = {}
     for x in itertools.product(*[range(-b, b + 1) for b in boxes]):
         if not any(x):
             continue
         q = sum(x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n))
         if 0 < q <= bound:
-            counts[q] = counts.get(q, 0) + 1
-    return counts
+            vectors.setdefault(q, []).append(x)
+    return vectors
+
+
+def ldl_box_counts(gram, bound):
+    """Counts by norm of `ldl_box_vectors`."""
+    return {q: len(v) for q, v in ldl_box_vectors(gram, bound).items()}
 
 
 def e8_ambient_counts(bound):
@@ -57,3 +62,39 @@ def e8_ambient_counts(bound):
             continue
         counts[q4 // 4] = counts.get(q4 // 4, 0) + 1
     return counts
+
+
+def solve_coordinates(basis, v):
+    """Coordinates of v in the row span of independent basis rows, or None.
+
+    Solves x * basis = v exactly (Gaussian elimination on the transposed system).
+    """
+    k = len(basis)
+    if k == 0:
+        return [] if not any(v) else None
+    m = len(basis[0])
+    # Rows of the augmented system: (basis^T | v), one row per ambient coordinate.
+    aug = [[Fraction(basis[i][c]) for i in range(k)] + [Fraction(v[c])] for c in range(m)]
+    row = 0
+    for col in range(k):
+        piv = next((i for i in range(row, m) if aug[i][col] != 0), None)
+        if piv is None:
+            return None  # basis rows not independent
+        aug[row], aug[piv] = aug[piv], aug[row]
+        inv = 1 / aug[row][col]
+        aug[row] = [x * inv for x in aug[row]]
+        for i in range(m):
+            if i != row and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
+        row += 1
+    # Consistency: remaining rows must be zero.
+    if any(aug[i][k] != 0 for i in range(row, m)):
+        return None
+    return [aug[r][k] for r in range(k)]
+
+
+def in_z_span(basis, v):
+    """Whether v lies in the Z-span of the given independent basis rows (exact)."""
+    coords = solve_coordinates(basis, v)
+    return coords is not None and all(c.denominator == 1 for c in coords)

@@ -183,3 +183,39 @@ def test_jobs_must_be_positive(capsys):
 def test_parser_rejects_unknown_kind():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
+
+
+@pytest.mark.parametrize(
+    "kind,content",
+    [
+        ("tset", {"upper": [[2]]}),
+        ("tset", ["abc"]),
+        # Read as ints, these two are A4 up to sign: a valid index, so no error.
+        ("tset", [[2.9, -1, 0, 0, 2, -1, 0, 2, -1, 2]]),
+        ("tset", [[2, True, 0, 0, 2, -1, 0, 2, -1, 2]]),
+        ("spec", {"gram": [[2, 1], [1]]}),
+        ("spec", {"gram": [["2"]]}),
+        ("spec", {"gram": [[2.5]]}),
+        ("spec", {"components": [["Q", 3]]}),
+        ("spec", {"components": [["A"]]}),
+        ("spec", b"\xff\xfe not utf-8"),
+        ("shells", {"gram": [[2, 3], [3, 2]]}),  # indefinite: LLL cannot reduce it
+    ],
+    ids=[
+        "tset-no-targets-key", "tset-string-entry", "tset-float", "tset-bool",
+        "spec-ragged-gram", "spec-string-in-gram", "spec-float-in-gram", "spec-bad-ade-symbol",
+        "spec-short-component", "spec-not-utf8", "spec-indefinite-gram",
+    ],
+)
+def test_bad_input_exits_3_with_message(tmp_path, capsys, kind, content):
+    path = tmp_path / "input.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(json.dumps(content))
+    if kind == "tset":
+        argv = ["k-identity", "--pair", "E8:E8", "--tset", str(path)]
+    else:
+        argv = ["validate" if kind == "spec" else kind, "--spec", str(path)]
+    assert run(argv) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,5 +1,10 @@
 import itertools
+import os
+import pathlib
+from collections import Counter
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,17 +14,21 @@ from thetalab.enumeration import (
     GramTarget,
     RepresentationDomainError,
     candidate_targets,
-    enumerate_shells,
     representation_count,
     representation_profile,
     shell_count,
     shell_counts_upto,
+    shell_vectors,
 )
+from thetalab.exactnum import IntMatrix, NotPositiveDefiniteError, RatMatrix, det_exact, ldl_rational
+from thetalab.fincke_pohst import lll_gram
+from thetalab.jacobi import jacobi_coefficient
 from thetalab.lattices import direct_sum, from_gram, root_lattice
 from thetalab.niemeier import builtin
+from thetalab.rootdata import ade_gram
 
 
-from oracles import e8_ambient_counts, ldl_box_counts
+from oracles import e8_ambient_counts, ldl_box_counts, ldl_box_vectors
 
 
 @pytest.mark.parametrize(
@@ -48,16 +57,17 @@ def test_known_small_shells():
     assert shell_count(builtin("D16+"), 2) == 480
 
 
-def test_enumerate_shells_structure():
-    table = enumerate_shells(builtin("E8"), 4)
-    assert set(table.counts) == {2, 4}
-    for q, vecs in table.vectors.items():
-        assert len(vecs) == table.counts[q]
+def test_shell_vectors_structure():
+    e8 = builtin("E8")
+    table = shell_vectors(e8, 4)
+    assert set(table) == {2, 4}
+    for q, vecs in table.items():
+        assert len(vecs) == shell_count(e8, q)
         seen = set(vecs)
         assert len(seen) == len(vecs)  # duplicate-free
         for v in vecs:
             assert tuple(-x for x in v) in seen  # v and -v together
-    assert table.count(0) == 1
+        assert all(int(d) == q for d in en.pairwise_dots(e8, vecs).diagonal())
 
 
 @settings(max_examples=20, deadline=None)
@@ -78,6 +88,30 @@ def test_shell_counts_invariant_under_basis_change(name, perm):
     assert shell_counts_upto(lat2, 6) == shell_counts_upto(lat, 6)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_lll_gram_is_reduced_change_of_basis(a):
+    n = len(a)
+    g = [[sum(a[i][t] * a[j][t] for t in range(n)) + (i == j) for j in range(n)] for i in range(n)]
+    red, u = lll_gram(g)
+    assert red == [[sum(u[i][s] * g[s][t] * u[j][t] for s in range(n) for t in range(n))
+                    for j in range(n)] for i in range(n)]
+    assert abs(det_exact(IntMatrix.from_rows(u))) == 1
+    # red = U^T D U: mu[i][j] = U[j][i] and bstar = D.
+    bstar, umat = ldl_rational(RatMatrix.from_rows(red))
+    mu = [[umat.rows[j][i] for j in range(n)] for i in range(n)]
+    assert all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(n) for j in range(i))
+    assert all(bstar[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bstar[k - 1] for k in range(1, n))
+
+
+def test_lll_gram_rejects_indefinite_gram():
+    with pytest.raises(NotPositiveDefiniteError):
+        lll_gram([[2, 3], [3, 2]])
+    with pytest.raises(NotPositiveDefiniteError):
+        lll_gram([[2, 2], [2, 2]])
+
+
 def test_representation_zero_matrix():
     e8 = builtin("E8")
     for g in range(4):
@@ -92,7 +126,7 @@ def test_representation_count_e8_values():
 
 def test_pair_count_brute_force_oracle():
     e8 = builtin("E8")
-    roots = enumerate_shells(e8, 2).vectors[2]
+    roots = shell_vectors(e8, 2)[2]
     dots = en.pairwise_dots(e8, roots)
     for b in (-2, -1, 0, 1, 2):
         expect = int((dots == b).sum())
@@ -103,7 +137,7 @@ def test_pair_count_brute_force_oracle():
 
 def test_triple_count_brute_force_oracle_on_a2():
     a2 = root_lattice("A", 2)
-    vecs = enumerate_shells(a2, 2).vectors[2]
+    vecs = shell_vectors(a2, 2)[2]
     dots = en.pairwise_dots(a2, vecs)
     t = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
     expect = 0
@@ -224,3 +258,124 @@ def test_domain_errors():
         representation_count(e8, [[2, 3], [3, 2]])  # not PSD
     with pytest.raises(RepresentationDomainError):
         representation_count(e8, [[2, 1], [0, 2]])  # not symmetric
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "1|4 = 21",  # cut short before the check and the newline
+        "",  # created but never written
+        "\x00\x17 garbage",
+        "1|4 = 21 00000000\n",  # well formed, wrong check
+    ],
+    ids=["truncated", "empty", "garbage", "bad-check"],
+)
+def test_cache_rejects_and_replaces_bad_entry(tmp_path, monkeypatch, entry):
+    monkeypatch.setenv(en.CACHE_ENV, str(tmp_path))
+    e8 = builtin("E8")
+    en._MEM_CACHE.pop((e8.fingerprint, "1|4"), None)
+    path = en._disk_path(e8.fingerprint, "1|4")
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="latin-1") as fh:
+        fh.write(entry)
+    before = en.cache_stats()
+    assert shell_count(e8, 4) == 2160
+    after = en.cache_stats()
+    assert after["corrupt"] - before["corrupt"] == 1
+    assert after["writes"] - before["writes"] == 1
+    # The entry was replaced by a good one, which a fresh read accepts.
+    en._MEM_CACHE.pop((e8.fingerprint, "1|4"), None)
+    assert shell_count(e8, 4) == 2160
+    assert en.cache_stats()["disk_hits"] - after["disk_hits"] == 1
+    assert [p.name for p in pathlib.Path(path).parent.iterdir()] == [os.path.basename(path)]
+
+
+def test_cache_ignores_unversioned_entries(tmp_path, monkeypatch):
+    monkeypatch.setenv(en.CACHE_ENV, str(tmp_path))
+    e8 = builtin("E8")
+    en._MEM_CACHE.pop((e8.fingerprint, "1|4"), None)
+    path = pathlib.Path(en._disk_path(e8.fingerprint, "1|4"))
+    # The unchecked format kept entries one level up, without a format directory.
+    old = tmp_path / path.parent.name / path.name
+    old.parent.mkdir()
+    old.write_text("1|4 = 21\n")
+    assert shell_count(e8, 4) == 2160
+    assert old.read_text() == "1|4 = 21\n"
+
+
+# ADE sums of rank <= 5; block-diagonal Gram matrices of these are the oracle's input.
+SMALL_ADE = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5)]
+
+
+@st.composite
+def small_ade_lattices(draw):
+    """(block-diagonal Gram, the same lattice under a random unimodular basis)."""
+    comps = draw(
+        st.lists(st.sampled_from(SMALL_ADE), min_size=1, max_size=3).filter(
+            lambda c: sum(r for _, r in c) <= 5
+        )
+    )
+    n = sum(r for _, r in comps)
+    g = [[0] * n for _ in range(n)]
+    off = 0
+    for kind, rank in comps:
+        for i, row in enumerate(ade_gram(kind, rank).rows):
+            g[off + i][off : off + rank] = row
+        off += rank
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+    u = [[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    if n > 1:
+        for _ in range(draw(st.integers(0, 2 * n))):
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            m = draw(st.sampled_from((-2, -1, 1, 2)))
+            u[i] = [a + m * b for a, b in zip(u[i], u[j])]
+    changed = [[sum(u[i][a] * g[a][b] * u[j][b] for a in range(n) for b in range(n)) for j in range(n)] for i in range(n)]
+    return g, changed
+
+
+def _oracle_shells(gram, bound):
+    """Oracle vectors of every even norm 0..bound (norm 0: the zero vector), as int64 arrays."""
+    n = len(gram)
+    vecs = ldl_box_vectors(gram, bound)
+    vecs[0] = [(0,) * n]
+    return {
+        q: np.array(vecs.get(q, []), dtype=np.int64).reshape(-1, n) for q in range(0, bound + 1, 2)
+    }
+
+
+@settings(max_examples=12, deadline=None)
+@given(small_ade_lattices())
+def test_walker_matches_brute_force_on_random_bases(pair):
+    block, changed = pair
+    lat = from_gram("changed", changed)
+    gm = np.array(block, dtype=np.int64)
+    shells = _oracle_shells(block, 6)
+
+    def dots(a, b):
+        return shells[a] @ gm @ shells[b].T
+
+    # Genus 3, mixed diagonals (the general walker): brute force over the shells.
+    for t in candidate_targets(3, 8):
+        d = [t.entries[i][i] for i in range(3)]
+        if 0 in d or len(set(d)) == 1:
+            continue
+        (a, b, c), e = d, t.entries
+        expect = int(np.einsum(
+            "xy,xz,yz->",
+            (dots(a, b) == e[0][1]).astype(np.int64),
+            (dots(a, c) == e[0][2]).astype(np.int64),
+            (dots(b, c) == e[1][2]).astype(np.int64),
+        ))
+        assert representation_count(lat, t) == expect, t.key()
+
+    # Genus-2 first Fourier-Jacobi coefficient: every (x1, x2, y) with Q(y) = 2.
+    expect = {}
+    for s in candidate_targets(2, 6):
+        a, b, c = s.entries[0][0], s.entries[0][1], s.entries[1][1]
+        i1, i2 = np.nonzero(dots(a, c) == b)
+        l1, l2 = dots(a, 2)[i1], dots(c, 2)[i2]
+        for ell, n in Counter(zip(l1.ravel().tolist(), l2.ravel().tolist())).items():
+            expect[(s.entries, ell)] = n
+    jac = jacobi_coefficient(lat, 2, 1, 6)
+    assert {(s.entries, ell): n for (s, ell), n in jac.entries.items()} == expect

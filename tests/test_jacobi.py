@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from thetalab import enumeration as en
+from thetalab import jacobi as jc
 from thetalab.enumeration import GramTarget, shell_count
 from thetalab.jacobi import (
     heat_coefficient_check,
@@ -35,7 +36,7 @@ def test_e8_index1_marginal_and_histogram():
     tab = jac.by_target(S2)
     assert sum(tab.values()) == 240 * 240
     # Independent double loop over root pairs.
-    roots = en.enumerate_shells(e8, 2).vectors[2]
+    roots = en.shell_vectors(e8, 2)[2]
     dots = en.pairwise_dots(e8, roots)
     for ell in (-2, -1, 0, 1, 2):
         assert tab[(ell,)] == int((dots == ell).sum())
@@ -142,3 +143,12 @@ def test_pair_f1_check_requires_equal_root_counts():
 
 def test_pair_f1_check_small():
     assert pair_difference_f1_check(builtin("A5^4D4"), builtin("D4^6"), 1, 2)
+
+
+@pytest.mark.parametrize("limit", ["_TABLE_ENTRIES_LIMIT", "_KEY_ENTRIES_LIMIT"])
+def test_oversized_joint_table_is_refused(monkeypatch, limit):
+    # At rank 24 a norm-4 slot (a ~1 GB dot table) or a genus-3 root triple
+    # (hours of histogramming) exceeds these limits; shrunk, E8 exceeds them.
+    monkeypatch.setattr(jc, limit, 1000)
+    with pytest.raises(LatticeError, match="too large"):
+        jacobi_coefficient(builtin("E8"), 2, 1, 4)

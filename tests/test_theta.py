@@ -202,5 +202,13 @@ def test_export_genus0():
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(SeriesError):
-        parse_series("not a series\n")
+    good = export_series(theta_truncated(builtin("E8"), 1, 4))
+    for text in (
+        "not a series\n",
+        good.replace("genus: 1\n", ""),  # no genus header
+        good.replace("rank: 8", "rank: eight"),
+        good + "2 = many\n",
+        good + "2 2 = 5\n",  # upper triangle of the wrong length
+    ):
+        with pytest.raises(SeriesError):
+            parse_series(text)
