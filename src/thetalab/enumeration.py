@@ -6,9 +6,13 @@ by direct counting.  Four engines cover the interesting shapes:
 
 * an exact Fincke-Pohst walk for shells and for genus-1 counts (glued lattices
   instead get exact coset-decomposition counts, which agree and are fast),
-* a bitset depth-first search over the root graph when every diagonal entry
-  of T is 2 (the hot path for genus 3 and 4),
-* blocked integer matrix products with histogram accumulation for genus 2,
+* a root-system factorisation when every diagonal entry of T is 2 (the hot
+  path for genus 3 and 4): a sum over the placements of T's connected blocks
+  in the irreducible root components, of products of per-component counts,
+  each kept per ADE type and found by a bitset depth-first search with the
+  first root fixed (the Weyl group is transitive on the roots),
+* blocked integer matrix products with histogram accumulation for genus 2
+  (the only engine that `jobs` splits across processes),
 * one tuple walker over stored shells for every other shape; it also feeds
   the Fourier-Jacobi tables in `jacobi`.
 
@@ -28,8 +32,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from . import cosets
-from .exactnum import IntMatrix, is_positive_semidefinite
+from . import cosets, rootdata
+from .exactnum import IntMatrix, is_positive_semidefinite, rank_int
 from .fincke_pohst import counts_upto, lll_gram, shells_upto
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -149,6 +153,7 @@ class _LatticeContext:
         self._counts: dict[int, int] = {0: 1}
         self._counts_bound = 0
         self._roots = None
+        self._components = None
         self._hists: dict[tuple[int, int], dict[int, int]] = {}
 
     # ---- shells -----------------------------------------------------------
@@ -194,27 +199,42 @@ class _LatticeContext:
     # ---- roots ------------------------------------------------------------
 
     def root_data(self):
-        """(vectors int32 (reduced coords), dot matrix int8, neg_index, masks by dot)."""
+        """(vectors int32 (reduced coords), masks by dot): bit j of masks[d][i]
+        is set when the roots i and j have inner product d."""
         if self._roots is None:
             arr = self.shell_array(2)
-            r = len(arr)
-            if r:
-                g = self._gram_red_np
-                long = arr.astype(np.int64)
-                dots = long @ g @ long.T
-                assert dots.max(initial=0) <= 2 and dots.min(initial=0) >= -2
-                dots8 = dots.astype(np.int8)
-            else:
-                dots8 = np.zeros((0, 0), dtype=np.int8)
-            index = {tuple(int(x) for x in row): i for i, row in enumerate(arr)}
-            neg = np.array([index[tuple(int(-x) for x in row)] for row in arr], dtype=np.int64)
+            long = arr.astype(np.int64)
+            dots = long @ self._gram_red_np @ long.T
+            assert dots.max(initial=0) <= 2 and dots.min(initial=0) >= -2
             masks = {}
             for d in (-2, -1, 0, 1, 2):
-                eq = dots8 == d
-                packed = np.packbits(eq, axis=1, bitorder="little")
-                masks[d] = [int.from_bytes(packed[i].tobytes(), "little") for i in range(r)]
-            self._roots = (arr, dots8, neg, masks)
+                packed = np.packbits(dots == d, axis=1, bitorder="little")
+                masks[d] = [int.from_bytes(row.tobytes(), "little") for row in packed]
+            self._roots = (arr, masks)
         return self._roots
+
+    def root_components(self) -> list[tuple[str, int]]:
+        """Irreducible components of the root system, as (ADE symbol, bit mask
+        of their root indices): the connected pieces of the graph joining roots
+        with nonzero inner product, each matched by (rank of span, root count)."""
+        if self._components is None:
+            arr, masks = self.root_data()
+            linked = [masks[-2][i] | masks[-1][i] | masks[1][i] | masks[2][i] for i in range(len(arr))]
+            self._components = []
+            left = (1 << len(arr)) - 1
+            while left:
+                comp = frontier = left & -left
+                while frontier:
+                    reach = 0
+                    for i in _iter_bits(frontier):
+                        reach |= linked[i]
+                    frontier = reach & ~comp
+                    comp |= frontier
+                left &= ~comp
+                members = list(_iter_bits(comp))
+                span = rank_int(arr[members].tolist())
+                self._components.append((rootdata.classify_component(span, len(members)), comp))
+        return self._components
 
     # ---- genus-2 dot histograms -------------------------------------------
 
@@ -240,6 +260,9 @@ def _histogram_span(gy32: np.ndarray, x_arr: np.ndarray, lo: int, hi: int, offse
         d = x_arr[start : min(start + block, hi)] @ gy32
         acc += np.bincount(d.ravel().astype(np.int64) + offset, minlength=nbins)
     return acc
+
+
+_WORKER_STATE: dict = {}
 
 
 def _histogram_worker(span):
@@ -324,13 +347,9 @@ def shell_vectors(lat: "Lattice", norm: int) -> dict[int, list[tuple[int, ...]]]
     return _context(lat).shell_vectors_original(norm)
 
 
-def pairwise_dots(lat: "Lattice", vectors: Sequence[Sequence[int]]) -> np.ndarray:
-    """Exact inner-product matrix of vectors given in original-basis coordinates."""
-    v = np.array(vectors, dtype=np.int64)
-    g = np.array([list(r) for r in lat.gram.rows], dtype=np.int64)
-    bound = (np.abs(v).max(initial=0) ** 2) * max(1, int(np.abs(g).max(initial=0))) * max(1, lat.rank) ** 2
-    assert bound < 2**62, "dot bound exceeded"
-    return v @ g @ v.T
+def root_components(lat: "Lattice") -> list[tuple[str, int]]:
+    """(ADE symbol, root count) of each irreducible component of the root system."""
+    return [(symbol, comp.bit_count()) for symbol, comp in _context(lat).root_components()]
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +502,7 @@ def _rep_count(lat: "Lattice", t: GramTarget, jobs: int) -> int:
                 keep = [k for k in range(g) if k != j]
                 return representation_count(lat, t.principal_submatrix(keep), jobs)
     if all(t.entries[i][i] == 2 for i in range(g)):
-        return _count_root_tuples(lat, t, jobs)
+        return _count_root_tuples(lat, t)
     if g == 2:
         a, b, c = t.entries[0][0], t.entries[0][1], t.entries[1][1]
         return _context(lat).pair_histogram(a, c, jobs=jobs).get(b, 0)
@@ -498,22 +517,6 @@ def _iter_bits(mask: int) -> Iterable[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _root_dfs_count(masks, t_entries, g, first_candidates) -> int:
-    """Count tuples with x_0 restricted to first_candidates (list of root indices)."""
-    total = 0
-    if g == 2:
-        d = t_entries[0][1]
-        md = masks[d]
-        for i in first_candidates:
-            total += md[i].bit_count()
-        return total
-    row0 = t_entries[0]
-    for i in first_candidates:
-        stack_masks = [masks[row0[k]][i] for k in range(1, g)]
-        total += _root_dfs_level(masks, t_entries, g, 1, stack_masks)
-    return total
 
 
 def _root_dfs_level(masks, t_entries, g, level, level_masks) -> int:
@@ -536,33 +539,67 @@ def _root_dfs_level(masks, t_entries, g, level, level_masks) -> int:
     return total
 
 
-_WORKER_STATE: dict = {}
+def _blocks(t: GramTarget) -> list[list[int]]:
+    """Slots of each connected block of the graph joining i and j when T_ij != 0."""
+    blocks: list[list[int]] = []
+    for i in range(t.genus):
+        joined = [b for b in blocks if any(t.entries[i][j] for j in b)]
+        blocks = [b for b in blocks if b not in joined] + [sorted([i, *(j for b in joined for j in b)])]
+    return blocks
 
 
-def _root_dfs_worker(chunk):
-    st = _WORKER_STATE
-    return _root_dfs_count(st["masks"], st["t"], st["g"], chunk)
+# r_R(T) by (ADE symbol of an irreducible root system R, T.key()): it depends
+# on the type of R only, so every lattice with an E8 component shares the
+# E8 counts.
+_COMPONENT_COUNTS: dict[tuple[str, str], int] = {}
 
 
-def _count_root_tuples(lat: "Lattice", t: GramTarget, jobs: int) -> int:
+def _component_count(ctx: "_LatticeContext", symbol: str, comp: int, t: GramTarget) -> int:
+    """Ordered tuples of roots of one irreducible component with Gram matrix T.
+
+    The Weyl group of the component acts transitively on its roots and keeps
+    the count of completions, so x_0 is fixed at one root and the count of the
+    rest is multiplied by the number of roots.
+    """
+    key = (symbol, t.key())
+    n = _COMPONENT_COUNTS.get(key)
+    if n is None:
+        n = comp.bit_count()
+        if t.genus > 1:
+            masks = ctx.root_data()[1]
+            rho = (comp & -comp).bit_length() - 1
+            first = [masks[t.entries[0][k]][rho] & comp for k in range(1, t.genus)]
+            n *= _root_dfs_level(masks, t.entries, t.genus, 1, first)
+        _COMPONENT_COUNTS[key] = n
+    return n
+
+
+def _count_root_tuples(lat: "Lattice", t: GramTarget) -> int:
+    """r_L(T) with every T_ii = 2, that is ordered tuples of roots.
+
+    Roots of different irreducible components R_c are orthogonal, so each
+    block of T lies in a single component and
+    r_L(T) = sum over maps f: blocks -> components of prod_c r_{R_c}(T restricted to f^-1(c)).
+    The sum is a dynamic program over the components and the subsets of blocks.
+    """
     ctx = _context(lat)
-    arr, dots, neg, masks = ctx.root_data()
-    r = len(arr)
-    if r == 0:
-        return 0
-    g = t.genus
-    # Global sign symmetry: restrict x_0 to one of each (v, -v) pair, double after.
-    first = [i for i in range(r) if i < int(neg[i])]
-    t_entries = tuple(tuple(row) for row in t.entries)
-    if jobs > 1 and len(first) >= 4:
-        chunks = [first[k::jobs] for k in range(jobs)]
-        _WORKER_STATE.update({"masks": masks, "t": t_entries, "g": g})
-        with mp.get_context("fork").Pool(jobs) as pool:
-            parts = pool.map(_root_dfs_worker, chunks)
-        total = sum(parts)
-    else:
-        total = _root_dfs_count(masks, t_entries, g, first)
-    return 2 * total
+    blocks = _blocks(t)
+    full = (1 << len(blocks)) - 1
+    # parts[s]: T restricted to the slots of the blocks in the subset s.
+    parts = [t.principal_submatrix(sorted(i for k, b in enumerate(blocks) if s >> k & 1 for i in b))
+             for s in range(full + 1)]
+    # ways[s]: maps of the blocks in s into the components taken so far.
+    ways = [1] + [0] * full
+    for symbol, comp in ctx.root_components():
+        counts = [1] + [_component_count(ctx, symbol, comp, parts[s]) for s in range(1, full + 1)]
+        new = list(ways)
+        for s in range(1, full + 1):
+            sub = s
+            while sub:
+                new[s] += ways[s ^ sub] * counts[sub]
+                sub = (sub - 1) & s
+        ways = new
+    return ways[full]
 
 
 # ---- tuple walker (mixed diagonals, small shells) --------------------------

@@ -197,9 +197,10 @@ def rank_int(rows: Sequence[Sequence[int]]) -> int:
             continue
         a[rank], a[piv] = a[piv], a[rank]
         p = a[rank][col]
+        # Every row below the pivot takes the update, also one whose entry in
+        # this column is already 0: the exact division by the previous pivot
+        # (Sylvester's identity) holds only if all rows went through each step.
         for i in range(rank + 1, len(a)):
-            if a[i][col] == 0:
-                continue
             q = a[i][col]
             for j in range(col, ncols):
                 a[i][j] = (a[i][j] * p - q * a[rank][j]) // prev

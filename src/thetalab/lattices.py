@@ -10,6 +10,7 @@ and the root-system label.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -21,7 +22,6 @@ from .exactnum import (
     det_exact,
     gram_of_rows,
     is_positive_definite,
-    rank_int,
     row_basis_rational,
 )
 
@@ -311,47 +311,12 @@ def extremality_check(lat: Lattice) -> dict:
 
 
 def root_system(lat: Lattice) -> RootSystemReport:
-    """Classify the norm-2 vectors into irreducible ADE components.
-
-    Components are the connected pieces of the graph joining roots with nonzero
-    inner product; each is matched by (rank of span, root count).
-    """
-    table = enumeration.shell_vectors(lat, 2)
-    roots = table.get(2, [])
-    r2 = len(roots)
-    if r2 == 0:
-        return RootSystemReport(components=(), r2=0)
-    dots = enumeration.pairwise_dots(lat, roots)
-    n = len(roots)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dots[i][j] != 0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    counts: dict[str, int] = {}
-    for members in groups.values():
-        span_rank = rank_int([roots[i] for i in members])
-        sym = rootdata.classify_component(span_rank, len(members))
-        counts[sym] = counts.get(sym, 0) + 1
-
-    def sort_key(item):
-        sym = item[0]
-        return (sym[0], int(sym[1:]))
-
-    comps = tuple(sorted(counts.items(), key=sort_key))
-    return RootSystemReport(components=comps, r2=r2)
+    """Classify the norm-2 vectors into irreducible ADE components
+    (`enumeration.root_components`)."""
+    comps = enumeration.root_components(lat)
+    counts = Counter(sym for sym, _ in comps)
+    ordered = tuple(sorted(counts.items(), key=lambda item: (item[0][0], int(item[0][1:]))))
+    return RootSystemReport(components=ordered, r2=sum(n for _, n in comps))
 
 
 def stable_eq_hyp_predicate(l1: Lattice, l2: Lattice) -> bool:

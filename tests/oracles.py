@@ -4,6 +4,10 @@ import itertools
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
+
+from thetalab.enumeration import _sign_orbit_canonical, candidate_targets, shell_vectors
+
 
 def ldl_box_vectors(gram, bound):
     """Scan the coordinate box |x_i| <= sqrt(bound * (G^-1)_ii) and group every
@@ -94,7 +98,85 @@ def solve_coordinates(basis, v):
     return [aug[r][k] for r in range(k)]
 
 
+def fraction_rank(rows):
+    """Rank over Q of a matrix, by Gaussian elimination on Fractions."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col] / a[rank][col]
+            a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
 def in_z_span(basis, v):
     """Whether v lies in the Z-span of the given independent basis rows (exact)."""
     coords = solve_coordinates(basis, v)
     return coords is not None and all(c.denominator == 1 for c in coords)
+
+
+def pairwise_dots(lat, vectors):
+    """Exact inner-product matrix of vectors given in original-basis coordinates."""
+    v = np.array(vectors, dtype=np.int64)
+    g = np.array([list(r) for r in lat.gram.rows], dtype=np.int64)
+    bound = (np.abs(v).max(initial=0) ** 2) * max(1, int(np.abs(g).max(initial=0))) * max(1, lat.rank) ** 2
+    assert bound < 2**62, "dot bound exceeded"
+    return v @ g @ v.T
+
+
+def root_indices(genus):
+    """Canonical representatives (under sign changes of the slots) of the
+    indices of this genus whose diagonal entries are all 2."""
+    found = {}
+    for t in candidate_targets(genus, 2 * genus):
+        if all(t.entries[i][i] == 2 for i in range(genus)):
+            c = _sign_orbit_canonical(t)
+            found[c.key()] = c
+    return sorted(found.values(), key=lambda t: t.sort_key())
+
+
+def root_tuple_count(lat, t):
+    """r_L(T) for T with every diagonal entry 2, by a bitset depth-first search
+    over all roots of L: x_0 runs over one root of each +-v pair and the total
+    is doubled; x_k for k >= 1 runs over the roots whose inner products with
+    the slots fixed so far match T."""
+    roots = shell_vectors(lat, 2).get(2, [])
+    if not roots:
+        return 0
+    g = len(t)
+    dots = pairwise_dots(lat, roots)
+    masks = {
+        d: [int.from_bytes(np.packbits(row == d, bitorder="little").tobytes(), "little") for row in dots]
+        for d in range(-2, 3)
+    }
+    index = {v: i for i, v in enumerate(roots)}
+
+    def bits(mask):
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    def level(k, cands):
+        # cands[j] holds the candidates left for slot k + j.
+        if k == g - 1:
+            return cands[0].bit_count()
+        if k == g - 2:
+            last = masks[t[k][g - 1]]
+            return sum((cands[1] & last[i]).bit_count() for i in bits(cands[0]))
+        total = 0
+        for i in bits(cands[0]):
+            nxt = [c & masks[t[k][k + 1 + j]][i] for j, c in enumerate(cands[1:])]
+            if all(nxt):
+                total += level(k + 1, nxt)
+        return total
+
+    half = [i for i, v in enumerate(roots) if i < index[tuple(-x for x in v)]]
+    if g == 1:
+        return 2 * len(half)
+    return 2 * sum(level(1, [masks[t[0][k]][i] for k in range(1, g)]) for i in half)

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import ACCEPTANCE_LINES
-from oracles import e8_ambient_counts, ldl_box_counts
+from oracles import e8_ambient_counts, ldl_box_counts, root_indices
 from thetalab import enumeration as en
 from thetalab import jacobi as jc
 from thetalab import lattices as lat
@@ -178,6 +178,17 @@ def test_criterion_05_k_identity():
         ks.append(f"{a}:{b} k={rep.k}")
     elapsed = time.monotonic() - t0
     record(5, ok, f"degree-4 identity exact on curated set; {'; '.join(ks)}; {elapsed:.1f}s")
+
+
+def test_k_identity_on_every_root_index():
+    """Criterion 05's identity on every canonical all-2-diagonal degree-4 index
+    of trace 8, with the same pinned k for each pair."""
+    targets = root_indices(4)
+    assert len(targets) == 152
+    for a, b in FIVE_PAIRS:
+        rep = th.k_identity_check(builtin(a), builtin(b), t_set=targets, jobs=JOBS)
+        assert rep.verified and rep.k == EXPECTED_K[(a, b)], (a, b, rep.k)
+        assert sum(1 for _, lhs, rhs in rep.rows if lhs or rhs) == 64, (a, b)
 
 
 def test_criterion_06_venkov_proportionality():

@@ -24,11 +24,11 @@ from thetalab.exactnum import IntMatrix, NotPositiveDefiniteError, RatMatrix, de
 from thetalab.fincke_pohst import lll_gram
 from thetalab.jacobi import jacobi_coefficient
 from thetalab.lattices import direct_sum, from_gram, root_lattice
-from thetalab.niemeier import builtin
+from thetalab.niemeier import BUILTIN_NAMES, builtin
 from thetalab.rootdata import ade_gram
 
 
-from oracles import e8_ambient_counts, ldl_box_counts, ldl_box_vectors
+from oracles import e8_ambient_counts, ldl_box_counts, ldl_box_vectors, pairwise_dots, root_indices, root_tuple_count
 
 
 @pytest.mark.parametrize(
@@ -67,7 +67,7 @@ def test_shell_vectors_structure():
         assert len(seen) == len(vecs)  # duplicate-free
         for v in vecs:
             assert tuple(-x for x in v) in seen  # v and -v together
-        assert all(int(d) == q for d in en.pairwise_dots(e8, vecs).diagonal())
+        assert all(int(d) == q for d in pairwise_dots(e8, vecs).diagonal())
 
 
 @settings(max_examples=20, deadline=None)
@@ -127,7 +127,7 @@ def test_representation_count_e8_values():
 def test_pair_count_brute_force_oracle():
     e8 = builtin("E8")
     roots = shell_vectors(e8, 2)[2]
-    dots = en.pairwise_dots(e8, roots)
+    dots = pairwise_dots(e8, roots)
     for b in (-2, -1, 0, 1, 2):
         expect = int((dots == b).sum())
         got = representation_count(e8, [[2, b], [b, 2]])
@@ -138,7 +138,7 @@ def test_pair_count_brute_force_oracle():
 def test_triple_count_brute_force_oracle_on_a2():
     a2 = root_lattice("A", 2)
     vecs = shell_vectors(a2, 2)[2]
-    dots = en.pairwise_dots(a2, vecs)
+    dots = pairwise_dots(a2, vecs)
     t = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
     expect = 0
     n = len(vecs)
@@ -308,11 +308,11 @@ SMALL_ADE = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5
 
 
 @st.composite
-def small_ade_lattices(draw):
+def small_ade_lattices(draw, kinds=tuple(SMALL_ADE), max_rank=5, max_parts=3):
     """(block-diagonal Gram, the same lattice under a random unimodular basis)."""
     comps = draw(
-        st.lists(st.sampled_from(SMALL_ADE), min_size=1, max_size=3).filter(
-            lambda c: sum(r for _, r in c) <= 5
+        st.lists(st.sampled_from(kinds), min_size=1, max_size=max_parts).filter(
+            lambda c: sum(r for _, r in c) <= max_rank
         )
     )
     n = sum(r for _, r in comps)
@@ -379,3 +379,41 @@ def test_walker_matches_brute_force_on_random_bases(pair):
             expect[(s.entries, ell)] = n
     jac = jacobi_coefficient(lat, 2, 1, 6)
     assert {(s.entries, ell): n for (s, ell), n in jac.entries.items()} == expect
+
+
+ROOT_INDICES_G23 = root_indices(2) + root_indices(3)
+ROOT_INDICES_G4 = root_indices(4)
+
+
+def test_root_index_sets():
+    assert len(ROOT_INDICES_G23) == 19
+    assert len(ROOT_INDICES_G4) == 152
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_root_engine_matches_oracle_on_builtins(name):
+    lat = builtin(name)
+    for t in ROOT_INDICES_G23:
+        assert en._count_root_tuples(lat, t) == root_tuple_count(lat, t.entries), t.key()
+
+
+@pytest.mark.parametrize("name", ["D4^6", "A5^4D4", "E8"])
+def test_root_engine_matches_oracle_at_genus4(name):
+    lat = builtin(name)
+    for t in ROOT_INDICES_G4:
+        assert en._count_root_tuples(lat, t) == root_tuple_count(lat, t.entries), t.key()
+
+
+ADE_UP_TO_8 = [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)] + [("E", 6), ("E", 7), ("E", 8)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    small_ade_lattices(kinds=tuple(ADE_UP_TO_8), max_rank=8, max_parts=5),
+    st.lists(st.sampled_from(ROOT_INDICES_G23 + ROOT_INDICES_G4), min_size=1, max_size=6),
+)
+def test_root_engine_matches_oracle_on_random_bases(pair, targets):
+    _, changed = pair
+    lat = from_gram("changed", changed)
+    for t in targets:
+        assert en._count_root_tuples(lat, t) == root_tuple_count(lat, t.entries), t.key()

@@ -17,7 +17,7 @@ from thetalab.exactnum import (
     row_basis_rational,
 )
 
-from oracles import in_z_span
+from oracles import fraction_rank, in_z_span
 
 
 def cofactor_det(rows):
@@ -160,3 +160,12 @@ def test_rank_int():
     assert rank_int([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 2
     assert rank_int([[0, 0], [0, 0]]) == 0
     assert rank_int([]) == 0
+    # A row whose pivot-column entry is 0 must still take the elimination step.
+    assert rank_int([[0, 2, -1, 0], [-2, -1, 2, 0], [0, -1, -2, 1], [-2, 2, 1, 0]]) == 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=1, max_size=7)))
+def test_rank_int_matches_fraction_elimination(rows):
+    assert rank_int(rows) == fraction_rank(rows)
