@@ -2,7 +2,12 @@
 
 Every theta coefficient in this package is a representation number
 r_L(T) = #{ordered tuples (x_1..x_g) in L^g with Q(x_i, x_j) = T_ij}, computed
-by direct counting.  Four engines cover the interesting shapes:
+by direct counting.  It depends only on the GL_g(Z)-class of T, so each index
+is first replaced by its class representative (`class_representative`: a
+reduced matrix without zero rows, in a normal form under slot permutations
+and sign changes); counts, caches and profiles work on representatives, and
+a profile counts each class once.  Four engines cover the shapes of the
+representatives:
 
 * an exact Fincke-Pohst walk for shells and for genus-1 counts (glued lattices
   instead get exact coset-decomposition counts, which agree and are fast),
@@ -22,7 +27,9 @@ results are exact; nothing here uses floating point.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import multiprocessing as mp
 import os
 import zlib
@@ -33,7 +40,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from . import cosets, rootdata
-from .exactnum import IntMatrix, is_positive_semidefinite, rank_int
+from .exactnum import is_positive_semidefinite, rank_int
 from .fincke_pohst import counts_upto, lll_gram, shells_upto
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -113,7 +120,7 @@ class GramTarget:
             for j in range(g):
                 if self.entries[i][j] != self.entries[j][i]:
                     raise RepresentationDomainError("index matrix must be symmetric")
-        if g and not is_positive_semidefinite(IntMatrix.from_rows(self.entries)):
+        if g and not is_positive_semidefinite(self.entries):
             raise RepresentationDomainError("index matrix must be positive semidefinite")
 
     def principal_submatrix(self, keep: Sequence[int]) -> "GramTarget":
@@ -463,50 +470,101 @@ def _cache_put(fp: str, key: str, value: int) -> None:
 def representation_count(lat: "Lattice", target, jobs: int = 1) -> int:
     """Exact number of ordered g-tuples in L^g with the prescribed Gram matrix."""
     t = target if isinstance(target, GramTarget) else GramTarget.from_rows(target)
-    t.check_valid()
-    key = t.key()
+    rep = class_representative(t)
+    key = rep.key()
     cached = _cache_get(lat.fingerprint, key)
     if cached is not None:
         return cached
-    value = _rep_count(lat, t, jobs)
+    value = _rep_count(lat, rep, jobs)
     _cache_put(lat.fingerprint, key, value)
     return value
 
 
 def _rep_count(lat: "Lattice", t: GramTarget, jobs: int) -> int:
+    """r_L(T) for a class representative T (reduced, no zero rows)."""
     g = t.genus
     if g == 0:
         return 1
-    # Slots with T_ii = 0 force x_i = 0; PSD already forces their rows to zero.
-    nonzero = [i for i in range(g) if t.entries[i][i] > 0]
-    if len(nonzero) < g:
-        for i in range(g):
-            if t.entries[i][i] == 0 and any(t.entries[i][j] for j in range(g)):
-                return 0  # unreachable for PSD input, kept as a guard
-        if not nonzero:
-            return 1
-        return representation_count(lat, t.principal_submatrix(nonzero), jobs)
     if g == 1:
         return shell_count(lat, t.entries[0][0])
-    # Cauchy-Schwarz equality T_ij^2 = T_ii T_jj forces x_j = (T_ij/T_ii) x_i.
-    for i in range(g):
-        for j in range(g):
-            if i == j:
-                continue
-            tij = t.entries[i][j]
-            if tij * tij == t.entries[i][i] * t.entries[j][j] and tij % t.entries[i][i] == 0:
-                lam = tij // t.entries[i][i]
-                for k in range(g):
-                    if k != j and t.entries[j][k] != lam * t.entries[i][k]:
-                        return 0
-                keep = [k for k in range(g) if k != j]
-                return representation_count(lat, t.principal_submatrix(keep), jobs)
     if all(t.entries[i][i] == 2 for i in range(g)):
         return _count_root_tuples(lat, t)
     if g == 2:
         a, b, c = t.entries[0][0], t.entries[0][1], t.entries[1][1]
         return _context(lat).pair_histogram(a, c, jobs=jobs).get(b, 0)
     return _count_general(lat, t)
+
+
+# ---- classes of indices ------------------------------------------------------
+
+
+@functools.cache
+def _signed_permutation_max(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """One matrix per orbit of T under permutations and sign changes of its
+    slots: over the permutations that leave the diagonal non-decreasing and
+    all sign changes, the one whose upper off-diagonal entries (row-major) are
+    lexicographically largest."""
+    g = len(rows)
+    order = sorted(range(g), key=lambda i: rows[i][i])
+    groups = [list(grp) for _, grp in itertools.groupby(order, key=lambda i: rows[i][i])]
+    pairs = list(itertools.combinations(range(g), 2))
+    best = None
+    for parts in itertools.product(*(itertools.permutations(grp) for grp in groups)):
+        perm = [i for part in parts for i in part]
+        # Best signs for this permutation: each nonzero entry in turn is made
+        # positive unless the signs chosen so far fix it.  comp[k] labels the
+        # slots whose signs are fixed relative to slot k.
+        sign = [1] * g
+        comp = list(range(g))
+        off = []
+        for a, b in pairs:
+            v = rows[perm[a]][perm[b]]
+            if v and comp[a] != comp[b]:
+                old = comp[b]
+                flip = sign[a] * sign[b] * v < 0
+                for k in range(g):
+                    if comp[k] == old:
+                        comp[k] = comp[a]
+                        if flip:
+                            sign[k] = -sign[k]
+            off.append(sign[a] * sign[b] * v)
+        if best is None or off > best[0]:
+            best = (off, perm, sign)
+    _, perm, sign = best
+    return tuple(tuple(sign[a] * sign[b] * rows[perm[a]][perm[b]] for b in range(g)) for a in range(g))
+
+
+@functools.cache
+def class_representative(t: GramTarget) -> GramTarget:
+    """One index of the GL_g(Z)-class of T, with its zero rows dropped.
+
+    For unimodular U the map (x_i) -> (sum_j U_ij x_j) is a bijection of L^g,
+    so r_L(U T U^T) = r_L(T); and r_L(T + 0) = r_L(T).  From the permutation
+    and sign normal form of T, the step x_j -> x_j - s x_i, with s the nearest
+    integer to T_ij / T_ii, runs while some 2|T_ij| > T_ii: each step strictly
+    lowers T_jj, so the loop ends and the trace never grows.  The zero rows
+    (slots forced to 0) are dropped and the result is put in normal form again,
+    so every permutation and sign change of T has the same representative.
+    T is validated the first time it is seen (an invalid T raises every time).
+    """
+    t.check_valid()
+    rows = [list(r) for r in _signed_permutation_max(t.entries)]
+    g = len(rows)
+    # Each step lowers a diagonal entry by at least 2 (they stay even), so at
+    # most trace / 2 steps run.
+    for _ in range(t.trace // 2 + 1):
+        pairs = itertools.permutations(range(g), 2)
+        step = next(((i, j) for i, j in pairs if 2 * abs(rows[i][j]) > rows[i][i]), None)
+        if step is None:
+            break
+        i, j = step
+        s = (2 * rows[i][j] + rows[i][i]) // (2 * rows[i][i])
+        for k in range(g):
+            rows[j][k] -= s * rows[i][k]
+        for k in range(g):
+            rows[k][j] -= s * rows[k][i]
+    keep = [i for i in range(g) if rows[i][i]]
+    return GramTarget(_signed_permutation_max(tuple(tuple(rows[i][j] for j in keep) for i in keep)))
 
 
 # ---- root-tuple engine (all diagonal entries 2) ----------------------------
@@ -548,9 +606,9 @@ def _blocks(t: GramTarget) -> list[list[int]]:
     return blocks
 
 
-# r_R(T) by (ADE symbol of an irreducible root system R, T.key()): it depends
-# on the type of R only, so every lattice with an E8 component shares the
-# E8 counts.
+# r_R(T) by (ADE symbol of an irreducible root system R, class representative
+# of T): it depends on the type of R only, so every lattice with an E8
+# component shares the E8 counts.
 _COMPONENT_COUNTS: dict[tuple[str, str], int] = {}
 
 
@@ -561,6 +619,7 @@ def _component_count(ctx: "_LatticeContext", symbol: str, comp: int, t: GramTarg
     the count of completions, so x_0 is fixed at one root and the count of the
     rest is multiplied by the number of roots.
     """
+    t = class_representative(t)
     key = (symbol, t.key())
     n = _COMPONENT_COUNTS.get(key)
     if n is None:
@@ -658,75 +717,38 @@ def _count_general(lat: "Lattice", t: GramTarget) -> int:
 # Profiles
 
 
-def _sign_orbit_canonical(t: GramTarget) -> GramTarget:
-    """Representative of the orbit of T under conjugation by diagonal +-1 matrices."""
-    g = t.genus
-    best = None
-    for mask in range(1 << (g - 1)) if g else [0]:
-        signs = [1] + [1 if (mask >> k) & 1 == 0 else -1 for k in range(g - 1)]
-        rows = tuple(
-            tuple(signs[i] * signs[j] * t.entries[i][j] for j in range(g)) for i in range(g)
-        )
-        if best is None or rows > best:
-            best = rows
-    return GramTarget(best)
-
-
 def candidate_targets(genus: int, trace_bound: int) -> list[GramTarget]:
     """All even positive semidefinite integer matrices with trace <= bound, canonical order."""
-    diags: list[tuple[int, ...]] = []
+    return list(_candidate_targets(genus, trace_bound))
 
-    def build_diag(prefix, remaining):
-        if len(prefix) == genus:
-            diags.append(tuple(prefix))
-            return
-        for d in range(0, remaining + 1, 2):
-            build_diag(prefix + [d], remaining - d)
 
-    build_diag([], trace_bound)
+@functools.cache
+def _candidate_targets(genus: int, trace_bound: int) -> tuple[GramTarget, ...]:
+    pairs = list(itertools.combinations(range(genus), 2))
     out = []
-    pairs = [(i, j) for i in range(genus) for j in range(i + 1, genus)]
-    for diag in diags:
-        bounds = {p: isqrt(diag[p[0]] * diag[p[1]]) for p in pairs}
-        offs: list[dict] = []
-
-        def build_off(idx, current):
-            if idx == len(pairs):
-                offs.append(dict(current))
-                return
-            i, j = pairs[idx]
-            for v in range(-bounds[(i, j)], bounds[(i, j)] + 1):
-                current[(i, j)] = v
-                build_off(idx + 1, current)
-            del current[(i, j)]
-
-        build_off(0, {})
-        for off in offs:
-            rows = [[0] * genus for _ in range(genus)]
-            for i in range(genus):
-                rows[i][i] = diag[i]
-            for (i, j), v in off.items():
+    for diag in itertools.product(range(0, trace_bound + 1, 2), repeat=genus):
+        if sum(diag) > trace_bound:
+            continue
+        bounds = [isqrt(diag[i] * diag[j]) for i, j in pairs]
+        for off in itertools.product(*(range(-b, b + 1) for b in bounds)):
+            rows = [[diag[i] if i == j else 0 for j in range(genus)] for i in range(genus)]
+            for (i, j), v in zip(pairs, off):
                 rows[i][j] = rows[j][i] = v
-            if is_positive_semidefinite(IntMatrix.from_rows(rows)):
+            if is_positive_semidefinite(rows):
                 out.append(GramTarget.from_rows(rows))
-    out.sort(key=lambda t: t.sort_key())
-    return out
+    out.sort(key=GramTarget.sort_key)
+    return tuple(out)
 
 
 def representation_profile(lat: "Lattice", genus: int, trace_bound: int, jobs: int = 1) -> dict[GramTarget, int]:
-    """r_L(T) for every representable even PSD T with trace <= bound (zeros omitted)."""
+    """r_L(T) for every representable even PSD T with trace <= bound (zeros
+    omitted); one count per class representative."""
     if genus == 0:
         return {GramTarget.zero(0): 1}
-    out: dict[GramTarget, int] = {}
-    canon_cache: dict[str, int] = {}
-    for t in candidate_targets(genus, trace_bound):
-        canon = _sign_orbit_canonical(t)
-        ck = canon.key()
-        if ck in canon_cache:
-            val = canon_cache[ck]
-        else:
-            val = representation_count(lat, canon, jobs=jobs)
-            canon_cache[ck] = val
-        if val:
-            out[t] = val
-    return out
+    targets = candidate_targets(genus, trace_bound)
+    reps = [class_representative(t) for t in targets]
+    values: dict[GramTarget, int] = {}
+    for rep in reps:
+        if rep not in values:
+            values[rep] = representation_count(lat, rep, jobs=jobs)
+    return {t: values[rep] for t, rep in zip(targets, reps) if values[rep]}

@@ -107,10 +107,14 @@ def det_exact(m: IntMatrix) -> int:
     """Exact determinant by Bareiss fraction-free elimination."""
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
-    n = m.nrows
+    return _bareiss_det([list(r) for r in m.rows])
+
+
+def _bareiss_det(a: list[list[int]]) -> int:
+    """Determinant of a square list of integer rows, which it overwrites."""
+    n = len(a)
     if n == 0:
         return 1
-    a = [list(r) for r in m.rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -166,15 +170,15 @@ def is_positive_definite(g: IntMatrix) -> bool:
     return True
 
 
-def is_positive_semidefinite(g: IntMatrix) -> bool:
-    """Exact PSD test via all principal minors (fine for the small g used here)."""
-    n = g.nrows
-    if not g.is_symmetric():
+def is_positive_semidefinite(rows: Sequence[Sequence[int]]) -> bool:
+    """Exact PSD test of a square list of integer rows via all principal
+    minors (fine for the small g used here)."""
+    n = len(rows)
+    if any(len(r) != n for r in rows) or any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
         return False
     for mask in range(1, 1 << n):
         idx = [i for i in range(n) if mask >> i & 1]
-        sub = IntMatrix.from_rows([[g.rows[i][j] for j in idx] for i in idx])
-        if det_exact(sub) < 0:
+        if _bareiss_det([[rows[i][j] for j in idx] for i in idx]) < 0:
             return False
     return True
 

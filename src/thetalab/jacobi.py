@@ -49,7 +49,8 @@ class JacobiCoefficient:
 
 # One index's dot tables hold |shell| x |norm-2n shell| entries per diagonal
 # norm, and its histogram keys one entry per (tuple, y).  Past these sizes the
-# table would not fit in memory or finish in reasonable time.
+# table would not fit in memory or finish in reasonable time.  Both are
+# checked against shell counts before the shells are built.
 _TABLE_ENTRIES_LIMIT = 2 * 10**7
 _KEY_ENTRIES_LIMIT = 2 * 10**9
 
@@ -73,21 +74,25 @@ def _ell_tables_for_target(lat: "Lattice", s: GramTarget, two_n: int) -> dict[tu
         return out
     if g == 0:
         return {(): r_shell}
+    diag = [s.entries[i][i] for i in range(g)]
+    # Sized from the shell counts, before any shell is built: at genus 1 the
+    # histogram keys one entry per (x, y), at genus >= 2 the dot tables hold
+    # one entry per (x, y) for each diagonal norm.
+    entries = sum(shell_count(lat, d) for d in set(diag)) * r_shell
+    if entries > (_KEY_ENTRIES_LIMIT if g == 1 else _TABLE_ENTRIES_LIMIT):
+        raise LatticeError(f"Fourier-Jacobi {'table' if g == 1 else 'dot tables'} for {s.key()} "
+                           f"at rank {lat.rank} too large")
     ctx = enumeration._context(lat)
     gram = ctx._gram_red_np
     if g == 1:
-        hist = enumeration._dot_histogram(gram, ctx.shell_array(s.entries[0][0]), ctx.shell_array(two_n))
+        hist = enumeration._dot_histogram(gram, ctx.shell_array(diag[0]), ctx.shell_array(two_n))
         return {(ell,): c for ell, c in hist.items()}
-    diag = [s.entries[i][i] for i in range(g)]
     offs = [isqrt(two_n * d) for d in diag]
     widths = [2 * o + 1 for o in offs]
     # Mixed-radix key of l = (l_0..l_{g-1}), slot g-1 least significant.
     strides = [prod(widths[i + 1 :]) for i in range(g)]
     nbins = strides[0] * widths[0]
     gy = gram @ ctx.shell_array(two_n).astype(np.int64).T  # rank x |shell|
-    ny = gy.shape[1]
-    if sum(len(ctx.shell_array(d)) for d in set(diag)) * ny > _TABLE_ENTRIES_LIMIT:
-        raise LatticeError(f"Fourier-Jacobi dot tables for {s.key()} at rank {lat.rank} too large")
     # dots[d][k] = (Q(x_k, y))_y for the k-th vector x_k of norm d.
     dots = {d: ctx.shell_array(d).astype(np.int64) @ gy for d in set(diag)}
     tables = [dots[d] for d in diag]

@@ -6,7 +6,7 @@ from math import isqrt
 
 import numpy as np
 
-from thetalab.enumeration import _sign_orbit_canonical, candidate_targets, shell_vectors
+from thetalab.enumeration import GramTarget, candidate_targets, shell_vectors
 
 
 def ldl_box_vectors(gram, bound):
@@ -129,13 +129,27 @@ def pairwise_dots(lat, vectors):
     return v @ g @ v.T
 
 
+def sign_orbit_canonical(t):
+    """Representative of the orbit of T under conjugation by diagonal +-1 matrices."""
+    g = t.genus
+    best = None
+    for mask in range(1 << (g - 1)) if g else [0]:
+        signs = [1] + [1 if (mask >> k) & 1 == 0 else -1 for k in range(g - 1)]
+        rows = tuple(
+            tuple(signs[i] * signs[j] * t.entries[i][j] for j in range(g)) for i in range(g)
+        )
+        if best is None or rows > best:
+            best = rows
+    return GramTarget(best)
+
+
 def root_indices(genus):
     """Canonical representatives (under sign changes of the slots) of the
     indices of this genus whose diagonal entries are all 2."""
     found = {}
     for t in candidate_targets(genus, 2 * genus):
         if all(t.entries[i][i] == 2 for i in range(genus)):
-            c = _sign_orbit_canonical(t)
+            c = sign_orbit_canonical(t)
             found[c.key()] = c
     return sorted(found.values(), key=lambda t: t.sort_key())
 

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -219,3 +221,33 @@ def test_bad_input_exits_3_with_message(tmp_path, capsys, kind, content):
         argv = ["validate" if kind == "spec" else kind, "--spec", str(path)]
     assert run(argv) == EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# Runs the CLI in a child of a child, so that the peak RSS read by getrusage
+# is that of the CLI process alone; its address space is capped at 4 GiB, so
+# a regression fails with a MemoryError instead of taking the host's memory.
+_MEASURED_RUN = """
+import resource, subprocess, sys, time
+def cap():
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+t0 = time.monotonic()
+proc = subprocess.run([sys.executable, "-m", "thetalab.cli", *sys.argv[1:]], capture_output=True, text=True,
+                      preexec_fn=cap)
+print(proc.returncode, time.monotonic() - t0, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+print(proc.stderr, end="")
+"""
+
+
+def test_oversized_fourier_jacobi_shell_exits_3_quickly():
+    # The genus-2, trace-6 heat check on E8^3 reaches the index diag(6, 0),
+    # whose genus-1 table pairs the ~1.7e7-vector norm-6 shell with the 720
+    # roots.  It is refused from the shell counts; building that shell first
+    # took over 7 GB and minutes.
+    argv = ["heat", "--lattice", "E8^3", "--genus", "2", "--trace-bound", "6"]
+    proc = subprocess.run([sys.executable, "-c", _MEASURED_RUN, *argv], capture_output=True, text=True, timeout=600)
+    head, _, stderr = proc.stdout.partition("\n")
+    code, seconds, max_rss_kb = head.split()
+    assert int(code) == EXIT_INPUT
+    assert "too large" in stderr and "Traceback" not in stderr
+    assert float(seconds) < 120
+    assert int(max_rss_kb) < 1024 * 1024  # ru_maxrss is in KiB on Linux

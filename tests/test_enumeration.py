@@ -1,6 +1,7 @@
 import itertools
 import os
 import pathlib
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from thetalab.enumeration import (
     shell_counts_upto,
     shell_vectors,
 )
-from thetalab.exactnum import IntMatrix, NotPositiveDefiniteError, RatMatrix, det_exact, ldl_rational
+from thetalab.exactnum import IntMatrix, NotPositiveDefiniteError, RatMatrix, det_exact, ldl_rational, rank_int
 from thetalab.fincke_pohst import lll_gram
 from thetalab.jacobi import jacobi_coefficient
 from thetalab.lattices import direct_sum, from_gram, root_lattice
@@ -168,6 +169,14 @@ def test_permutation_symmetry():
     for perm in itertools.permutations(range(3)):
         tp = [[t[perm[i]][perm[j]] for j in range(3)] for i in range(3)]
         assert representation_count(e8, tp) == base
+    # Every permutation has the same class representative; the walker itself
+    # still sees the permuted index (as the Jacobi tables do).
+    assert en._count_general(e8, GramTarget.from_rows(t)) == base
+    d5 = root_lattice("D", 5)
+    d5_base = representation_count(d5, t)
+    for perm in itertools.permutations(range(3)):
+        tp = [[t[perm[i]][perm[j]] for j in range(3)] for i in range(3)]
+        assert en._count_general(d5, GramTarget.from_rows(tp)) == d5_base == 1920
 
 
 def test_proportional_slot_collapse():
@@ -176,6 +185,12 @@ def test_proportional_slot_collapse():
     assert representation_count(e8, [[2, -2], [-2, 2]]) == 240  # pairs (x, -x)
     assert representation_count(e8, [[2, 4], [4, 8]]) == 240  # pairs (x, 2x)
     assert representation_count(e8, [[8, 4], [4, 2]]) == 240  # pairs (2x, x)
+    # The engines on the unreduced indices: the pair histogram and the walker.
+    ctx = en._context(e8)
+    assert ctx.pair_histogram(2, 2)[2] == ctx.pair_histogram(2, 2)[-2] == 240
+    assert ctx.pair_histogram(2, 8)[4] == 240
+    for rows in ([[2, 2], [2, 2]], [[2, -2], [-2, 2]], [[2, 4], [4, 8]], [[8, 4], [4, 2]]):
+        assert en._count_general(e8, GramTarget.from_rows(rows)) == 240
 
 
 def test_direct_sum_shell_convolution():
@@ -207,18 +222,28 @@ def test_profile_e8_g2_contains_both_signs():
 
 
 def test_parallel_determinism():
+    # The sign-halved E8 shells of norms 6 and 8 give 3360 x 8760 products,
+    # above the 2^24 at which the genus-2 histogram is split across processes.
     e8 = builtin("E8")
-    t = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
-    lone = representation_count(e8, t, jobs=1)
-    en._MEM_CACHE.clear()
-    multi = representation_count(e8, t, jobs=2)
-    assert lone == multi
+    ctx = en._context(e8)
+    assert (len(ctx.shell_array(6)) // 2) * (len(ctx.shell_array(8)) // 2) > 1 << 24
+    t = GramTarget.from_rows([[6, 3], [3, 8]])
+    assert en.class_representative(t) == t
+    hists, counts = [], []
+    for jobs in (1, 2):
+        ctx._hists.pop((6, 8), None)
+        en._MEM_CACHE.pop((e8.fingerprint, t.key()), None)
+        counts.append(representation_count(e8, t, jobs=jobs))
+        hists.append(ctx.pair_histogram(6, 8))
+    assert hists[0] == hists[1]
+    assert counts[0] == counts[1] == hists[0][3] > 0
 
 
 def test_cache_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv(en.CACHE_ENV, str(tmp_path))
     e8 = builtin("E8")
     t = [[2, 1], [1, 2]]
+    en._MEM_CACHE.clear()  # earlier tests may hold this count in memory
     v1 = representation_count(e8, t)
     files = list(tmp_path.rglob("*.txt"))
     assert files
@@ -344,6 +369,22 @@ def _oracle_shells(gram, bound):
     }
 
 
+def _brute_count(shells, gm, rows):
+    """Ordered tuples of oracle vectors with Gram matrix T (genus <= 3)."""
+    g = len(rows)
+    if g == 0:
+        return 1
+    if g == 1:
+        return len(shells[rows[0][0]])
+    eq = {
+        (i, j): (shells[rows[i][i]] @ gm @ shells[rows[j][j]].T == rows[i][j]).astype(np.int64)
+        for i, j in itertools.combinations(range(g), 2)
+    }
+    if g == 2:
+        return int(eq[0, 1].sum())
+    return int(np.einsum("xy,xz,yz->", eq[0, 1], eq[0, 2], eq[1, 2]))
+
+
 @settings(max_examples=12, deadline=None)
 @given(small_ade_lattices())
 def test_walker_matches_brute_force_on_random_bases(pair):
@@ -355,18 +396,14 @@ def test_walker_matches_brute_force_on_random_bases(pair):
     def dots(a, b):
         return shells[a] @ gm @ shells[b].T
 
-    # Genus 3, mixed diagonals (the general walker): brute force over the shells.
+    # Genus 3, mixed diagonals: brute force over the shells, against the
+    # walker on the index as given and against the count of its class.
     for t in candidate_targets(3, 8):
         d = [t.entries[i][i] for i in range(3)]
         if 0 in d or len(set(d)) == 1:
             continue
-        (a, b, c), e = d, t.entries
-        expect = int(np.einsum(
-            "xy,xz,yz->",
-            (dots(a, b) == e[0][1]).astype(np.int64),
-            (dots(a, c) == e[0][2]).astype(np.int64),
-            (dots(b, c) == e[1][2]).astype(np.int64),
-        ))
+        expect = _brute_count(shells, gm, t.entries)
+        assert en._count_general(lat, t) == expect, t.key()
         assert representation_count(lat, t) == expect, t.key()
 
     # Genus-2 first Fourier-Jacobi coefficient: every (x1, x2, y) with Q(y) = 2.
@@ -417,3 +454,105 @@ def test_root_engine_matches_oracle_on_random_bases(pair, targets):
     lat = from_gram("changed", changed)
     for t in targets:
         assert en._count_root_tuples(lat, t) == root_tuple_count(lat, t.entries), t.key()
+
+
+def _conjugate_steps(rows, perm, steps, trace_bound):
+    """P T P^T, then x_i -> x_i + m x_j for each step (i, j, m) that keeps the
+    trace within the bound: a random index of the same GL_g(Z)-class."""
+    g = len(rows)
+    t = [[rows[perm[a]][perm[b]] for b in range(g)] for a in range(g)]
+    for i, j, m in steps:
+        if i == j:
+            continue
+        new = [list(r) for r in t]
+        for k in range(g):
+            new[i][k] += m * t[j][k]
+        for k in range(g):
+            new[k][i] += m * new[k][j]
+        if sum(new[k][k] for k in range(g)) <= trace_bound:
+            t = new
+    return t
+
+
+def _index_with_conjugate(g):
+    steps = st.tuples(st.integers(0, g - 1), st.integers(0, g - 1), st.sampled_from((-2, -1, 1, 2)))
+    return st.tuples(
+        st.sampled_from(candidate_targets(g, 8)), st.permutations(range(g)), st.lists(steps, max_size=6)
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_ade_lattices(), st.lists(st.integers(1, 3).flatmap(_index_with_conjugate), min_size=1, max_size=4))
+def test_counts_match_brute_force_on_unimodular_conjugates(pair, drawn):
+    # Valid indices of genus <= 3 and trace <= 8, singular ones included, each
+    # with a random U T U^T of trace <= 8: both brute-force counts agree with
+    # each other and with representation_count.
+    block, changed = pair
+    lat = from_gram("changed", changed)
+    gm = np.array(block, dtype=np.int64)
+    shells = _oracle_shells(block, 8)
+    for t0, perm, steps in drawn:
+        t = _conjugate_steps(t0.entries, perm, steps, 8)
+        expect = _brute_count(shells, gm, t0.entries)
+        assert _brute_count(shells, gm, t) == expect, (t0.key(), t)
+        assert representation_count(lat, t) == expect, (t0.key(), t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(_index_with_conjugate))
+def test_class_representative_properties(drawn):
+    t0, perm, steps = drawn
+    t = GramTarget.from_rows(_conjugate_steps(t0.entries, perm, steps, 8))
+    rep = en.class_representative(t)
+    g, h = t.genus, rep.genus
+    e = rep.entries
+    assert en.class_representative(rep) == rep
+    assert rep.trace <= t.trace
+    # Reduced, no zero rows, diagonal non-decreasing.
+    assert all(2 * abs(e[i][j]) <= e[i][i] for i in range(h) for j in range(h) if i != j)
+    assert all(e[i][i] > 0 for i in range(h))
+    assert all(e[i][i] <= e[i + 1][i + 1] for i in range(h - 1))
+    # Same determinant once padded with the dropped zero rows, same rank.
+    padded = [list(r) + [0] * (g - h) for r in e] + [[0] * g for _ in range(g - h)]
+    assert det_exact(IntMatrix.from_rows(padded)) == det_exact(IntMatrix.from_rows(t.entries))
+    assert rank_int(e) == rank_int(t.entries)
+    # Every permutation and sign change of T has the same representative.
+    for p in itertools.permutations(range(g)):
+        for signs in itertools.product((1, -1), repeat=g):
+            moved = [[signs[a] * signs[b] * t.entries[p[a]][p[b]] for b in range(g)] for a in range(g)]
+            assert en.class_representative(GramTarget.from_rows(moved)) == rep
+
+
+def test_profile_runs_the_walker_once_per_class(monkeypatch):
+    # A2^3 under a random basis, as in the random-gram benchmark: its 395
+    # genus-3 indices of trace <= 8 fall into 26 classes, of which 7 need
+    # the walker.  Counting every index, or every sign class, runs it far
+    # more often.
+    rng = random.Random(7)
+    n = 6
+    block = [[0] * n for _ in range(n)]
+    for k in range(3):
+        block[2 * k][2 * k] = block[2 * k + 1][2 * k + 1] = 2
+        block[2 * k][2 * k + 1] = block[2 * k + 1][2 * k] = -1
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        m = rng.choice((-2, -1, 1, 2))
+        u[i] = [a + m * b for a, b in zip(u[i], u[j])]
+    changed = [[sum(u[i][a] * block[a][b] * u[j][b] for a in range(n) for b in range(n)) for j in range(n)]
+               for i in range(n)]
+    lat = from_gram("A2^3#basis", changed)
+    expect = representation_profile(from_gram("A2^3", block), 3, 8)
+    for key in [k for k in en._MEM_CACHE if k[0] == lat.fingerprint]:
+        del en._MEM_CACHE[key]
+    calls = []
+    walker = en._count_general
+
+    def counted(lat_, t):
+        calls.append(t.key())
+        return walker(lat_, t)
+
+    monkeypatch.setattr(en, "_count_general", counted)
+    assert representation_profile(lat, 3, 8) == expect
+    assert 0 < len(calls) <= 7
+    assert len(set(calls)) == len(calls)

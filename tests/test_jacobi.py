@@ -154,3 +154,20 @@ def test_oversized_joint_table_is_refused(monkeypatch, limit):
     monkeypatch.setattr(jc, limit, 1000)
     with pytest.raises(LatticeError, match="too large"):
         jacobi_coefficient(builtin("E8"), 2, 1, 4)
+
+
+@pytest.mark.parametrize(
+    "limit,rows",
+    [("_KEY_ENTRIES_LIMIT", [[2]]), ("_TABLE_ENTRIES_LIMIT", [[2, 1], [1, 2]])],
+    ids=["genus1", "genus2"],
+)
+def test_oversized_table_is_refused_before_shells_are_built(monkeypatch, limit, rows):
+    # Both branches size their tables from shell counts (coset dynamic
+    # programming for E8) and refuse before any shell is materialised.
+    def no_shells(self, bound):
+        raise AssertionError("a shell was built before the size check")
+
+    monkeypatch.setattr(jc, limit, 1000)
+    monkeypatch.setattr(en._LatticeContext, "shell_arrays_upto", no_shells)
+    with pytest.raises(LatticeError, match="too large"):
+        jc._ell_tables_for_target(builtin("E8"), GramTarget.from_rows(rows), 2)
