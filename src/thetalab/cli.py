@@ -114,13 +114,22 @@ def load_spec_file(path: str) -> Lattice:
     raise InputError("lattice spec needs one of: gram, components, construction")
 
 
+def _option(value, default):
+    """An option's value, or `default` when it was not given (0 is a value)."""
+    return default if value is None else value
+
+
+def _builtin(name: str) -> Lattice:
+    try:
+        return niemeier.builtin(name)
+    except KeyError:
+        raise InputError(f"unknown lattice {name!r}; see `thetalab list`")
+
+
 def resolve_lattice(args, which: str = "lattice") -> Lattice:
     name = getattr(args, which.replace("-", "_"), None)
     if name:
-        try:
-            return niemeier.builtin(name)
-        except KeyError:
-            raise InputError(f"unknown lattice {name!r}; see `thetalab list`")
+        return _builtin(name)
     if getattr(args, "spec", None):
         return load_spec_file(args.spec)
     raise InputError(f"--{which} NAME or --spec FILE is required")
@@ -132,13 +141,7 @@ def resolve_pair(args) -> tuple[Lattice, Lattice]:
     a, _, b = args.pair.partition(":")
     if not a or not b:
         raise InputError("--pair must look like NAME:NAME")
-    out = []
-    for name in (a, b):
-        try:
-            out.append(niemeier.builtin(name))
-        except KeyError:
-            raise InputError(f"unknown lattice {name!r}; see `thetalab list`")
-    return out[0], out[1]
+    return _builtin(a), _builtin(b)
 
 
 def load_tset(path: str | None) -> tuple[GramTarget, ...]:
@@ -192,7 +195,7 @@ def job_validate(args) -> Report:
 
 def job_shells(args) -> Report:
     lat = resolve_lattice(args)
-    bound = args.norm_bound or 8
+    bound = _option(args.norm_bound, 8)
     counts = enumeration.shell_counts_upto(lat, bound)
     payload = [f"{q} {counts.get(q, 0)}" for q in range(0, bound + 1, 2)]
     return Report("shells", _echo(args), {lat.name: lat.fingerprint}, "computed", payload)
@@ -200,8 +203,8 @@ def job_shells(args) -> Report:
 
 def job_theta(args) -> Report:
     lat = resolve_lattice(args)
-    genus = args.genus if args.genus is not None else 1
-    bound = args.trace_bound or DEFAULT_TRACE_BOUNDS.get(genus, 6)
+    genus = _option(args.genus, 1)
+    bound = _option(args.trace_bound, DEFAULT_TRACE_BOUNDS.get(genus, 6))
     tr = theta.theta_truncated(lat, genus, bound, jobs=args.jobs)
     payload = theta.export_series(tr).splitlines()
     return Report("theta", _echo(args), {lat.name: lat.fingerprint}, "computed", payload)
@@ -209,8 +212,8 @@ def job_theta(args) -> Report:
 
 def job_diff(args) -> Report:
     la, lb = resolve_pair(args)
-    genus = args.genus if args.genus is not None else 1
-    bound = args.trace_bound or DEFAULT_TRACE_BOUNDS.get(genus, 6)
+    genus = _option(args.genus, 1)
+    bound = _option(args.trace_bound, DEFAULT_TRACE_BOUNDS.get(genus, 6))
     fa = theta.theta_truncated(la, genus, bound, jobs=args.jobs)
     fb = theta.theta_truncated(lb, genus, bound, jobs=args.jobs)
     d = theta.series_difference(fa, fb)
@@ -222,8 +225,8 @@ def job_diff(args) -> Report:
 
 def job_product(args) -> Report:
     la, lb = resolve_pair(args)
-    genus = args.genus if args.genus is not None else 1
-    bound = args.trace_bound or DEFAULT_TRACE_BOUNDS.get(genus, 6)
+    genus = _option(args.genus, 1)
+    bound = _option(args.trace_bound, DEFAULT_TRACE_BOUNDS.get(genus, 6))
     fa = theta.theta_truncated(la, genus, bound, jobs=args.jobs)
     fb = theta.theta_truncated(lb, genus, bound, jobs=args.jobs)
     prod = theta.series_product(fa, fb)
@@ -234,10 +237,10 @@ def job_product(args) -> Report:
 
 def job_restrict(args) -> Report:
     lat = resolve_lattice(args)
-    genus = args.genus if args.genus is not None else 2
+    genus = _option(args.genus, 2)
     if genus < 1:
         raise InputError("restrict needs --genus >= 1")
-    bound = args.trace_bound or DEFAULT_TRACE_BOUNDS.get(genus, 6)
+    bound = _option(args.trace_bound, DEFAULT_TRACE_BOUNDS.get(genus, 6))
     upper = theta.theta_truncated(lat, genus, bound, jobs=args.jobs)
     restricted = theta.siegel_restrict(upper)
     direct = theta.theta_truncated(lat, genus - 1, bound, jobs=args.jobs)
@@ -250,14 +253,11 @@ def job_restrict(args) -> Report:
 
 def job_venkov(args) -> Report:
     names = [args.lattice] if args.lattice else list(niemeier.RANK24_NAMES)
-    bound = args.norm_bound or 8
+    bound = _option(args.norm_bound, 8)
     reports = []
     ids = {}
     for name in names:
-        try:
-            lat = niemeier.builtin(name)
-        except KeyError:
-            raise InputError(f"unknown lattice {name!r}")
+        lat = _builtin(name)
         ids[lat.name] = lat.fingerprint
         reports.append(jacobi.venkov_constant(lat, norm_bound=bound))
     payload = []
@@ -285,8 +285,8 @@ def job_venkov(args) -> Report:
 
 def job_heat(args) -> Report:
     lat = resolve_lattice(args)
-    genus = args.genus if args.genus is not None else 2
-    bound = args.trace_bound or 4
+    genus = _option(args.genus, 2)
+    bound = _option(args.trace_bound, 4)
     ven = jacobi.venkov_constant(lat, per_vector_norm_cap=2)
     if not ven.consistent:
         return Report("heat", _echo(args), {lat.name: lat.fingerprint}, "fail",
@@ -305,11 +305,13 @@ def job_heat(args) -> Report:
 
 def job_witt(args) -> Report:
     la, lb = niemeier.builtin("E8+E8"), niemeier.builtin("D16+")
-    gmax = args.max_genus or 3
+    gmax = _option(args.max_genus, 3)
+    if gmax < 1:
+        raise InputError("witt needs --max-genus >= 1")
     payload = []
     ok_all = True
     for genus in range(1, gmax + 1):
-        bound = args.trace_bound or WITT_TRACE_BOUNDS.get(genus, 6)
+        bound = _option(args.trace_bound, WITT_TRACE_BOUNDS.get(genus, 6))
         pa = theta.theta_truncated(la, genus, bound, jobs=args.jobs)
         pb = theta.theta_truncated(lb, genus, bound, jobs=args.jobs)
         equal = pa == pb
@@ -323,7 +325,7 @@ def job_witt(args) -> Report:
 
 def job_schottky(args) -> Report:
     la, lb = niemeier.builtin("E8+E8"), niemeier.builtin("D16+")
-    bound = args.trace_bound or 8
+    bound = _option(args.trace_bound, 8)
     payload = []
     witness = None
     for t in theta.CURATED_GENUS4:
@@ -346,7 +348,7 @@ def job_schottky(args) -> Report:
 
 def job_a4_separation(args) -> Report:
     la, lb = resolve_pair(args)
-    bound = args.norm_bound or 10
+    bound = _option(args.norm_bound, 10)
     ca = enumeration.shell_counts_upto(la, bound)
     cb = enumeration.shell_counts_upto(lb, bound)
     genus1_equal = ca == cb
@@ -381,20 +383,17 @@ def job_k_identity(args) -> Report:
 
 def job_independence(args) -> Report:
     names = args.lattices or list(niemeier.RANK24_NAMES)
-    genus = args.genus if args.genus is not None else 4
+    genus = _option(args.genus, 4)
     ids = {}
     series = []
     for name in names:
-        try:
-            lat = niemeier.builtin(name)
-        except KeyError:
-            raise InputError(f"unknown lattice {name!r}")
+        lat = _builtin(name)
         ids[lat.name] = lat.fingerprint
         if genus <= 3:
-            bound = args.trace_bound or DEFAULT_TRACE_BOUNDS.get(genus, 6)
+            bound = _option(args.trace_bound, DEFAULT_TRACE_BOUNDS.get(genus, 6))
             series.append(theta.theta_truncated(lat, genus, bound, jobs=args.jobs))
         else:
-            bound = args.trace_bound or 8
+            bound = _option(args.trace_bound, 8)
             coeffs = {
                 t: enumeration.representation_count(lat, t, jobs=args.jobs)
                 for t in theta.CURATED_GENUS4
@@ -532,8 +531,12 @@ def run(argv=None) -> int:
         return EXIT_INPUT
     text = report.render()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: cannot write report {args.out}: {e}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         sys.stdout.write(text)
     stats = enumeration.cache_stats()

@@ -18,8 +18,12 @@ representatives:
   first root fixed (the Weyl group is transitive on the roots),
 * blocked integer matrix products with histogram accumulation for genus 2
   (the only engine that `jobs` splits across processes),
-* one tuple walker over stored shells for every other shape; it also feeds
-  the Fourier-Jacobi tables in `jacobi`.
+* one tuple walker over stored shells for every other shape.
+
+Every engine that stores shells gets them from `_LatticeContext`, which sizes
+them from the shell counts first and refuses more than
+`_SHELL_VECTORS_LIMIT` vectors.  The Fourier-Jacobi tables of `jacobi` are
+representation numbers one degree up and go through `class_counts` too.
 
 All numpy arithmetic is integer-typed with proven no-overflow bounds, so the
 results are exact; nothing here uses floating point.
@@ -48,7 +52,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class RepresentationDomainError(ValueError):
-    """Raised when a coefficient index is not an even positive semidefinite matrix."""
+    """Raised when a coefficient index is not an even positive semidefinite
+    matrix, or when counting it would need too much memory or work."""
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +109,6 @@ class GramTarget:
     def sort_key(self) -> tuple:
         return (self.trace, self.upper())
 
-    @classmethod
-    def from_key(cls, key: str) -> "GramTarget":
-        head, _, rest = key.partition("|")
-        upper = [int(x) for x in rest.split()] if rest else []
-        return cls.from_upper(int(head), upper)
-
     def check_valid(self) -> None:
         g = self.genus
         for i in range(g):
@@ -134,6 +133,12 @@ class GramTarget:
 # Per-lattice context (reduced basis, numpy shells, root bitsets)
 
 _CONTEXTS: dict[str, "_LatticeContext"] = {}
+
+# Most vectors one lattice may store as shells: they are walked as Python
+# tuples (about 0.2 kB each at rank 16-24) before they become int32 arrays.
+# E8+E8 and D16+ have 1,112,640 nonzero vectors of norm <= 6; E8^3 has
+# 17,134,560, which would take several GB.
+_SHELL_VECTORS_LIMIT = 5 * 10**6
 
 
 def _context(lat: "Lattice") -> "_LatticeContext":
@@ -179,8 +184,17 @@ class _LatticeContext:
         return {q: c for q, c in self._counts.items() if q <= bound}
 
     def shell_arrays_upto(self, bound: int) -> dict[int, np.ndarray]:
-        """Numpy arrays of reduced-basis coordinates for each norm <= bound."""
+        """Numpy arrays of reduced-basis coordinates for each norm <= bound.
+
+        The store is sized from the shell counts (coset dynamic programs on
+        glued lattices) before it is built, and refused above
+        _SHELL_VECTORS_LIMIT vectors."""
         if bound > self._shells_bound:
+            size = sum(c for q, c in self.counts_upto(bound).items() if q)
+            if size > _SHELL_VECTORS_LIMIT:
+                raise RepresentationDomainError(
+                    f"shells to norm {bound} at rank {self.rank} too large: {size} vectors"
+                )
             got = shells_upto(self.gram_red, bound)
             arrays = {}
             for q, vecs in got.items():
@@ -664,22 +678,18 @@ def _count_root_tuples(lat: "Lattice", t: GramTarget) -> int:
 # ---- tuple walker (mixed diagonals, small shells) --------------------------
 
 
-def _walk_tuples(ctx: "_LatticeContext", t: GramTarget):
-    """Every ordered tuple with Gram matrix T (genus >= 2), grouped by its
-    first g-1 slots: yields (prefix, last), where prefix holds the indices into
-    ctx.shell_array(T_ii) chosen for slots 0..g-2 and last is the index array
-    of every slot-(g-1) vector that completes them (never empty).
-
-    Fixing a slot filters the candidates of every later slot at once.  Work
-    grows with the product of shell sizes, so this is meant for small
-    lattices or small bounds.
-    """
+def _count_general(lat: "Lattice", t: GramTarget) -> int:
+    """r_L(T) for genus >= 2 by walking the stored shells: fixing a slot
+    filters the candidates of every later slot at once.  Work grows with the
+    product of shell sizes, so this is meant for small lattices or small
+    bounds."""
+    ctx = _context(lat)
     g = t.genus
     diag = [t.entries[i][i] for i in range(g)]
     shells = {d: ctx.shell_array(d).astype(np.int64) for d in set(diag)}
     arrays = [shells[d] for d in diag]
     if any(len(a) == 0 for a in arrays):
-        return
+        return 0
     work = len(arrays[0])
     for a in arrays[1:]:
         work *= max(1, min(len(a), 64))
@@ -689,12 +699,12 @@ def _walk_tuples(ctx: "_LatticeContext", t: GramTarget):
         )
     gm = ctx._gram_red_np
 
-    def rec(level: int, prefix: tuple, cands: list[np.ndarray]):
+    def rec(level: int, cands: list[np.ndarray]) -> int:
         # cands[k] indexes the candidates left for slot level + k.
         if level == g - 1:
-            yield prefix, cands[0]
-            return
+            return len(cands[0])
         row = t.entries[level]
+        total = 0
         for i in cands[0]:
             gx = gm @ arrays[level][i]
             nxt = []
@@ -704,13 +714,10 @@ def _walk_tuples(ctx: "_LatticeContext", t: GramTarget):
                     break
                 nxt.append(c)
             else:
-                yield from rec(level + 1, prefix + (i,), nxt)
+                total += rec(level + 1, nxt)
+        return total
 
-    yield from rec(0, (), [np.arange(len(a)) for a in arrays])
-
-
-def _count_general(lat: "Lattice", t: GramTarget) -> int:
-    return sum(len(last) for _, last in _walk_tuples(_context(lat), t))
+    return rec(0, [np.arange(len(a)) for a in arrays])
 
 
 # ---------------------------------------------------------------------------
@@ -740,15 +747,23 @@ def _candidate_targets(genus: int, trace_bound: int) -> tuple[GramTarget, ...]:
     return tuple(out)
 
 
+def class_counts(lat: "Lattice", targets: Iterable[GramTarget], jobs: int = 1) -> dict[GramTarget, int]:
+    """r_L(T) for each T of `targets`, in their order, with one count per class
+    representative (which is what is passed to `representation_count`)."""
+    values: dict[GramTarget, int] = {}
+    out = {}
+    for t in targets:
+        rep = class_representative(t)
+        if rep not in values:
+            values[rep] = representation_count(lat, rep, jobs=jobs)
+        out[t] = values[rep]
+    return out
+
+
 def representation_profile(lat: "Lattice", genus: int, trace_bound: int, jobs: int = 1) -> dict[GramTarget, int]:
     """r_L(T) for every representable even PSD T with trace <= bound (zeros
     omitted); one count per class representative."""
     if genus == 0:
         return {GramTarget.zero(0): 1}
-    targets = candidate_targets(genus, trace_bound)
-    reps = [class_representative(t) for t in targets]
-    values: dict[GramTarget, int] = {}
-    for rep in reps:
-        if rep not in values:
-            values[rep] = representation_count(lat, rep, jobs=jobs)
-    return {t: values[rep] for t, rep in zip(targets, reps) if values[rep]}
+    counts = class_counts(lat, candidate_targets(genus, trace_bound), jobs=jobs)
+    return {t: c for t, c in counts.items() if c}

@@ -3,18 +3,22 @@ the coefficient-level heat equation.
 
 The n-th Fourier-Jacobi coefficient of a degree-(g+1) theta series is stored
 as the exact table N(S, l) = #{(x_1..x_g, y) : Gram(x) = S, Q(y) = 2n,
-Q(y, x_i) = l_i}.  The root-moment identity r2 * Q(v,v) = c * sum_y Q(y,v)^2
-is checked through the exact second-moment matrix M = sum_y (Gy)(Gy)^T: the
-matrix equality r2 * G = c * M is equivalent to the identity holding for every
-vector of the lattice at once, and a direct per-vector double loop over
-enumerated shells cross-checks it on small norms.
+Q(y, x_i) = l_i}.  By the theta decomposition (Eichler-Zagier, The Theory of
+Jacobi Forms) this is the degree-(g+1) representation number
+r_L([[S, l], [l^T, 2n]]), so the table is read from
+`enumeration.representation_count` and has no counting engine of its own.
+
+The root-moment identity r2 * Q(v,v) = c * sum_y Q(y,v)^2 is checked through
+the exact second-moment matrix M = sum_y (Gy)(Gy)^T: the matrix equality
+r2 * G = c * M is equivalent to the identity holding for every vector of the
+lattice at once, and a direct per-vector double loop over enumerated shells
+cross-checks it on small norms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, prod
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -39,99 +43,29 @@ class JacobiCoefficient:
     def count(self, s: GramTarget, ell: Sequence[int]) -> int:
         return self.entries.get((s, tuple(int(x) for x in ell)), 0)
 
-    def by_target(self, s: GramTarget) -> dict[tuple[int, ...], int]:
-        return {ell: c for (t, ell), c in self.entries.items() if t == s}
-
     def second_moment(self, s: GramTarget, i: int, j: int) -> int:
         """Exact sum over l of l_i * l_j * N(S, l)."""
         return sum(ell[i] * ell[j] * c for (t, ell), c in self.entries.items() if t == s)
 
 
-# One index's dot tables hold |shell| x |norm-2n shell| entries per diagonal
-# norm, and its histogram keys one entry per (tuple, y).  Past these sizes the
-# table would not fit in memory or finish in reasonable time.  Both are
-# checked against shell counts before the shells are built.
-_TABLE_ENTRIES_LIMIT = 2 * 10**7
-_KEY_ENTRIES_LIMIT = 2 * 10**9
-
-
-def _ell_tables_for_target(lat: "Lattice", s: GramTarget, two_n: int) -> dict[tuple[int, ...], int]:
-    """Joint l-histogram for one index S: pairs every Gram-S tuple with every
-    vector of norm 2n."""
-    g = s.genus
-    r_shell = shell_count(lat, two_n)
-    if r_shell == 0:
-        return {}
-    nonzero = [i for i in range(g) if s.entries[i][i] > 0]
-    if len(nonzero) < g:
-        inner = _ell_tables_for_target(lat, s.principal_submatrix(nonzero), two_n)
-        out = {}
-        for ell, c in inner.items():
-            full = [0] * g
-            for pos, val in zip(nonzero, ell):
-                full[pos] = val
-            out[tuple(full)] = c
-        return out
-    if g == 0:
-        return {(): r_shell}
-    diag = [s.entries[i][i] for i in range(g)]
-    # Sized from the shell counts, before any shell is built: at genus 1 the
-    # histogram keys one entry per (x, y), at genus >= 2 the dot tables hold
-    # one entry per (x, y) for each diagonal norm.
-    entries = sum(shell_count(lat, d) for d in set(diag)) * r_shell
-    if entries > (_KEY_ENTRIES_LIMIT if g == 1 else _TABLE_ENTRIES_LIMIT):
-        raise LatticeError(f"Fourier-Jacobi {'table' if g == 1 else 'dot tables'} for {s.key()} "
-                           f"at rank {lat.rank} too large")
-    ctx = enumeration._context(lat)
-    gram = ctx._gram_red_np
-    if g == 1:
-        hist = enumeration._dot_histogram(gram, ctx.shell_array(diag[0]), ctx.shell_array(two_n))
-        return {(ell,): c for ell, c in hist.items()}
-    offs = [isqrt(two_n * d) for d in diag]
-    widths = [2 * o + 1 for o in offs]
-    # Mixed-radix key of l = (l_0..l_{g-1}), slot g-1 least significant.
-    strides = [prod(widths[i + 1 :]) for i in range(g)]
-    nbins = strides[0] * widths[0]
-    gy = gram @ ctx.shell_array(two_n).astype(np.int64).T  # rank x |shell|
-    # dots[d][k] = (Q(x_k, y))_y for the k-th vector x_k of norm d.
-    dots = {d: ctx.shell_array(d).astype(np.int64) @ gy for d in set(diag)}
-    tables = [dots[d] for d in diag]
-    acc = np.zeros(nbins, dtype=np.int64)
-    keys = 0
-    for prefix, last in enumeration._walk_tuples(ctx, s):
-        base = offs[-1]
-        for i, k in enumerate(prefix):
-            base = base + (tables[i][k] + offs[i]) * strides[i]
-        key = tables[-1][last] + base
-        keys += key.size
-        if keys > _KEY_ENTRIES_LIMIT:
-            raise LatticeError(f"Fourier-Jacobi table for {s.key()} at rank {lat.rank} too large")
-        acc += np.bincount(key.ravel(), minlength=nbins)
-    out: dict[tuple[int, ...], int] = {}
-    for flat, c in enumerate(acc):
-        if not c:
-            continue
-        ell = []
-        rem = flat
-        for i in range(g - 1, -1, -1):
-            ell.append(rem % widths[i] - offs[i])
-            rem //= widths[i]
-        out[tuple(reversed(ell))] = int(c)
-    return out
-
-
 def jacobi_coefficient(lat: "Lattice", genus: int, index: int, trace_bound: int, jobs: int = 1) -> JacobiCoefficient:
-    """Exact joint counts for the index-n Fourier-Jacobi coefficient."""
+    """Exact joint counts for the index-n Fourier-Jacobi coefficient.
+
+    N(S, l) counts the tuples (x_1..x_g, y) whose Gram matrix is the
+    degree-(g+1) index T = [[S, l], [l^T, 2n]], so it is r_L(T); the table
+    holds r_L(T) for every candidate T with T_gg = 2n and trace(S) <= bound.
+    """
     if index < 1:
         raise ValueError("Fourier-Jacobi index must be >= 1")
     two_n = 2 * index
     entries: dict[tuple[GramTarget, tuple[int, ...]], int] = {}
     if shell_count(lat, two_n):
-        for s in enumeration.candidate_targets(genus, trace_bound):
-            table = _ell_tables_for_target(lat, s, two_n)
-            for ell, c in table.items():
-                if c:
-                    entries[(s, ell)] = c
+        targets = [t for t in enumeration.candidate_targets(genus + 1, trace_bound + two_n)
+                   if t.entries[genus][genus] == two_n]
+        for t, c in enumeration.class_counts(lat, targets, jobs=jobs).items():
+            if c:
+                s = GramTarget(tuple(row[:genus] for row in t.entries[:genus]))
+                entries[(s, t.entries[genus][:genus])] = c
     return JacobiCoefficient(genus=genus, index=index, trace_bound=trace_bound, entries=entries)
 
 

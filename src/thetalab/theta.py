@@ -63,17 +63,6 @@ class Series:
         )
 
 
-def constant_one(genus: int, trace_bound: int) -> Series:
-    """The theta series of the rank-0 lattice: constant 1 in any degree."""
-    return Series(
-        genus=genus,
-        trace_bound=trace_bound,
-        weight=Fraction(0),
-        coeffs={GramTarget.zero(genus): 1},
-        provenance="1",
-    )
-
-
 def theta_truncated(lat: "Lattice", genus: int, trace_bound: int, jobs: int = 1) -> Series:
     """Exact truncation of the degree-g theta series of a lattice."""
     if genus < 0 or trace_bound < 0:
@@ -235,14 +224,6 @@ class DistinguishReport:
     target: GramTarget | None
     left_count: int | None
     right_count: int | None
-
-    def describe(self) -> str:
-        if not self.found:
-            return "indistinguishable within bounds"
-        return (
-            f"genus {self.genus} at T = [{self.target.key()}]: "
-            f"{self.left_count} != {self.right_count}"
-        )
 
 
 def distinguishing_report(

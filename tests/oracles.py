@@ -7,6 +7,7 @@ from math import isqrt
 import numpy as np
 
 from thetalab.enumeration import GramTarget, candidate_targets, shell_vectors
+from thetalab.theta import Series
 
 
 def ldl_box_vectors(gram, bound):
@@ -127,6 +128,17 @@ def pairwise_dots(lat, vectors):
     bound = (np.abs(v).max(initial=0) ** 2) * max(1, int(np.abs(g).max(initial=0))) * max(1, lat.rank) ** 2
     assert bound < 2**62, "dot bound exceeded"
     return v @ g @ v.T
+
+
+def by_target(jac, s):
+    """The l-histogram N(S, l) of one S in a Fourier-Jacobi table."""
+    return {ell: c for (t, ell), c in jac.entries.items() if t == s}
+
+
+def constant_one(genus, trace_bound):
+    """The theta series of the rank-0 lattice: constant 1 in any degree."""
+    return Series(genus=genus, trace_bound=trace_bound, weight=Fraction(0),
+                  coeffs={GramTarget.zero(genus): 1}, provenance="1")
 
 
 def sign_orbit_canonical(t):

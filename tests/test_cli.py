@@ -160,6 +160,17 @@ def test_witt_small_is_deterministic_across_jobs(capsys):
     assert out1 == out2
 
 
+def test_zero_bound_is_not_replaced_by_the_default(capsys):
+    code, out = run_capture(capsys, ["theta", "--lattice", "E8", "--trace-bound", "0"])
+    assert code == EXIT_PASS
+    assert "trace_bound: 0" in out and out.endswith("\n0 = 1\n")
+    code, out = run_capture(capsys, ["shells", "--lattice", "E8", "--norm-bound", "0"])
+    assert code == EXIT_PASS and out.endswith("payload:\n0 1\n")
+    # With no genus to check, witt would pass vacuously.
+    assert run(["witt", "--max-genus", "0"]) == EXIT_INPUT
+    assert "max-genus" in capsys.readouterr().err
+
+
 def test_report_written_to_file(tmp_path, capsys):
     out_path = tmp_path / "report.txt"
     code = run(["validate", "--lattice", "E8", "--out", str(out_path)])
@@ -202,11 +213,12 @@ def test_parser_rejects_unknown_kind():
         ("spec", {"components": [["A"]]}),
         ("spec", b"\xff\xfe not utf-8"),
         ("shells", {"gram": [[2, 3], [3, 2]]}),  # indefinite: LLL cannot reduce it
+        ("out", None),  # the report's directory does not exist
     ],
     ids=[
         "tset-no-targets-key", "tset-string-entry", "tset-float", "tset-bool",
         "spec-ragged-gram", "spec-string-in-gram", "spec-float-in-gram", "spec-bad-ade-symbol",
-        "spec-short-component", "spec-not-utf8", "spec-indefinite-gram",
+        "spec-short-component", "spec-not-utf8", "spec-indefinite-gram", "out-missing-dir",
     ],
 )
 def test_bad_input_exits_3_with_message(tmp_path, capsys, kind, content):
@@ -217,6 +229,8 @@ def test_bad_input_exits_3_with_message(tmp_path, capsys, kind, content):
         path.write_text(json.dumps(content))
     if kind == "tset":
         argv = ["k-identity", "--pair", "E8:E8", "--tset", str(path)]
+    elif kind == "out":
+        argv = ["validate", "--lattice", "E8", "--out", str(tmp_path / "missing" / "report.txt")]
     else:
         argv = ["validate" if kind == "spec" else kind, "--spec", str(path)]
     assert run(argv) == EXIT_INPUT
@@ -239,10 +253,10 @@ print(proc.stderr, end="")
 
 
 def test_oversized_fourier_jacobi_shell_exits_3_quickly():
-    # The genus-2, trace-6 heat check on E8^3 reaches the index diag(6, 0),
-    # whose genus-1 table pairs the ~1.7e7-vector norm-6 shell with the 720
-    # roots.  It is refused from the shell counts; building that shell first
-    # took over 7 GB and minutes.
+    # The genus-2, trace-6 heat check on E8^3 reaches the degree-3 index
+    # diag(6, 0, 2), whose class diag(2, 6) pairs the ~1.7e7-vector norm-6
+    # shell with the 720 roots.  The shells are refused from the shell counts;
+    # building that shell first took over 7 GB and minutes.
     argv = ["heat", "--lattice", "E8^3", "--genus", "2", "--trace-bound", "6"]
     proc = subprocess.run([sys.executable, "-c", _MEASURED_RUN, *argv], capture_output=True, text=True, timeout=600)
     head, _, stderr = proc.stdout.partition("\n")

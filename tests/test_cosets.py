@@ -3,10 +3,13 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetalab.cosets import component_coset_counts, glued_shell_counts
 from thetalab.enumeration import shell_counts_upto
 from thetalab.fincke_pohst import counts_upto
+from thetalab.lattices import direct_sum, root_lattice
 from thetalab.niemeier import builtin
 from thetalab.rootdata import ade_gram, root_count
 
@@ -94,3 +97,37 @@ def test_glued_counts_match_streaming_on_d16_plus():
     fp = counts_upto(gram, 6)
     fp[0] = 1
     assert dp == fp
+
+
+SMALL_ROOT_LATTICES = (
+    [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)] + [("E", 6), ("E", 7), ("E", 8)]
+)
+
+
+@st.composite
+def root_lattice_sums(draw, max_rank=8):
+    """One to four (kind, rank) summands of total rank <= max_rank."""
+    parts = []
+    left = max_rank
+    for _ in range(draw(st.integers(1, 4))):
+        fitting = [p for p in SMALL_ROOT_LATTICES if p[1] <= left]
+        if not fitting:
+            break
+        parts.append(draw(st.sampled_from(fitting)))
+        left -= parts[-1][1]
+    return parts
+
+
+@settings(max_examples=25, deadline=None)
+@given(root_lattice_sums())
+def test_coset_counts_of_random_root_lattice_sums_match_streaming(parts):
+    # Sums built with root_lattice / direct_sum carry their coset data, so
+    # shell_counts_upto runs the class-0 dynamic programs and their
+    # convolution; the Fincke-Pohst walk on the same Gram is the oracle.
+    lat = root_lattice(*parts[0])
+    for kind, rank in parts[1:]:
+        lat = direct_sum(lat, root_lattice(kind, rank))
+    assert lat.decomposition is not None
+    fp = counts_upto([list(r) for r in lat.gram.rows], 8)
+    fp[0] = 1
+    assert shell_counts_upto(lat, 8) == fp

@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 
 from thetalab import enumeration as en
-from thetalab import jacobi as jc
-from thetalab.enumeration import GramTarget, shell_count
+from thetalab.enumeration import GramTarget, RepresentationDomainError, shell_count
 from thetalab.jacobi import (
     heat_coefficient_check,
     jacobi_coefficient,
@@ -14,7 +13,7 @@ from thetalab.jacobi import (
 from thetalab.lattices import LatticeError, from_gram
 from thetalab.niemeier import builtin
 
-from oracles import pairwise_dots
+from oracles import by_target, pairwise_dots
 
 S0 = GramTarget.from_rows([[0]])
 S2 = GramTarget.from_rows([[2]])
@@ -35,7 +34,7 @@ def test_e8_index1_zero_target():
 def test_e8_index1_marginal_and_histogram():
     e8 = builtin("E8")
     jac = jacobi_coefficient(e8, 1, 1, 2)
-    tab = jac.by_target(S2)
+    tab = by_target(jac, S2)
     assert sum(tab.values()) == 240 * 240
     # Independent double loop over root pairs.
     roots = en.shell_vectors(e8, 2)[2]
@@ -52,7 +51,7 @@ def test_e8_index2_zero_target():
 def test_odd_moments_vanish():
     jac = jacobi_coefficient(builtin("E8"), 1, 1, 4)
     for s in (S2, GramTarget.from_rows([[4]])):
-        tab = jac.by_target(s)
+        tab = by_target(jac, s)
         assert sum(ell[0] * c for ell, c in tab.items()) == 0
 
 
@@ -68,7 +67,7 @@ def test_marginalization_to_representation_numbers():
     e8 = builtin("E8")
     jac = jacobi_coefficient(e8, 1, 1, 4)
     for s in (S0, S2, GramTarget.from_rows([[4]])):
-        tab = jac.by_target(s)
+        tab = by_target(jac, s)
         assert sum(tab.values()) == en.representation_count(e8, s) * shell_count(e8, 2)
 
 
@@ -76,7 +75,7 @@ def test_genus2_joint_counts_marginalize():
     e8 = builtin("E8")
     jac = jacobi_coefficient(e8, 2, 1, 4)
     s = GramTarget.from_rows([[2, 1], [1, 2]])
-    tab = jac.by_target(s)
+    tab = by_target(jac, s)
     assert sum(tab.values()) == 13440 * 240
     # Sign symmetry of the root set: (l1, l2) and (-l1, -l2) match.
     for ell, c in tab.items():
@@ -147,27 +146,18 @@ def test_pair_f1_check_small():
     assert pair_difference_f1_check(builtin("A5^4D4"), builtin("D4^6"), 1, 2)
 
 
-@pytest.mark.parametrize("limit", ["_TABLE_ENTRIES_LIMIT", "_KEY_ENTRIES_LIMIT"])
-def test_oversized_joint_table_is_refused(monkeypatch, limit):
-    # At rank 24 a norm-4 slot (a ~1 GB dot table) or a genus-3 root triple
-    # (hours of histogramming) exceeds these limits; shrunk, E8 exceeds them.
-    monkeypatch.setattr(jc, limit, 1000)
-    with pytest.raises(LatticeError, match="too large"):
-        jacobi_coefficient(builtin("E8"), 2, 1, 4)
-
-
-@pytest.mark.parametrize(
-    "limit,rows",
-    [("_KEY_ENTRIES_LIMIT", [[2]]), ("_TABLE_ENTRIES_LIMIT", [[2, 1], [1, 2]])],
-    ids=["genus1", "genus2"],
-)
-def test_oversized_table_is_refused_before_shells_are_built(monkeypatch, limit, rows):
-    # Both branches size their tables from shell counts (coset dynamic
-    # programming for E8) and refuse before any shell is materialised.
-    def no_shells(self, bound):
+@pytest.mark.parametrize("genus", [1, 2], ids=["genus1", "genus2"])
+def test_oversized_table_is_refused_before_shells_are_built(monkeypatch, genus):
+    # Shells are sized from the shell counts (coset dynamic programming for
+    # E8) and refused before any is walked.  Shrunk, the limit refuses the 240
+    # roots that these tables need.  A fresh context and memory cache make
+    # sure no earlier test has stored the shells or the counts.
+    def no_shells(gram, bound):
         raise AssertionError("a shell was built before the size check")
 
-    monkeypatch.setattr(jc, limit, 1000)
-    monkeypatch.setattr(en._LatticeContext, "shell_arrays_upto", no_shells)
-    with pytest.raises(LatticeError, match="too large"):
-        jc._ell_tables_for_target(builtin("E8"), GramTarget.from_rows(rows), 2)
+    monkeypatch.setattr(en, "_SHELL_VECTORS_LIMIT", 100)
+    monkeypatch.setattr(en, "shells_upto", no_shells)
+    monkeypatch.setattr(en, "_CONTEXTS", {})
+    monkeypatch.setattr(en, "_MEM_CACHE", {})
+    with pytest.raises(RepresentationDomainError, match="too large"):
+        jacobi_coefficient(builtin("E8"), genus, 1, 4)
