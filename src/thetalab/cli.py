@@ -382,7 +382,9 @@ def job_k_identity(args) -> Report:
 
 
 def job_independence(args) -> Report:
-    names = args.lattices or list(niemeier.RANK24_NAMES)
+    if args.lattices == []:
+        raise InputError("--lattices needs at least one lattice name")
+    names = list(niemeier.RANK24_NAMES) if args.lattices is None else args.lattices
     genus = _option(args.genus, 4)
     ids = {}
     series = []

@@ -16,9 +16,16 @@ representatives:
   in the irreducible root components, of products of per-component counts,
   each kept per ADE type and found by a bitset depth-first search with the
   first root fixed (the Weyl group is transitive on the roots),
-* blocked integer matrix products with histogram accumulation for genus 2
-  (the only engine that `jobs` splits across processes),
-* one tuple walker over stored shells for every other shape.
+* for genus 2, blocked integer matrix products with histogram accumulation,
+  one vector of each Weyl-group orbit of the smaller shell (`weyl`) against
+  one of each +-y pair of the other shell,
+* one tuple walker over stored shells for every other shape, with its first
+  slot at one vector of each Weyl-group orbit.
+
+A lattice without roots has W = 1; its orbits are then those of -1.
+
+Everything runs in one process; the `jobs` argument of the public functions
+is accepted and has no effect.
 
 Every engine that stores shells gets them from `_LatticeContext`, which sizes
 them from the shell counts first and refuses more than
@@ -34,7 +41,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-import multiprocessing as mp
 import os
 import zlib
 from dataclasses import dataclass
@@ -43,9 +49,10 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from . import cosets, rootdata
+from . import cosets, rootdata, weyl
 from .exactnum import is_positive_semidefinite, rank_int
 from .fincke_pohst import counts_upto, lll_gram, shells_upto
+from .weyl import iter_bits
 
 if TYPE_CHECKING:  # pragma: no cover
     from .lattices import Lattice
@@ -140,6 +147,9 @@ _CONTEXTS: dict[str, "_LatticeContext"] = {}
 # 17,134,560, which would take several GB.
 _SHELL_VECTORS_LIMIT = 5 * 10**6
 
+# Most entries of one block of an integer product over a shell.
+_BLOCK_ENTRIES = 1 << 20
+
 
 def _context(lat: "Lattice") -> "_LatticeContext":
     ctx = _CONTEXTS.get(lat.fingerprint)
@@ -166,6 +176,8 @@ class _LatticeContext:
         self._counts_bound = 0
         self._roots = None
         self._components = None
+        self._weyl = None
+        self._orbits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._hists: dict[tuple[int, int], dict[int, int]] = {}
 
     # ---- shells -----------------------------------------------------------
@@ -234,110 +246,137 @@ class _LatticeContext:
             self._roots = (arr, masks)
         return self._roots
 
+    def _linked(self) -> list[int]:
+        """Bit mask, for each root, of the roots with nonzero inner product with it."""
+        masks = self.root_data()[1]
+        return [a | b | c | d for a, b, c, d in zip(masks[-2], masks[-1], masks[1], masks[2])]
+
     def root_components(self) -> list[tuple[str, int]]:
         """Irreducible components of the root system, as (ADE symbol, bit mask
         of their root indices): the connected pieces of the graph joining roots
         with nonzero inner product, each matched by (rank of span, root count)."""
         if self._components is None:
-            arr, masks = self.root_data()
-            linked = [masks[-2][i] | masks[-1][i] | masks[1][i] | masks[2][i] for i in range(len(arr))]
-            self._components = []
-            left = (1 << len(arr)) - 1
-            while left:
-                comp = frontier = left & -left
-                while frontier:
-                    reach = 0
-                    for i in _iter_bits(frontier):
-                        reach |= linked[i]
-                    frontier = reach & ~comp
-                    comp |= frontier
-                left &= ~comp
-                members = list(_iter_bits(comp))
-                span = rank_int(arr[members].tolist())
-                self._components.append((rootdata.classify_component(span, len(members)), comp))
+            arr = self.root_data()[0]
+            self._components = [
+                (rootdata.classify_component(rank_int(arr[list(iter_bits(comp))].tolist()), comp.bit_count()), comp)
+                for comp in weyl.pieces(self._linked(), (1 << len(arr)) - 1)
+            ]
         return self._components
+
+    # ---- Weyl-group orbits --------------------------------------------------
+
+    def weyl_group(self) -> tuple[int, int]:
+        """(bit mask of the simple roots, order of the Weyl group W)."""
+        if self._weyl is None:
+            arr, masks = self.root_data()
+            symbols = [symbol for symbol, _ in self.root_components()]
+            simple = weyl.simple_roots(arr.tolist(), masks[1])
+            assert simple.bit_count() == sum(int(s[1:]) for s in symbols)
+            self._weyl = (simple, weyl.group_order(symbols))
+        return self._weyl
+
+    def orbits(self, norm: int) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, weights): the vectors of the norm shell in the closed
+        dominant chamber, one per W-orbit, and the orbit sizes.  The weights
+        sum to the shell size.  Without roots W = 1, and the orbits are
+        those of -1 instead (it too preserves every lattice and every count
+        with a fixed first vector): one of each +-v pair, of weight 2."""
+        got = self._orbits.get(norm)
+        if got is None:
+            shell = self.shell_array(norm)
+            roots = self.root_data()[0].astype(np.int64)
+            simple, order = self.weyl_group()
+            if simple:
+                gs = self._gram_red_np @ roots[list(iter_bits(simple))].T
+                rows = shell[_nonnegative_rows(shell, gs)]
+                dots = rows.astype(np.int64) @ self._gram_red_np @ roots.T
+                orthogonal = [int.from_bytes(z.tobytes(), "little")
+                              for z in np.packbits(dots == 0, axis=1, bitorder="little")]
+                weights = np.array(weyl.orbit_sizes(orthogonal, self._linked(), simple, order), dtype=np.int64)
+            else:
+                rows = _sign_half(shell)
+                weights = np.full(len(rows), 2, dtype=np.int64)
+            assert int(weights.sum()) == len(shell), f"orbit sizes do not sum to the norm-{norm} shell"
+            got = self._orbits[norm] = (rows, weights)
+        return got
 
     # ---- genus-2 dot histograms -------------------------------------------
 
-    def pair_histogram(self, a: int, c: int, jobs: int = 1) -> dict[int, int]:
-        """Histogram over ordered pairs (x, y), Q(x)=a, Q(y)=c, of Q(x, y)."""
+    def pair_histogram(self, a: int, c: int) -> dict[int, int]:
+        """Histogram over ordered pairs (x, y), Q(x)=a, Q(y)=c, of Q(x, y):
+        H(b) = sum over the orbit representatives x of the smaller shell of
+        |orbit of x| * #{y : Q(x, y) = b}, since W preserves the other shell."""
         if a > c:
             a, c = c, a
         key = (a, c)
         hist = self._hists.get(key)
         if hist is not None:
             return hist
-        x_arr = self.shell_array(a)
-        y_arr = self.shell_array(c)
-        hist = _dot_histogram(self._gram_red_np, x_arr, y_arr, jobs=jobs)
+        y_arr = self.shell_array(c)  # the larger bound first: one shell walk
+        x_arr, weights = self.orbits(a)
+        hist = _dot_histogram(self._gram_red_np, x_arr, y_arr, weights)
         self._hists[key] = hist
         return hist
 
 
-def _histogram_span(gy32: np.ndarray, x_arr: np.ndarray, lo: int, hi: int, offset: int, nbins: int) -> np.ndarray:
-    block = max(1, (1 << 23) // max(gy32.shape[1], 1))
-    acc = np.zeros(nbins, dtype=np.int64)
-    for start in range(lo, hi, block):
-        d = x_arr[start : min(start + block, hi)] @ gy32
-        acc += np.bincount(d.ravel().astype(np.int64) + offset, minlength=nbins)
-    return acc
+def _int32_factor(arr: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, int]:
+    """(`factor` as int32, a bound on |every partial sum of arr @ factor|),
+    after asserting that the bound fits in int32, so the product is exact."""
+    bound = int(np.abs(arr).max(initial=0)) * int(np.abs(factor).max(initial=0)) * arr.shape[1]
+    assert bound < 2**31, "int32 overflow bound exceeded"
+    return factor.astype(np.int32), bound
 
 
-_WORKER_STATE: dict = {}
-
-
-def _histogram_worker(span):
-    st = _WORKER_STATE
-    return _histogram_span(st["gy32"], st["x_arr"], span[0], span[1], st["offset"], st["nbins"])
+def _nonnegative_rows(arr: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Mask of the rows of arr whose product with `factor` has no negative
+    entry; blocked, so no |arr| x columns matrix is built at once."""
+    factor, _ = _int32_factor(arr, factor)
+    step = max(1, _BLOCK_ENTRIES // max(factor.shape[1], 1))
+    keep = np.ones(len(arr), dtype=bool)
+    for start in range(0, len(arr), step):
+        keep[start : start + step] = (arr[start : start + step] @ factor >= 0).all(axis=1)
+    return keep
 
 
 def _sign_half(arr: np.ndarray) -> np.ndarray:
     """Rows whose first nonzero coordinate is positive (one of each +-v pair)."""
     if len(arr) == 0:
         return arr
-    idx = (arr != 0).argmax(axis=1)
-    lead = arr[np.arange(len(arr)), idx]
+    lead = arr[np.arange(len(arr)), (arr != 0).argmax(axis=1)]
     half = arr[lead > 0]
-    assert 2 * len(half) == len(arr)
+    assert 2 * len(half) == len(arr), "shell not closed under negation"
     return half
 
 
-def _dot_histogram(gram: np.ndarray, x_arr: np.ndarray, y_arr: np.ndarray, jobs: int = 1) -> dict[int, int]:
-    """Exact histogram of x G y^T over all rows x, y; blocked integer matmul.
+def _dot_histogram(gram: np.ndarray, x_arr: np.ndarray, y_arr: np.ndarray, weights: np.ndarray) -> dict[int, int]:
+    """Exact sum over the rows x of x_arr of weights[x] times the histogram
+    of x G y^T over the rows y of y_arr, a shell (closed under negation).
 
-    Both shells are closed under negation, so only one of each +-v pair is
-    multiplied out on either side and the histogram is symmetrized afterwards:
-    H(b) = 2 * (Q(b) + Q(-b)) with Q the quarter-space histogram.
+    Only one y of each +-y pair is multiplied out, giving A(b), and
+    H(b) = A(b) + A(-b).  Blocked integer products: for a block of x rows,
+    one bincount per block of y rows gives each x its own histogram (int64),
+    and the block's histograms are then summed with the integer weights.
     """
     if len(x_arr) == 0 or len(y_arr) == 0:
         return {}
-    x_arr = _sign_half(x_arr)
     y_arr = _sign_half(y_arr)
-    nx, ny = len(x_arr), len(y_arr)
-    rank = x_arr.shape[1]
-    gy = (gram @ y_arr.astype(np.int64).T)
-    max_prod = int(np.abs(x_arr).max(initial=0)) * int(np.abs(gy).max(initial=0)) * rank
-    assert max_prod < 2**31, "int32 overflow bound exceeded"
-    # Partial sums are bounded by max_prod, so a narrower dtype is still exact.
-    dtype = np.int16 if max_prod < 2**15 else np.int32
-    gy32 = gy.astype(dtype)
-    x_arr = x_arr.astype(dtype)
-    offset = max_prod + 1
+    gx, offset = _int32_factor(y_arr, gram @ x_arr.astype(np.int64).T)
+    assert int(weights.sum()) * len(y_arr) < 2**62, "int64 histogram bound exceeded"
     nbins = 2 * offset + 1
-    if jobs > 1 and nx * ny > 1 << 24:
-        cut = [nx * k // jobs for k in range(jobs + 1)]
-        spans = [(cut[k], cut[k + 1]) for k in range(jobs)]
-        _WORKER_STATE.update({"gy32": gy32, "x_arr": x_arr, "offset": offset, "nbins": nbins})
-        with mp.get_context("fork").Pool(jobs) as pool:
-            parts = pool.map(_histogram_worker, spans)
-        acc = sum(parts, np.zeros(nbins, dtype=np.int64))
-    else:
-        acc = _histogram_span(gy32, x_arr, 0, nx, offset, nbins)
-    quarter = {int(b - offset): int(v) for b, v in enumerate(acc) if v}
-    return {
-        b: 2 * (quarter.get(b, 0) + quarter.get(-b, 0))
-        for b in {b for q in quarter for b in (q, -q)}
-    }
+    x_step = max(1, _BLOCK_ENTRIES // nbins)
+    acc = np.zeros(nbins, dtype=np.int64)
+    for x0 in range(0, len(x_arr), x_step):
+        cols = gx[:, x0 : x0 + x_step]
+        n = cols.shape[1]
+        shift = offset + nbins * np.arange(n, dtype=np.int64)
+        hist = np.zeros(n * nbins, dtype=np.int64)
+        y_step = max(1, _BLOCK_ENTRIES // n)
+        for y0 in range(0, len(y_arr), y_step):
+            d = y_arr[y0 : y0 + y_step] @ cols
+            hist += np.bincount((d + shift).ravel(), minlength=n * nbins)
+        acc += weights[x0 : x0 + n] @ hist.reshape(n, nbins)
+    acc += acc[::-1].copy()
+    return {b - offset: int(v) for b, v in enumerate(acc.tolist()) if v}
 
 
 # ---------------------------------------------------------------------------
@@ -482,19 +521,20 @@ def _cache_put(fp: str, key: str, value: int) -> None:
 
 
 def representation_count(lat: "Lattice", target, jobs: int = 1) -> int:
-    """Exact number of ordered g-tuples in L^g with the prescribed Gram matrix."""
+    """Exact number of ordered g-tuples in L^g with the prescribed Gram matrix.
+    `jobs` is accepted and has no effect: every count runs in this process."""
     t = target if isinstance(target, GramTarget) else GramTarget.from_rows(target)
     rep = class_representative(t)
     key = rep.key()
     cached = _cache_get(lat.fingerprint, key)
     if cached is not None:
         return cached
-    value = _rep_count(lat, rep, jobs)
+    value = _rep_count(lat, rep)
     _cache_put(lat.fingerprint, key, value)
     return value
 
 
-def _rep_count(lat: "Lattice", t: GramTarget, jobs: int) -> int:
+def _rep_count(lat: "Lattice", t: GramTarget) -> int:
     """r_L(T) for a class representative T (reduced, no zero rows)."""
     g = t.genus
     if g == 0:
@@ -505,7 +545,7 @@ def _rep_count(lat: "Lattice", t: GramTarget, jobs: int) -> int:
         return _count_root_tuples(lat, t)
     if g == 2:
         a, b, c = t.entries[0][0], t.entries[0][1], t.entries[1][1]
-        return _context(lat).pair_histogram(a, c, jobs=jobs).get(b, 0)
+        return _context(lat).pair_histogram(a, c).get(b, 0)
     return _count_general(lat, t)
 
 
@@ -584,13 +624,6 @@ def class_representative(t: GramTarget) -> GramTarget:
 # ---- root-tuple engine (all diagonal entries 2) ----------------------------
 
 
-def _iter_bits(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _root_dfs_level(masks, t_entries, g, level, level_masks) -> int:
     """Recursive levels: level_masks[k-level] constrains slot k for k >= level."""
     cur = level_masks[0]
@@ -601,10 +634,10 @@ def _root_dfs_level(masks, t_entries, g, level, level_masks) -> int:
     if level == g - 2:
         md = masks[row[g - 1]]
         nxt = level_masks[1]
-        for i in _iter_bits(cur):
+        for i in iter_bits(cur):
             total += (nxt & md[i]).bit_count()
         return total
-    for i in _iter_bits(cur):
+    for i in iter_bits(cur):
         nxt = [level_masks[k - level] & masks[row[k]][i] for k in range(level + 1, g)]
         if all(nxt):
             total += _root_dfs_level(masks, t_entries, g, level + 1, nxt)
@@ -680,17 +713,20 @@ def _count_root_tuples(lat: "Lattice", t: GramTarget) -> int:
 
 def _count_general(lat: "Lattice", t: GramTarget) -> int:
     """r_L(T) for genus >= 2 by walking the stored shells: fixing a slot
-    filters the candidates of every later slot at once.  Work grows with the
-    product of shell sizes, so this is meant for small lattices or small
-    bounds."""
+    filters the candidates of every later slot at once.  Slot 0 runs over one
+    vector y of each W-orbit of its shell, and the completions of y count
+    |orbit of y| times.  Work grows with the product of shell sizes, so this
+    is meant for small lattices or small bounds."""
     ctx = _context(lat)
     g = t.genus
     diag = [t.entries[i][i] for i in range(g)]
+    ctx.shell_arrays_upto(max(diag))
     shells = {d: ctx.shell_array(d).astype(np.int64) for d in set(diag)}
     arrays = [shells[d] for d in diag]
     if any(len(a) == 0 for a in arrays):
         return 0
-    work = len(arrays[0])
+    firsts, weights = ctx.orbits(diag[0])
+    work = len(firsts)
     for a in arrays[1:]:
         work *= max(1, min(len(a), 64))
     if work > 5 * 10**7:
@@ -699,25 +735,22 @@ def _count_general(lat: "Lattice", t: GramTarget) -> int:
         )
     gm = ctx._gram_red_np
 
-    def rec(level: int, cands: list[np.ndarray]) -> int:
-        # cands[k] indexes the candidates left for slot level + k.
-        if level == g - 1:
-            return len(cands[0])
+    def completions(level: int, x: np.ndarray, later: list[np.ndarray]) -> int:
+        # Slot `level` is x; later[k] indexes the candidates left for slot level + 1 + k.
+        gx = gm @ x
         row = t.entries[level]
-        total = 0
-        for i in cands[0]:
-            gx = gm @ arrays[level][i]
-            nxt = []
-            for j, c in enumerate(cands[1:], start=level + 1):
-                c = c[arrays[j][c] @ gx == row[j]]
-                if not len(c):
-                    break
-                nxt.append(c)
-            else:
-                total += rec(level + 1, nxt)
-        return total
+        nxt = []
+        for j, c in enumerate(later, start=level + 1):
+            c = c[arrays[j][c] @ gx == row[j]]
+            if not len(c):
+                return 0
+            nxt.append(c)
+        if level + 1 == g - 1:
+            return len(nxt[0])
+        return sum(completions(level + 1, arrays[level + 1][i], nxt[1:]) for i in nxt[0])
 
-    return rec(0, [np.arange(len(a)) for a in arrays])
+    everything = [np.arange(len(a)) for a in arrays[1:]]
+    return sum(w * completions(0, y, everything) for y, w in zip(firsts.astype(np.int64), weights.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +780,7 @@ def _candidate_targets(genus: int, trace_bound: int) -> tuple[GramTarget, ...]:
     return tuple(out)
 
 
-def class_counts(lat: "Lattice", targets: Iterable[GramTarget], jobs: int = 1) -> dict[GramTarget, int]:
+def class_counts(lat: "Lattice", targets: Iterable[GramTarget]) -> dict[GramTarget, int]:
     """r_L(T) for each T of `targets`, in their order, with one count per class
     representative (which is what is passed to `representation_count`)."""
     values: dict[GramTarget, int] = {}
@@ -755,15 +788,15 @@ def class_counts(lat: "Lattice", targets: Iterable[GramTarget], jobs: int = 1) -
     for t in targets:
         rep = class_representative(t)
         if rep not in values:
-            values[rep] = representation_count(lat, rep, jobs=jobs)
+            values[rep] = representation_count(lat, rep)
         out[t] = values[rep]
     return out
 
 
 def representation_profile(lat: "Lattice", genus: int, trace_bound: int, jobs: int = 1) -> dict[GramTarget, int]:
     """r_L(T) for every representable even PSD T with trace <= bound (zeros
-    omitted); one count per class representative."""
+    omitted); one count per class representative.  `jobs` has no effect."""
     if genus == 0:
         return {GramTarget.zero(0): 1}
-    counts = class_counts(lat, candidate_targets(genus, trace_bound), jobs=jobs)
+    counts = class_counts(lat, candidate_targets(genus, trace_bound))
     return {t: c for t, c in counts.items() if c}

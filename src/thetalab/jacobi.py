@@ -54,6 +54,7 @@ def jacobi_coefficient(lat: "Lattice", genus: int, index: int, trace_bound: int,
     N(S, l) counts the tuples (x_1..x_g, y) whose Gram matrix is the
     degree-(g+1) index T = [[S, l], [l^T, 2n]], so it is r_L(T); the table
     holds r_L(T) for every candidate T with T_gg = 2n and trace(S) <= bound.
+    `jobs` has no effect.
     """
     if index < 1:
         raise ValueError("Fourier-Jacobi index must be >= 1")
@@ -62,7 +63,7 @@ def jacobi_coefficient(lat: "Lattice", genus: int, index: int, trace_bound: int,
     if shell_count(lat, two_n):
         targets = [t for t in enumeration.candidate_targets(genus + 1, trace_bound + two_n)
                    if t.entries[genus][genus] == two_n]
-        for t, c in enumeration.class_counts(lat, targets, jobs=jobs).items():
+        for t, c in enumeration.class_counts(lat, targets).items():
             if c:
                 s = GramTarget(tuple(row[:genus] for row in t.entries[:genus]))
                 entries[(s, t.entries[genus][:genus])] = c

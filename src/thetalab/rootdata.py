@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .exactnum import IntMatrix, det_exact, gram_of_rows
 
@@ -207,13 +208,14 @@ def root_count(kind: str, rank: int) -> int:
     return {6: 72, 7: 126, 8: 240}[rank]
 
 
-def coxeter_number(kind: str, rank: int) -> int:
+def weyl_order(kind: str, rank: int) -> int:
+    """Order of the Weyl group of the irreducible root system of this type."""
     _check(kind, rank)
     if kind == "A":
-        return rank + 1
+        return factorial(rank + 1)
     if kind == "D":
-        return 2 * rank - 2
-    return {6: 12, 7: 18, 8: 30}[rank]
+        return 2 ** (rank - 1) * factorial(rank)
+    return {6: 51840, 7: 2903040, 8: 696729600}[rank]
 
 
 def classify_component(rank: int, count: int) -> str:

@@ -1,0 +1,84 @@
+"""Weyl-group orbits on the shells of an even lattice, from its roots alone.
+
+A reflection v -> v - (v, a) a in a root a of an even lattice maps the lattice
+to itself and keeps norms, so the Weyl group W of the roots acts on every
+shell, and a count of tuples with a fixed first vector is constant on each
+W-orbit.  Each orbit meets the closed dominant chamber
+{v : (v, a) >= 0 for every simple root a} exactly once, and the stabiliser of
+a dominant y is the Weyl group of the roots orthogonal to y, which have the
+simple roots orthogonal to y as a base (Humphreys, Reflection Groups and
+Coxeter Groups, 1.12).  So the dominant vectors of a shell stand for its
+orbits, with the orbit sizes |W| / |W_y| as weights.
+
+Roots are indices into one list, and a set of roots is a bit mask over it.
+"""
+
+from __future__ import annotations
+
+from math import prod
+from typing import Iterable, Iterator, Sequence
+
+from . import rootdata
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def pieces(linked: Sequence[int], roots: int) -> Iterator[int]:
+    """Bit masks of the connected pieces of the roots in the mask `roots`,
+    under the graph joining roots with nonzero inner product: bit j of
+    linked[i] is set when (root i, root j) != 0."""
+    while roots:
+        piece = frontier = roots & -roots
+        while frontier:
+            reach = 0
+            for i in iter_bits(frontier):
+                reach |= linked[i]
+            frontier = reach & roots & ~piece
+            piece |= frontier
+        roots &= ~piece
+        yield piece
+
+
+def simple_roots(vectors: Sequence[Sequence[int]], ones: Sequence[int]) -> int:
+    """Bit mask of the simple roots, from the root coordinates and the masks
+    ones[i] of the roots with inner product 1 with root i.
+
+    The positive roots are those positive under f(v) = sum_i v_i B^i with
+    B = 2 max|v_i| + 1, which vanishes on no nonzero root.  A positive root is
+    simple unless it is the sum of two positive roots, that is unless some
+    positive root of smaller f has inner product 1 with it."""
+    base = 2 * max((abs(c) for v in vectors for c in v), default=0) + 1
+    f = [sum(c * base**i for i, c in enumerate(v)) for v in vectors]
+    assert all(f), "functional vanishes on a root"
+    simple = lower = 0
+    for _, i in sorted((v, i) for i, v in enumerate(f) if v > 0):
+        if not ones[i] & lower:
+            simple |= 1 << i
+        lower |= 1 << i
+    return simple
+
+
+def group_order(symbols: Iterable[str]) -> int:
+    """Order of the Weyl group of a root system with these ADE components."""
+    return prod(rootdata.weyl_order(s[0], int(s[1:])) for s in symbols)
+
+
+def orbit_sizes(orthogonal: Iterable[int], linked: Sequence[int], simple: int, order: int) -> list[int]:
+    """|W| / |W_y| for each dominant y, given the mask of the roots
+    orthogonal to y: each piece of those roots holds as many simple roots as
+    its rank, which with its size gives its type."""
+    stabilisers: dict[int, int] = {}
+    sizes = []
+    for roots in orthogonal:
+        if roots not in stabilisers:
+            stabilisers[roots] = group_order(
+                rootdata.classify_component((piece & simple).bit_count(), piece.bit_count())
+                for piece in pieces(linked, roots)
+            )
+        sizes.append(order // stabilisers[roots])
+    return sizes

@@ -43,6 +43,15 @@ def ldl_box_counts(gram, bound):
     return {q: len(v) for q, v in ldl_box_vectors(gram, bound).items()}
 
 
+def coxeter_number(kind, rank):
+    """Coxeter number h of the irreducible root system of this ADE type."""
+    if kind == "A":
+        return rank + 1
+    if kind == "D":
+        return 2 * rank - 2
+    return {6: 12, 7: 18, 8: 30}[rank]
+
+
 def e8_ambient_counts(bound):
     """E8 in Euclidean coordinates: even-sum integer vectors plus all-odd
     doubled vectors with doubled sum divisible by 4."""
@@ -128,6 +137,35 @@ def pairwise_dots(lat, vectors):
     bound = (np.abs(v).max(initial=0) ** 2) * max(1, int(np.abs(g).max(initial=0))) * max(1, lat.rank) ** 2
     assert bound < 2**62, "dot bound exceeded"
     return v @ g @ v.T
+
+
+def shell_pair_histogram(gram, x_arr, y_arr):
+    """Histogram of x G y^T over every row x of x_arr and every row y of
+    y_arr, by whole-shell blocked integer products.  Both shells are closed
+    under negation, so one of each +-v pair is multiplied out on either side
+    and H(b) = 2 * (Q(b) + Q(-b)), Q the quarter-space histogram."""
+
+    def sign_half(arr):
+        if len(arr) == 0:
+            return arr
+        lead = arr[np.arange(len(arr)), (arr != 0).argmax(axis=1)]
+        assert 2 * int((lead > 0).sum()) == len(arr)
+        return arr[lead > 0]
+
+    x_arr, y_arr = sign_half(x_arr), sign_half(y_arr)
+    if len(x_arr) == 0 or len(y_arr) == 0:
+        return {}
+    gy = np.asarray(gram, dtype=np.int64) @ y_arr.astype(np.int64).T
+    offset = int(np.abs(x_arr).max()) * int(np.abs(gy).max()) * x_arr.shape[1]
+    assert offset < 2**31
+    gy, x_arr = gy.astype(np.int32), x_arr.astype(np.int32)
+    acc = np.zeros(2 * offset + 1, dtype=np.int64)
+    step = max(1, (1 << 22) // gy.shape[1])
+    for start in range(0, len(x_arr), step):
+        d = x_arr[start : start + step] @ gy
+        acc += np.bincount(d.ravel().astype(np.int64) + offset, minlength=len(acc))
+    quarter = {b - offset: int(v) for b, v in enumerate(acc.tolist()) if v}
+    return {b: 2 * (quarter.get(b, 0) + quarter.get(-b, 0)) for q in quarter for b in (q, -q)}
 
 
 def by_target(jac, s):

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import ACCEPTANCE_LINES
-from oracles import e8_ambient_counts, ldl_box_counts, root_indices
+from oracles import coxeter_number, e8_ambient_counts, ldl_box_counts, root_indices
 from thetalab import enumeration as en
 from thetalab import jacobi as jc
 from thetalab import lattices as lat
@@ -89,8 +89,6 @@ def test_criterion_01_lattice_construction():
         if r2 == 288:
             ok &= r2 == 24 * 12  # Coxeter number 12 for both members
     # Coxeter consistency: every rank-24 root system has r2 = 24h with one h.
-    from thetalab.rootdata import coxeter_number
-
     for name in RANK24_NAMES:
         rs = lat.root_system(builtin(name))
         hs = {coxeter_number(sym[0], int(sym[1:])) for sym, _ in rs.components}

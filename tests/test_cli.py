@@ -214,11 +214,13 @@ def test_parser_rejects_unknown_kind():
         ("spec", b"\xff\xfe not utf-8"),
         ("shells", {"gram": [[2, 3], [3, 2]]}),  # indefinite: LLL cannot reduce it
         ("out", None),  # the report's directory does not exist
+        ("lattices", None),  # `--lattices` given without a name
     ],
     ids=[
         "tset-no-targets-key", "tset-string-entry", "tset-float", "tset-bool",
         "spec-ragged-gram", "spec-string-in-gram", "spec-float-in-gram", "spec-bad-ade-symbol",
         "spec-short-component", "spec-not-utf8", "spec-indefinite-gram", "out-missing-dir",
+        "independence-no-lattices",
     ],
 )
 def test_bad_input_exits_3_with_message(tmp_path, capsys, kind, content):
@@ -231,6 +233,8 @@ def test_bad_input_exits_3_with_message(tmp_path, capsys, kind, content):
         argv = ["k-identity", "--pair", "E8:E8", "--tset", str(path)]
     elif kind == "out":
         argv = ["validate", "--lattice", "E8", "--out", str(tmp_path / "missing" / "report.txt")]
+    elif kind == "lattices":
+        argv = ["independence", "--lattices", "--genus", "1", "--trace-bound", "2"]
     else:
         argv = ["validate" if kind == "spec" else kind, "--spec", str(path)]
     assert run(argv) == EXIT_INPUT

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetalab import enumeration as en
@@ -29,7 +29,15 @@ from thetalab.niemeier import BUILTIN_NAMES, builtin
 from thetalab.rootdata import ade_gram
 
 
-from oracles import e8_ambient_counts, ldl_box_counts, ldl_box_vectors, pairwise_dots, root_indices, root_tuple_count
+from oracles import (
+    e8_ambient_counts,
+    ldl_box_counts,
+    ldl_box_vectors,
+    pairwise_dots,
+    root_indices,
+    root_tuple_count,
+    shell_pair_histogram,
+)
 
 
 @pytest.mark.parametrize(
@@ -222,11 +230,10 @@ def test_profile_e8_g2_contains_both_signs():
 
 
 def test_parallel_determinism():
-    # The sign-halved E8 shells of norms 6 and 8 give 3360 x 8760 products,
-    # above the 2^24 at which the genus-2 histogram is split across processes.
+    # `jobs` is accepted and has no effect; both runs must equal the
+    # whole-shell histogram of E8's norm-6 and norm-8 shells.
     e8 = builtin("E8")
     ctx = en._context(e8)
-    assert (len(ctx.shell_array(6)) // 2) * (len(ctx.shell_array(8)) // 2) > 1 << 24
     t = GramTarget.from_rows([[6, 3], [3, 8]])
     assert en.class_representative(t) == t
     hists, counts = [], []
@@ -235,7 +242,7 @@ def test_parallel_determinism():
         en._MEM_CACHE.pop((e8.fingerprint, t.key()), None)
         counts.append(representation_count(e8, t, jobs=jobs))
         hists.append(ctx.pair_histogram(6, 8))
-    assert hists[0] == hists[1]
+    assert hists[0] == hists[1] == shell_pair_histogram(ctx._gram_red_np, ctx.shell_array(6), ctx.shell_array(8))
     assert counts[0] == counts[1] == hists[0][3] > 0
 
 
@@ -329,6 +336,12 @@ def test_cache_ignores_unversioned_entries(tmp_path, monkeypatch):
 
 # ADE sums of rank <= 5; block-diagonal Gram matrices of these are the oracle's input.
 SMALL_ADE = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5)]
+# ("R", 2): the rank-2 even lattice [[4, 1], [1, 4]], which has no roots.
+ROOTLESS = ("R", 2)
+
+
+def _block_gram(kind, rank):
+    return [[4, 1], [1, 4]] if (kind, rank) == ROOTLESS else ade_gram(kind, rank).rows
 
 
 @st.composite
@@ -343,7 +356,7 @@ def small_ade_lattices(draw, kinds=tuple(SMALL_ADE), max_rank=5, max_parts=3):
     g = [[0] * n for _ in range(n)]
     off = 0
     for kind, rank in comps:
-        for i, row in enumerate(ade_gram(kind, rank).rows):
+        for i, row in enumerate(_block_gram(kind, rank)):
             g[off + i][off : off + rank] = row
         off += rank
     perm = draw(st.permutations(range(n)))
@@ -384,9 +397,14 @@ def _brute_count(shells, gm, rows):
     return int(np.einsum("xy,xz,yz->", eq[0, 1], eq[0, 2], eq[1, 2]))
 
 
-@settings(max_examples=12, deadline=None)
-@given(small_ade_lattices())
+@settings(max_examples=15, deadline=None)
+@given(small_ade_lattices(kinds=(*SMALL_ADE, ROOTLESS)))
+@example(([[4, 1], [1, 4]], [[4, 1], [1, 4]]))
+@example(([[4, 1, 0], [1, 4, 0], [0, 0, 2]], [[4, 5, 1], [5, 10, 5], [1, 5, 6]]))
 def test_walker_matches_brute_force_on_random_bases(pair):
+    # The pair histogram and the walker count from one vector per orbit of
+    # the Weyl group; the lattices may have a rootless summand, or no roots
+    # at all (W = 1).
     block, changed = pair
     lat = from_gram("changed", changed)
     gm = np.array(block, dtype=np.int64)
@@ -394,6 +412,17 @@ def test_walker_matches_brute_force_on_random_bases(pair):
 
     def dots(a, b):
         return shells[a] @ gm @ shells[b].T
+
+    # Genus 2, every nonzero diagonal but (2, 2): the pair histogram on the
+    # index as given and the count of its class.
+    ctx = en._context(lat)
+    for t in candidate_targets(2, 8):
+        (a, b), (_, c) = t.entries
+        if a == 0 or c == 0 or (a, c) == (2, 2):
+            continue
+        expect = _brute_count(shells, gm, t.entries)
+        assert ctx.pair_histogram(a, c).get(b, 0) == expect, t.key()
+        assert representation_count(lat, t) == expect, t.key()
 
     # Genus 3, mixed diagonals: brute force over the shells, against the
     # walker on the index as given and against the count of its class.
@@ -415,6 +444,57 @@ def test_walker_matches_brute_force_on_random_bases(pair):
             expect[(s.entries, ell)] = n
     jac = jacobi_coefficient(lat, 2, 1, 6)
     assert {(s.entries, ell): n for (s, ell), n in jac.entries.items()} == expect
+
+
+# Orbits of the Weyl group of the roots on the shells of norm 2, 4 and 6.
+PINNED_ORBITS = {
+    "E8+E8": (2, 3, 4),
+    "D16+": (1, 3, 3),
+    "E8^3": (3, 6),
+    "A17E7": (2, 7),
+    "A5^4D4": (5, 63),
+    "D4^6": (6, 78),
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_orbit_histograms_match_whole_shell_oracle_on_builtins(name):
+    # Genus-2 counts from one vector per Weyl-group orbit against the
+    # histogram of the whole shells: (2, 4) everywhere, and (4, 4) and
+    # (2, 6) at rank <= 16.
+    lat = builtin(name)
+    ctx = en._context(lat)
+    top = 6 if lat.rank <= 16 else 4
+    ctx.shell_arrays_upto(top)
+    orbits = []
+    for q in range(2, top + 1, 2):
+        rows, weights = ctx.orbits(q)
+        assert int(weights.sum()) == len(ctx.shell_array(q))
+        assert len(rows) == len({r.tobytes() for r in rows})
+        orbits.append(len(rows))
+    assert tuple(orbits) == PINNED_ORBITS.get(name, tuple(orbits))
+    for a, c in [(2, 4)] + ([(4, 4), (2, 6)] if lat.rank <= 16 else []):
+        rows, weights = ctx.orbits(a)
+        got = en._dot_histogram(ctx._gram_red_np, rows, ctx.shell_array(c), weights)
+        assert got == shell_pair_histogram(ctx._gram_red_np, ctx.shell_array(a), ctx.shell_array(c)), (a, c)
+        assert ctx.pair_histogram(c, a) == got
+
+
+def test_rootless_store_is_one_of_each_sign_pair():
+    # Four copies of [[4, 1], [1, 4]]: no roots, so W = 1 and the store
+    # holds one of each +-v pair with weight 2.
+    n = 8
+    gram = [[4 if i == j else int(i // 2 == j // 2) for j in range(n)] for i in range(n)]
+    ctx = en._context(from_gram("rootless8", gram))
+    ctx.shell_arrays_upto(10)
+    for q in (4, 6, 8, 10):
+        rows, weights = ctx.orbits(q)
+        shell = ctx.shell_array(q)
+        assert set(weights.tolist()) == {2} and 2 * len(rows) == len(shell)
+        assert {r.tobytes() for r in np.concatenate([rows, -rows])} == {r.tobytes() for r in shell}
+    for a, c in [(4, 4), (4, 10), (6, 8), (8, 10)]:
+        want = shell_pair_histogram(ctx._gram_red_np, ctx.shell_array(a), ctx.shell_array(c))
+        assert ctx.pair_histogram(a, c) == want, (a, c)
 
 
 ROOT_INDICES_G23 = root_indices(2) + root_indices(3)
