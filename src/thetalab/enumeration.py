@@ -6,7 +6,7 @@ by direct counting.  It depends only on the GL_g(Z)-class of T, so each index
 is first replaced by its class representative (`class_representative`: a
 reduced matrix without zero rows, in a normal form under slot permutations
 and sign changes); counts, caches and profiles work on representatives, and
-a profile counts each class once.  Four engines cover the shapes of the
+a profile counts each class once.  Three engines cover the shapes of the
 representatives:
 
 * an exact Fincke-Pohst walk for shells and for genus-1 counts (glued lattices
@@ -16,11 +16,10 @@ representatives:
   in the irreducible root components, of products of per-component counts,
   each kept per ADE type and found by a bitset depth-first search with the
   first root fixed (the Weyl group is transitive on the roots),
-* for genus 2, blocked integer matrix products with histogram accumulation,
-  one vector of each Weyl-group orbit of the smaller shell (`weyl`) against
-  one of each +-y pair of the other shell,
-* one tuple walker over stored shells for every other shape, with its first
-  slot at one vector of each Weyl-group orbit.
+* one orbit counter over stored shells for every other shape: its first slot
+  runs over one vector of each Weyl-group orbit (`weyl`), the middle slots
+  are walked, and the last two slots are one weighted histogram of blocked
+  integer products (at genus 2, against one of each +-z pair).
 
 A lattice without roots has W = 1; its orbits are then those of -1.
 
@@ -178,7 +177,7 @@ class _LatticeContext:
         self._components = None
         self._weyl = None
         self._orbits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._hists: dict[tuple[int, int], dict[int, int]] = {}
+        self._hists: dict[tuple[int, ...], dict[int, int]] = {}
 
     # ---- shells -----------------------------------------------------------
 
@@ -300,24 +299,6 @@ class _LatticeContext:
             got = self._orbits[norm] = (rows, weights)
         return got
 
-    # ---- genus-2 dot histograms -------------------------------------------
-
-    def pair_histogram(self, a: int, c: int) -> dict[int, int]:
-        """Histogram over ordered pairs (x, y), Q(x)=a, Q(y)=c, of Q(x, y):
-        H(b) = sum over the orbit representatives x of the smaller shell of
-        |orbit of x| * #{y : Q(x, y) = b}, since W preserves the other shell."""
-        if a > c:
-            a, c = c, a
-        key = (a, c)
-        hist = self._hists.get(key)
-        if hist is not None:
-            return hist
-        y_arr = self.shell_array(c)  # the larger bound first: one shell walk
-        x_arr, weights = self.orbits(a)
-        hist = _dot_histogram(self._gram_red_np, x_arr, y_arr, weights)
-        self._hists[key] = hist
-        return hist
-
 
 def _int32_factor(arr: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, int]:
     """(`factor` as int32, a bound on |every partial sum of arr @ factor|),
@@ -350,16 +331,14 @@ def _sign_half(arr: np.ndarray) -> np.ndarray:
 
 def _dot_histogram(gram: np.ndarray, x_arr: np.ndarray, y_arr: np.ndarray, weights: np.ndarray) -> dict[int, int]:
     """Exact sum over the rows x of x_arr of weights[x] times the histogram
-    of x G y^T over the rows y of y_arr, a shell (closed under negation).
+    of x G y^T over the rows y of y_arr.
 
-    Only one y of each +-y pair is multiplied out, giving A(b), and
-    H(b) = A(b) + A(-b).  Blocked integer products: for a block of x rows,
-    one bincount per block of y rows gives each x its own histogram (int64),
-    and the block's histograms are then summed with the integer weights.
+    Blocked integer products: for a block of x rows, one bincount per block
+    of y rows gives each x its own histogram (int64), and the block's
+    histograms are then summed with the integer weights.
     """
     if len(x_arr) == 0 or len(y_arr) == 0:
         return {}
-    y_arr = _sign_half(y_arr)
     gx, offset = _int32_factor(y_arr, gram @ x_arr.astype(np.int64).T)
     assert int(weights.sum()) * len(y_arr) < 2**62, "int64 histogram bound exceeded"
     nbins = 2 * offset + 1
@@ -375,7 +354,6 @@ def _dot_histogram(gram: np.ndarray, x_arr: np.ndarray, y_arr: np.ndarray, weigh
             d = y_arr[y0 : y0 + y_step] @ cols
             hist += np.bincount((d + shift).ravel(), minlength=n * nbins)
         acc += weights[x0 : x0 + n] @ hist.reshape(n, nbins)
-    acc += acc[::-1].copy()
     return {b - offset: int(v) for b, v in enumerate(acc.tolist()) if v}
 
 
@@ -537,15 +515,10 @@ def representation_count(lat: "Lattice", target, jobs: int = 1) -> int:
 def _rep_count(lat: "Lattice", t: GramTarget) -> int:
     """r_L(T) for a class representative T (reduced, no zero rows)."""
     g = t.genus
-    if g == 0:
-        return 1
-    if g == 1:
-        return shell_count(lat, t.entries[0][0])
+    if g < 2:
+        return shell_count(lat, t.trace)
     if all(t.entries[i][i] == 2 for i in range(g)):
         return _count_root_tuples(lat, t)
-    if g == 2:
-        a, b, c = t.entries[0][0], t.entries[0][1], t.entries[1][1]
-        return _context(lat).pair_histogram(a, c).get(b, 0)
     return _count_general(lat, t)
 
 
@@ -708,49 +681,65 @@ def _count_root_tuples(lat: "Lattice", t: GramTarget) -> int:
     return ways[full]
 
 
-# ---- tuple walker (mixed diagonals, small shells) --------------------------
+# ---- orbit counter (every other shape) --------------------------------------
 
 
 def _count_general(lat: "Lattice", t: GramTarget) -> int:
-    """r_L(T) for genus >= 2 by walking the stored shells: fixing a slot
-    filters the candidates of every later slot at once.  Slot 0 runs over one
-    vector y of each W-orbit of its shell, and the completions of y count
-    |orbit of y| times.  Work grows with the product of shell sizes, so this
-    is meant for small lattices or small bounds."""
+    """r_L(T) for genus >= 2 from the stored shells.  Slot 0 runs over one
+    vector y of each W-orbit of its shell, weighted by the orbit size; fixing
+    a slot filters the candidates of every later slot; and the last two
+    slots are one weighted histogram of Q(x, z) over the rows left for them.
+    The histogram holds r_L for every value of T[g-2][g-1], so it is kept
+    under T without that entry.  Work grows with the product of shell sizes,
+    so beyond genus 2 this is meant for small lattices or small bounds."""
     ctx = _context(lat)
     g = t.genus
-    diag = [t.entries[i][i] for i in range(g)]
+    rows = t.entries
+    diag = [rows[i][i] for i in range(g)]
     ctx.shell_arrays_upto(max(diag))
-    shells = {d: ctx.shell_array(d).astype(np.int64) for d in set(diag)}
-    arrays = [shells[d] for d in diag]
-    if any(len(a) == 0 for a in arrays):
+    shells = [ctx.shell_array(d) for d in diag]
+    if any(len(s) == 0 for s in shells):
         return 0
-    firsts, weights = ctx.orbits(diag[0])
-    work = len(firsts)
-    for a in arrays[1:]:
-        work *= max(1, min(len(a), 64))
-    if work > 5 * 10**7:
-        raise RepresentationDomainError(
-            f"general representation count too large for {t.key()} at rank {ctx.rank}"
-        )
-    gm = ctx._gram_red_np
+    upper = t.upper()
+    key = upper[:-2] + upper[-1:]
+    hist = ctx._hists.get(key)
+    if hist is None:
+        gm = ctx._gram_red_np
+        firsts, weights = ctx.orbits(diag[0])
+        if g == 2:
+            # z and -z have opposite products: multiply one of each pair.
+            half = _dot_histogram(gm, firsts, _sign_half(shells[1]), weights)
+            hist = {b: half.get(b, 0) + half.get(-b, 0) for b in half.keys() | {-b for b in half}}
+        else:
+            work = len(firsts)
+            for s in shells[1:]:
+                work *= max(1, min(len(s), 64))
+            if work > 5 * 10**7:
+                raise RepresentationDomainError(
+                    f"general representation count too large for {t.key()} at rank {ctx.rank}"
+                )
+            hist = {}
 
-    def completions(level: int, x: np.ndarray, later: list[np.ndarray]) -> int:
-        # Slot `level` is x; later[k] indexes the candidates left for slot level + 1 + k.
-        gx = gm @ x
-        row = t.entries[level]
-        nxt = []
-        for j, c in enumerate(later, start=level + 1):
-            c = c[arrays[j][c] @ gx == row[j]]
-            if not len(c):
-                return 0
-            nxt.append(c)
-        if level + 1 == g - 1:
-            return len(nxt[0])
-        return sum(completions(level + 1, arrays[level + 1][i], nxt[1:]) for i in nxt[0])
+            def walk(level: int, x: np.ndarray, w: int, later: list[np.ndarray]) -> None:
+                # Slot `level` is x; later[k] holds the rows left for slot level + 1 + k.
+                gx = gm @ x
+                left = []
+                for j, c in enumerate(later, start=level + 1):
+                    c = c[c @ _int32_factor(c, gx)[0] == rows[level][j]]
+                    if not len(c):
+                        return
+                    left.append(c)
+                if level + 3 < g:
+                    for v in left[0]:
+                        walk(level + 1, v, w, left[1:])
+                    return
+                for b, v in _dot_histogram(gm, left[0], left[1], np.full(len(left[0]), w, dtype=np.int64)).items():
+                    hist[b] = hist.get(b, 0) + v
 
-    everything = [np.arange(len(a)) for a in arrays[1:]]
-    return sum(w * completions(0, y, everything) for y, w in zip(firsts.astype(np.int64), weights.tolist()))
+            for y, w in zip(firsts, weights.tolist()):
+                walk(0, y, w, shells[1:])
+        ctx._hists[key] = hist
+    return hist.get(upper[-2], 0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ r_L([[S, l], [l^T, 2n]]), so the table is read from
 The root-moment identity r2 * Q(v,v) = c * sum_y Q(y,v)^2 is checked through
 the exact second-moment matrix M = sum_y (Gy)(Gy)^T: the matrix equality
 r2 * G = c * M is equivalent to the identity holding for every vector of the
-lattice at once, and a direct per-vector double loop over enumerated shells
+lattice at once, and a direct per-vector check over enumerated shells
 cross-checks it on small norms.
 """
 
@@ -81,7 +81,7 @@ class VenkovReport:
     constant: Fraction
     checked_norm_bound: int
     consistent: bool
-    verified_vectors: int  # vectors re-checked by the direct per-vector double loop
+    verified_vectors: int  # vectors re-checked by the direct per-vector sum
 
 
 def _root_moment_matrix(lat: "Lattice") -> tuple[int, list[list[int]]]:
@@ -105,8 +105,8 @@ def venkov_constant(lat: "Lattice", norm_bound: int = 8, per_vector_norm_cap: in
     Both sides are quadratic forms in v, so the identity for all v (any norm
     bound) is exactly the matrix equality r2 * G = c * M with M the root
     second-moment matrix; that equality is what is checked.  Vectors with norm
-    up to per_vector_norm_cap are additionally re-verified by the direct
-    double loop over roots.
+    up to per_vector_norm_cap are additionally re-verified by the direct sum
+    over roots.
     """
     r2, m = _root_moment_matrix(lat)
     gram = lat.gram.rows
@@ -131,18 +131,19 @@ def venkov_constant(lat: "Lattice", norm_bound: int = 8, per_vector_norm_cap: in
         c = Fraction(0)
     verified = 0
     if consistent and per_vector_norm_cap > 0:
-        g64 = np.array([list(r) for r in gram], dtype=np.int64)
-        shells = enumeration.shell_vectors(lat, min(norm_bound, per_vector_norm_cap))
-        roots = np.array(shells.get(2, []), dtype=np.int64)
-        gy = roots @ g64
-        for norm, vecs in sorted(shells.items()):
-            for v in vecs:
-                varr = np.array(v, dtype=np.int64)
-                dots = gy @ varr
-                rhs_direct = int((dots * dots).sum())
-                if r2 * norm * c.denominator != c.numerator * rhs_direct:
-                    consistent = False
-                verified += 1
+        # Q(y, v) is basis-free: reduced coordinates, int64 blocks of 2^14 entries.
+        ctx = enumeration._context(lat)
+        gy = ctx.shell_array(2).astype(np.int64) @ ctx._gram_red_np
+        step = max(1, (1 << 14) // len(gy))
+        for norm, vecs in sorted(ctx.shell_arrays_upto(min(norm_bound, per_vector_norm_cap)).items()):
+            assert (int(np.abs(gy).max()) * int(np.abs(vecs).max(initial=0)) * n) ** 2 * len(gy) < 2**62
+            for start in range(0, len(vecs), step):
+                dots = vecs[start : start + step].astype(np.int64) @ gy.T
+                sums = np.einsum("ij,ij->i", dots, dots)
+                # At most one sum satisfies the identity: checking the extremes checks all.
+                for rhs_direct in (int(sums.min()), int(sums.max())):
+                    consistent &= r2 * norm * c.denominator == c.numerator * rhs_direct
+            verified += len(vecs)
     return VenkovReport(
         lattice_id=lat.name,
         r2=r2,

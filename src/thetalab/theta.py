@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .enumeration import (
     GramTarget,
+    RepresentationDomainError,
     candidate_targets,
     representation_count,
     representation_profile,
@@ -165,7 +166,7 @@ def block_factorization_check(lat: "Lattice", t1: GramTarget, t2: GramTarget, jo
             t = GramTarget.from_rows(rows)
             try:
                 t.check_valid()
-            except Exception:
+            except RepresentationDomainError:
                 return
             total += representation_count(lat, t, jobs=jobs)
             return

@@ -168,6 +168,49 @@ def shell_pair_histogram(gram, x_arr, y_arr):
     return {b: 2 * (quarter.get(b, 0) + quarter.get(-b, 0)) for q in quarter for b in (q, -q)}
 
 
+def tuple_gram_counts(gram, shells, diag):
+    """Brute force over every tuple (x_0..x_{g-1}), g >= 2, with x_i a row of
+    shells[diag[i]] (coordinates in the basis of gram): the number of tuples
+    with each Gram matrix, keyed by its upper triangle, row-major.  Slots
+    0..g-3 are looped over; the last two run as one array of all pairs."""
+    g = len(diag)
+    gm = np.asarray(gram, dtype=np.int64)
+    arrs = [np.asarray(shells[d], dtype=np.int64) for d in diag]
+    dots = {(i, j): arrs[i] @ gm @ arrs[j].T for i, j in itertools.combinations(range(g), 2)}
+    x, z = g - 2, g - 1
+    shape = (len(arrs[x]), len(arrs[z]))
+    # |Q(u, v)| <= max(diag) by Cauchy-Schwarz, so the entries are digits in base 2m + 1.
+    m = max(diag)
+    base = 2 * m + 1
+    assert base ** (g * (g + 1) // 2) < 2**62
+    out = {}
+    for prefix in itertools.product(*(range(len(a)) for a in arrs[:x])):
+        code = np.zeros(shape, dtype=np.int64)
+        for i in range(g):
+            for j in range(i, g):
+                if i == j:
+                    v = diag[i]
+                elif j < x:
+                    v = dots[i, j][prefix[i], prefix[j]]
+                elif i < x:
+                    row = dots[i, j][prefix[i]]
+                    v = row[:, None] if j == x else row[None, :]
+                else:
+                    v = dots[x, z]
+                code = code * base + (v + m)
+        keys, counts = np.unique(code, return_counts=True)
+        for k, c in zip(keys.tolist(), counts.tolist()):
+            out[k] = out.get(k, 0) + c
+    decoded = {}
+    for k, c in out.items():
+        digits = []
+        for _ in range(g * (g + 1) // 2):
+            k, d = divmod(k, base)
+            digits.append(d - m)
+        decoded[tuple(reversed(digits))] = c
+    return decoded
+
+
 def by_target(jac, s):
     """The l-histogram N(S, l) of one S in a Fourier-Jacobi table."""
     return {ell: c for (t, ell), c in jac.entries.items() if t == s}

@@ -37,6 +37,7 @@ from oracles import (
     root_indices,
     root_tuple_count,
     shell_pair_histogram,
+    tuple_gram_counts,
 )
 
 
@@ -177,7 +178,7 @@ def test_permutation_symmetry():
     for perm in itertools.permutations(range(3)):
         tp = [[t[perm[i]][perm[j]] for j in range(3)] for i in range(3)]
         assert representation_count(e8, tp) == base
-    # Every permutation has the same class representative; the walker itself
+    # Every permutation has the same class representative; the counter itself
     # still sees the permuted index (as the Jacobi tables do).
     assert en._count_general(e8, GramTarget.from_rows(t)) == base
     d5 = root_lattice("D", 5)
@@ -193,12 +194,12 @@ def test_proportional_slot_collapse():
     assert representation_count(e8, [[2, -2], [-2, 2]]) == 240  # pairs (x, -x)
     assert representation_count(e8, [[2, 4], [4, 8]]) == 240  # pairs (x, 2x)
     assert representation_count(e8, [[8, 4], [4, 2]]) == 240  # pairs (2x, x)
-    # The engines on the unreduced indices: the pair histogram and the walker.
+    # The counter on the unreduced indices, and the histograms it keeps.
     ctx = en._context(e8)
-    assert ctx.pair_histogram(2, 2)[2] == ctx.pair_histogram(2, 2)[-2] == 240
-    assert ctx.pair_histogram(2, 8)[4] == 240
     for rows in ([[2, 2], [2, 2]], [[2, -2], [-2, 2]], [[2, 4], [4, 8]], [[8, 4], [4, 2]]):
         assert en._count_general(e8, GramTarget.from_rows(rows)) == 240
+    assert ctx._hists[(2, 2)][2] == ctx._hists[(2, 2)][-2] == 240
+    assert ctx._hists[(2, 8)][4] == 240
 
 
 def test_direct_sum_shell_convolution():
@@ -241,7 +242,7 @@ def test_parallel_determinism():
         ctx._hists.pop((6, 8), None)
         en._MEM_CACHE.pop((e8.fingerprint, t.key()), None)
         counts.append(representation_count(e8, t, jobs=jobs))
-        hists.append(ctx.pair_histogram(6, 8))
+        hists.append(ctx._hists[(6, 8)])
     assert hists[0] == hists[1] == shell_pair_histogram(ctx._gram_red_np, ctx.shell_array(6), ctx.shell_array(8))
     assert counts[0] == counts[1] == hists[0][3] > 0
 
@@ -402,9 +403,8 @@ def _brute_count(shells, gm, rows):
 @example(([[4, 1], [1, 4]], [[4, 1], [1, 4]]))
 @example(([[4, 1, 0], [1, 4, 0], [0, 0, 2]], [[4, 5, 1], [5, 10, 5], [1, 5, 6]]))
 def test_walker_matches_brute_force_on_random_bases(pair):
-    # The pair histogram and the walker count from one vector per orbit of
-    # the Weyl group; the lattices may have a rootless summand, or no roots
-    # at all (W = 1).
+    # The counter counts from one vector per orbit of the Weyl group; the
+    # lattices may have a rootless summand, or no roots at all (W = 1).
     block, changed = pair
     lat = from_gram("changed", changed)
     gm = np.array(block, dtype=np.int64)
@@ -413,19 +413,18 @@ def test_walker_matches_brute_force_on_random_bases(pair):
     def dots(a, b):
         return shells[a] @ gm @ shells[b].T
 
-    # Genus 2, every nonzero diagonal but (2, 2): the pair histogram on the
-    # index as given and the count of its class.
-    ctx = en._context(lat)
+    # Genus 2, every nonzero diagonal but (2, 2): the counter on the index
+    # as given and the count of its class.
     for t in candidate_targets(2, 8):
         (a, b), (_, c) = t.entries
         if a == 0 or c == 0 or (a, c) == (2, 2):
             continue
         expect = _brute_count(shells, gm, t.entries)
-        assert ctx.pair_histogram(a, c).get(b, 0) == expect, t.key()
+        assert en._count_general(lat, t) == expect, t.key()
         assert representation_count(lat, t) == expect, t.key()
 
     # Genus 3, mixed diagonals: brute force over the shells, against the
-    # walker on the index as given and against the count of its class.
+    # counter on the index as given and against the count of its class.
     for t in candidate_targets(3, 8):
         d = [t.entries[i][i] for i in range(3)]
         if 0 in d or len(set(d)) == 1:
@@ -444,6 +443,29 @@ def test_walker_matches_brute_force_on_random_bases(pair):
             expect[(s.entries, ell)] = n
     jac = jacobi_coefficient(lat, 2, 1, 6)
     assert {(s.entries, ell): n for (s, ell), n in jac.entries.items()} == expect
+
+
+@settings(max_examples=8, deadline=None)
+@given(small_ade_lattices(kinds=(*SMALL_ADE, ROOTLESS)))
+@example(([[4, 1, 0], [1, 4, 0], [0, 0, 2]], [[4, 5, 1], [5, 10, 5], [1, 5, 6]]))
+def test_counter_matches_brute_force_at_genus4(pair):
+    # Genus 4 is the one case of trace <= 10 with a middle slot walked
+    # before the last two slots' histogram: the diagonal (2, 2, 2, 4).
+    block, changed = pair
+    lat = from_gram("changed", changed)
+    brute = tuple_gram_counts(block, _oracle_shells(block, 4), (2, 2, 2, 4))
+    # Every representable index as given, and every other value of its last
+    # off-diagonal entry T_23 (upper()[8]), which the same histogram answers.
+    for upper in {u[:8] + (b,) + u[9:] for u in brute for b in range(-2, 3)}:
+        t = GramTarget.from_upper(4, upper)
+        assert en._count_general(lat, t) == brute.get(upper, 0), t.key()
+    # The count of each class, and the norm-4 slot moved to slot 0, 1 or 2.
+    for upper, expect in brute.items():
+        t = GramTarget.from_upper(4, upper)
+        assert representation_count(lat, t) == expect, t.key()
+        for p in ((3, 0, 1, 2), (0, 3, 1, 2), (0, 1, 3, 2)):
+            moved = GramTarget.from_rows([[t.entries[i][j] for j in p] for i in p])
+            assert en._count_general(lat, moved) == expect, moved.key()
 
 
 # Orbits of the Weyl group of the roots on the shells of norm 2, 4 and 6.
@@ -477,7 +499,9 @@ def test_orbit_histograms_match_whole_shell_oracle_on_builtins(name):
         rows, weights = ctx.orbits(a)
         got = en._dot_histogram(ctx._gram_red_np, rows, ctx.shell_array(c), weights)
         assert got == shell_pair_histogram(ctx._gram_red_np, ctx.shell_array(a), ctx.shell_array(c)), (a, c)
-        assert ctx.pair_histogram(c, a) == got
+        ctx._hists.pop((a, c), None)
+        assert en._count_general(lat, GramTarget.diagonal([a, c])) == got.get(0, 0)
+        assert ctx._hists[(a, c)] == got
 
 
 def test_rootless_store_is_one_of_each_sign_pair():
@@ -485,7 +509,8 @@ def test_rootless_store_is_one_of_each_sign_pair():
     # holds one of each +-v pair with weight 2.
     n = 8
     gram = [[4 if i == j else int(i // 2 == j // 2) for j in range(n)] for i in range(n)]
-    ctx = en._context(from_gram("rootless8", gram))
+    lat = from_gram("rootless8", gram)
+    ctx = en._context(lat)
     ctx.shell_arrays_upto(10)
     for q in (4, 6, 8, 10):
         rows, weights = ctx.orbits(q)
@@ -494,7 +519,9 @@ def test_rootless_store_is_one_of_each_sign_pair():
         assert {r.tobytes() for r in np.concatenate([rows, -rows])} == {r.tobytes() for r in shell}
     for a, c in [(4, 4), (4, 10), (6, 8), (8, 10)]:
         want = shell_pair_histogram(ctx._gram_red_np, ctx.shell_array(a), ctx.shell_array(c))
-        assert ctx.pair_histogram(a, c) == want, (a, c)
+        ctx._hists.pop((a, c), None)
+        assert en._count_general(lat, GramTarget.diagonal([a, c])) == want.get(0, 0)
+        assert ctx._hists[(a, c)] == want, (a, c)
 
 
 ROOT_INDICES_G23 = root_indices(2) + root_indices(3)
@@ -604,9 +631,9 @@ def test_class_representative_properties(drawn):
 
 def test_profile_runs_the_walker_once_per_class(monkeypatch):
     # A2^3 under a random basis, as in the random-gram benchmark: its 395
-    # genus-3 indices of trace <= 8 fall into 26 classes, of which 7 need
-    # the walker.  Counting every index, or every sign class, runs it far
-    # more often.
+    # genus-3 indices of trace <= 8 fall into 26 classes, of which 7 of
+    # genus 3 and the 7 of genus 2 that are not all-2 need the counter.
+    # Counting every index, or every sign class, runs it far more often.
     rng = random.Random(7)
     n = 6
     block = [[0] * n for _ in range(n)]
@@ -633,5 +660,10 @@ def test_profile_runs_the_walker_once_per_class(monkeypatch):
 
     monkeypatch.setattr(en, "_count_general", counted)
     assert representation_profile(lat, 3, 8) == expect
-    assert 0 < len(calls) <= 7
     assert len(set(calls)) == len(calls)
+    genus3 = [k for k in calls if k.startswith("3|")]
+    assert 0 < len(genus3) <= 7
+    classes = {en.class_representative(t) for t in candidate_targets(3, 8)}
+    genus2 = {c.key() for c in classes if c.genus == 2 and {c.entries[0][0], c.entries[1][1]} != {2}}
+    assert len(genus2) == 7
+    assert sorted(calls) == sorted(genus3 + list(genus2))

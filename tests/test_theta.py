@@ -139,6 +139,21 @@ def test_block_factorization_trivial():
     assert block_factorization_check(builtin("E8"), GramTarget.zero(1), GramTarget.zero(1))
 
 
+def test_block_factorization_propagates_other_errors(monkeypatch):
+    # Only an invalid completion is skipped; any other error from the check
+    # of a completion reaches the caller.
+    check = GramTarget.check_valid
+
+    def broken(t):
+        if t.genus == 2:
+            raise RuntimeError("not a domain error")
+        check(t)
+
+    monkeypatch.setattr(GramTarget, "check_valid", broken)
+    with pytest.raises(RuntimeError, match="not a domain error"):
+        block_factorization_check(builtin("E8"), GramTarget.diagonal([2]), GramTarget.diagonal([2]))
+
+
 def test_block_factorization_e8_roots():
     # Sum over completions of diag(2, 2) equals 240 * 240.
     t2 = GramTarget.from_rows([[2]])
