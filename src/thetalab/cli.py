@@ -1,7 +1,9 @@
 """Command-line front end: lattice ingestion, verification jobs, reports.
 
-Reports are deterministic: payloads are canonically ordered, and neither the
-worker count nor cache state appears in the report body (timings and cache
+Each kind of job is one row of `JOBS`: the job function, where its lattices
+come from, and the options it reads (any other is an input error).  `run`
+builds every report.  Reports are deterministic: payloads are canonically
+ordered, and cache state never appears in the report body (timings and cache
 statistics go to stderr).  Exit codes: 0 pass/computed, 2 verification
 failure, 3 input error, 4 internal inconsistency.
 """
@@ -14,6 +16,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import enumeration, jacobi, lattices, niemeier, theta
 from .enumeration import GramTarget
@@ -31,6 +34,10 @@ REPORT_HEADER = "# thetalab-report 1"
 DEFAULT_TRACE_BOUNDS = {1: 10, 2: 8, 3: 6}
 WITT_TRACE_BOUNDS = {1: 8, 2: 8, 3: 6}
 
+# The status of a failed check whose data contradict each other: it reads
+# "fail" in the report and exits with EXIT_INTERNAL.
+INTERNAL = "internal"
+
 
 class InputError(ValueError):
     pass
@@ -41,23 +48,22 @@ class Report:
     job: str
     params: dict
     lattice_ids: dict[str, str]
-    status: str  # pass | fail | computed
+    status: str  # pass | fail | computed | INTERNAL
     payload: list[str] = field(default_factory=list)
-    internal_inconsistency: bool = False
 
     def render(self) -> str:
         lines = [REPORT_HEADER, f"job: {self.job}"]
         lines.append("params: " + json.dumps(self.params, sort_keys=True, separators=(",", ":")))
         for name in sorted(self.lattice_ids):
             lines.append(f"lattice: {name} {self.lattice_ids[name]}")
-        lines.append(f"status: {self.status}")
+        lines.append(f"status: {'fail' if self.status == INTERNAL else self.status}")
         lines.append("payload:")
         lines.extend(self.payload)
         return "\n".join(lines) + "\n"
 
     @property
     def exit_code(self) -> int:
-        if self.internal_inconsistency:
+        if self.status == INTERNAL:
             return EXIT_INTERNAL
         return EXIT_PASS if self.status in ("pass", "computed") else EXIT_FAIL
 
@@ -87,6 +93,9 @@ def load_spec_file(path: str) -> Lattice:
     if schema != "thetalab-lattice/1":
         raise InputError(f"unsupported lattice spec schema {schema!r}")
     name = data.get("name", path)
+    # The name becomes a report line; a line break in it would forge more lines.
+    if not isinstance(name, str) or name.splitlines() not in ([], [name]):
+        raise InputError("lattice spec name must be a string without line breaks")
     try:
         if "gram" in data:
             gram = _int_rows(data["gram"], "gram")
@@ -126,22 +135,46 @@ def _builtin(name: str) -> Lattice:
         raise InputError(f"unknown lattice {name!r}; see `thetalab list`")
 
 
-def resolve_lattice(args, which: str = "lattice") -> Lattice:
-    name = getattr(args, which.replace("-", "_"), None)
-    if name:
-        return _builtin(name)
-    if getattr(args, "spec", None):
-        return load_spec_file(args.spec)
-    raise InputError(f"--{which} NAME or --spec FILE is required")
+def _builtins(names) -> list[Lattice]:
+    return [_builtin(name) for name in names]
 
 
-def resolve_pair(args) -> tuple[Lattice, Lattice]:
+def resolve_lattice(args) -> list[Lattice]:
+    if args.lattice:
+        return [_builtin(args.lattice)]
+    if args.spec:
+        return [load_spec_file(args.spec)]
+    raise InputError("--lattice NAME or --spec FILE is required")
+
+
+def resolve_pair(args) -> list[Lattice]:
     if not args.pair:
         raise InputError("--pair A:B is required")
     a, _, b = args.pair.partition(":")
     if not a or not b:
         raise InputError("--pair must look like NAME:NAME")
-    return _builtin(a), _builtin(b)
+    return _builtins((a, b))
+
+
+def _lattice_or_rank24(args) -> list[Lattice]:
+    return resolve_lattice(args) if args.lattice or args.spec else _builtins(niemeier.RANK24_NAMES)
+
+
+def _named_lattices(args) -> list[Lattice]:
+    if args.lattices == []:
+        raise InputError("--lattices needs at least one lattice name")
+    return _builtins(niemeier.RANK24_NAMES if args.lattices is None else args.lattices)
+
+
+# Where a job's lattices come from: the options that name them, and the resolver.
+SOURCES: dict[str, tuple[tuple[str, ...], Callable[[argparse.Namespace], list[Lattice]]]] = {
+    "lattice": (("lattice", "spec"), resolve_lattice),
+    "pair": (("pair",), resolve_pair),
+    "witt": ((), lambda args: _builtins(("E8+E8", "D16+"))),
+    "lattice-or-rank24": (("lattice", "spec"), _lattice_or_rank24),
+    "lattices": (("lattices",), _named_lattices),
+    "registry": ((), lambda args: _builtins(niemeier.BUILTIN_NAMES)),
+}
 
 
 def load_tset(path: str | None) -> tuple[GramTarget, ...]:
@@ -173,11 +206,12 @@ def _fmt_frac(x: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Job implementations
+# Job implementations: each takes the options and its resolved lattices, and
+# returns (status, payload).
 
 
-def job_validate(args) -> Report:
-    lat = resolve_lattice(args)
+def job_validate(args, lats):
+    (lat,) = lats
     rep = lattices.validate(lat)
     payload = [
         f"even: {str(rep.even).lower()}",
@@ -188,123 +222,91 @@ def job_validate(args) -> Report:
     ]
     status = "pass" if rep.is_even_unimodular else "fail"
     if rep.positive_definite and rep.root_count:
-        rs = lattices.root_system(lat)
-        payload.append(f"root_system: {rs.label}")
-    return Report("validate", _echo(args), {lat.name: lat.fingerprint}, status, payload)
+        payload.append(f"root_system: {lattices.root_system(lat).label}")
+    return status, payload
 
 
-def job_shells(args) -> Report:
-    lat = resolve_lattice(args)
+def job_shells(args, lats):
+    (lat,) = lats
     bound = _option(args.norm_bound, 8)
     counts = enumeration.shell_counts_upto(lat, bound)
-    payload = [f"{q} {counts.get(q, 0)}" for q in range(0, bound + 1, 2)]
-    return Report("shells", _echo(args), {lat.name: lat.fingerprint}, "computed", payload)
+    return "computed", [f"{q} {counts.get(q, 0)}" for q in range(0, bound + 1, 2)]
 
 
-def job_theta(args) -> Report:
-    lat = resolve_lattice(args)
+def _series(args, lats) -> list[theta.Series]:
+    """Each lattice's theta series at --genus (default 1) and its trace bound."""
     genus = _option(args.genus, 1)
     bound = _option(args.trace_bound, DEFAULT_TRACE_BOUNDS.get(genus, 6))
-    tr = theta.theta_truncated(lat, genus, bound, jobs=args.jobs)
-    payload = theta.export_series(tr).splitlines()
-    return Report("theta", _echo(args), {lat.name: lat.fingerprint}, "computed", payload)
+    return [theta.theta_truncated(lat, genus, bound) for lat in lats]
 
 
-def job_diff(args) -> Report:
-    la, lb = resolve_pair(args)
-    genus = _option(args.genus, 1)
-    bound = _option(args.trace_bound, DEFAULT_TRACE_BOUNDS.get(genus, 6))
-    fa = theta.theta_truncated(la, genus, bound, jobs=args.jobs)
-    fb = theta.theta_truncated(lb, genus, bound, jobs=args.jobs)
-    d = theta.series_difference(fa, fb)
-    payload = [f"is_zero: {str(d.is_zero).lower()}"]
-    payload.extend(theta.export_series(d).splitlines())
-    ids = {la.name: la.fingerprint, lb.name: lb.fingerprint}
-    return Report("diff", _echo(args), ids, "computed", payload)
+def job_theta(args, lats):
+    (f,) = _series(args, lats)
+    return "computed", theta.export_series(f).splitlines()
 
 
-def job_product(args) -> Report:
-    la, lb = resolve_pair(args)
-    genus = _option(args.genus, 1)
-    bound = _option(args.trace_bound, DEFAULT_TRACE_BOUNDS.get(genus, 6))
-    fa = theta.theta_truncated(la, genus, bound, jobs=args.jobs)
-    fb = theta.theta_truncated(lb, genus, bound, jobs=args.jobs)
-    prod = theta.series_product(fa, fb)
-    payload = theta.export_series(prod).splitlines()
-    ids = {la.name: la.fingerprint, lb.name: lb.fingerprint}
-    return Report("product", _echo(args), ids, "computed", payload)
+def job_diff(args, lats):
+    d = theta.series_difference(*_series(args, lats))
+    return "computed", [f"is_zero: {str(d.is_zero).lower()}", *theta.export_series(d).splitlines()]
 
 
-def job_restrict(args) -> Report:
-    lat = resolve_lattice(args)
+def job_product(args, lats):
+    return "computed", theta.export_series(theta.series_product(*_series(args, lats))).splitlines()
+
+
+def job_restrict(args, lats):
+    (lat,) = lats
     genus = _option(args.genus, 2)
     if genus < 1:
         raise InputError("restrict needs --genus >= 1")
     bound = _option(args.trace_bound, DEFAULT_TRACE_BOUNDS.get(genus, 6))
-    upper = theta.theta_truncated(lat, genus, bound, jobs=args.jobs)
-    restricted = theta.siegel_restrict(upper)
-    direct = theta.theta_truncated(lat, genus - 1, bound, jobs=args.jobs)
-    equal = restricted == direct
-    payload = [f"equal: {str(equal).lower()}"]
-    payload.extend(theta.export_series(restricted).splitlines())
-    status = "pass" if equal else "fail"
-    return Report("restrict", _echo(args), {lat.name: lat.fingerprint}, status, payload)
+    restricted = theta.siegel_restrict(theta.theta_truncated(lat, genus, bound))
+    equal = restricted == theta.theta_truncated(lat, genus - 1, bound)
+    payload = [f"equal: {str(equal).lower()}", *theta.export_series(restricted).splitlines()]
+    return "pass" if equal else "fail", payload
 
 
-def job_venkov(args) -> Report:
-    names = [args.lattice] if args.lattice else list(niemeier.RANK24_NAMES)
+def job_venkov(args, lats):
     bound = _option(args.norm_bound, 8)
-    reports = []
-    ids = {}
-    for name in names:
-        lat = _builtin(name)
-        ids[lat.name] = lat.fingerprint
-        reports.append(jacobi.venkov_constant(lat, norm_bound=bound))
-    payload = []
-    for rep in reports:
-        payload.append(
-            f"{rep.lattice_id}: r2={rep.r2} c={_fmt_frac(rep.constant)} "
-            f"consistent={str(rep.consistent).lower()} spot_checked={rep.verified_vectors}"
-        )
+    reports = [jacobi.venkov_constant(lat, norm_bound=bound) for lat in lats]
+    payload = [
+        f"{rep.lattice_id}: r2={rep.r2} c={_fmt_frac(rep.constant)} "
+        f"consistent={str(rep.consistent).lower()} spot_checked={rep.verified_vectors}"
+        for rep in reports
+    ]
     constants = {rep.constant for rep in reports}
-    all_consistent = all(rep.consistent for rep in reports)
-    uniform = len(constants) == 1
-    if uniform:
-        c = next(iter(constants))
-        payload.append(f"uniform_constant: {_fmt_frac(c)}")
+    if len(constants) == 1:
+        payload.append(f"uniform_constant: {_fmt_frac(next(iter(constants)))}")
         payload.append(
             "note: c = rank/2 under the Gram-matrix pairing; 2*rank corresponds to "
             "the doubled-form normalization of the same identity"
         )
-    status = "pass" if (all_consistent and uniform) else "fail"
-    return Report(
-        "venkov", _echo(args), ids, status, payload,
-        internal_inconsistency=all_consistent and not uniform,
-    )
+    if not all(rep.consistent for rep in reports):
+        return "fail", payload
+    return ("pass" if len(constants) == 1 else INTERNAL), payload
 
 
-def job_heat(args) -> Report:
-    lat = resolve_lattice(args)
+def job_heat(args, lats):
+    (lat,) = lats
     genus = _option(args.genus, 2)
     bound = _option(args.trace_bound, 4)
     ven = jacobi.venkov_constant(lat, per_vector_norm_cap=2)
     if not ven.consistent:
-        return Report("heat", _echo(args), {lat.name: lat.fingerprint}, "fail",
-                      ["moment identity inconsistent; no constant available"])
-    jac = jacobi.jacobi_coefficient(lat, genus, 1, bound, jobs=args.jobs)
+        return "fail", ["moment identity inconsistent; no constant available"]
+    jac = jacobi.jacobi_coefficient(lat, genus, 1, bound)
     payload = [f"c: {_fmt_frac(ven.constant)}"]
     ok_all = True
     for s in enumeration.candidate_targets(genus, bound):
-        if enumeration.representation_count(lat, s, jobs=args.jobs) == 0:
+        if enumeration.representation_count(lat, s) == 0:
             continue
-        ok = jacobi.heat_coefficient_check(lat, genus, s, ven.constant, jacobi=jac, jobs=args.jobs)
+        ok = jacobi.heat_coefficient_check(lat, genus, s, ven.constant, jacobi=jac)
         ok_all &= ok
         payload.append(f"S [{s.key()}]: {'ok' if ok else 'FAIL'}")
-    return Report("heat", _echo(args), {lat.name: lat.fingerprint}, "pass" if ok_all else "fail", payload)
+    return "pass" if ok_all else "fail", payload
 
 
-def job_witt(args) -> Report:
-    la, lb = niemeier.builtin("E8+E8"), niemeier.builtin("D16+")
+def job_witt(args, lats):
+    la, lb = lats
     gmax = _option(args.max_genus, 3)
     if gmax < 1:
         raise InputError("witt needs --max-genus >= 1")
@@ -312,48 +314,39 @@ def job_witt(args) -> Report:
     ok_all = True
     for genus in range(1, gmax + 1):
         bound = _option(args.trace_bound, WITT_TRACE_BOUNDS.get(genus, 6))
-        pa = theta.theta_truncated(la, genus, bound, jobs=args.jobs)
-        pb = theta.theta_truncated(lb, genus, bound, jobs=args.jobs)
-        equal = pa == pb
+        pa = theta.theta_truncated(la, genus, bound)
+        equal = pa == theta.theta_truncated(lb, genus, bound)
         ok_all &= equal
         payload.append(
             f"genus {genus} trace<={bound}: {len(pa.coeffs)} coefficients, equal={str(equal).lower()}"
         )
-    ids = {la.name: la.fingerprint, lb.name: lb.fingerprint}
-    return Report("witt", _echo(args), ids, "pass" if ok_all else "fail", payload)
+    return "pass" if ok_all else "fail", payload
 
 
-def job_schottky(args) -> Report:
-    la, lb = niemeier.builtin("E8+E8"), niemeier.builtin("D16+")
+def job_schottky(args, lats):
+    la, lb = lats
     bound = _option(args.trace_bound, 8)
     payload = []
     witness = None
     for t in theta.CURATED_GENUS4:
         if t.trace > bound:
             continue
-        ca = enumeration.representation_count(la, t, jobs=args.jobs)
-        cb = enumeration.representation_count(lb, t, jobs=args.jobs)
+        ca = enumeration.representation_count(la, t)
+        cb = enumeration.representation_count(lb, t)
         payload.append(f"T [{t.key()}]: {ca} {cb}")
         if ca != cb and witness is None:
             witness = t
-    if witness is not None:
-        payload.append(f"witness: {witness.key()}")
-        status = "pass"
-    else:
-        payload.append("witness: none within curated set")
-        status = "fail"
-    ids = {la.name: la.fingerprint, lb.name: lb.fingerprint}
-    return Report("schottky", _echo(args), ids, status, payload)
+    if witness is None:
+        return "fail", payload + ["witness: none within curated set"]
+    return "pass", payload + [f"witness: {witness.key()}"]
 
 
-def job_a4_separation(args) -> Report:
-    la, lb = resolve_pair(args)
+def job_a4_separation(args, lats):
+    la, lb = lats
     bound = _option(args.norm_bound, 10)
-    ca = enumeration.shell_counts_upto(la, bound)
-    cb = enumeration.shell_counts_upto(lb, bound)
-    genus1_equal = ca == cb
-    ra = enumeration.representation_count(la, theta.GRAM_A4, jobs=args.jobs)
-    rb = enumeration.representation_count(lb, theta.GRAM_A4, jobs=args.jobs)
+    genus1_equal = enumeration.shell_counts_upto(la, bound) == enumeration.shell_counts_upto(lb, bound)
+    ra = enumeration.representation_count(la, theta.GRAM_A4)
+    rb = enumeration.representation_count(lb, theta.GRAM_A4)
     separated = ra != rb
     payload = [
         f"genus1_equal_to_norm_{bound}: {str(genus1_equal).lower()}",
@@ -361,46 +354,29 @@ def job_a4_separation(args) -> Report:
         f"r_right(A4): {rb}",
         f"separated: {str(separated).lower()}",
     ]
-    status = "pass" if (genus1_equal and separated) else "fail"
-    ids = {la.name: la.fingerprint, lb.name: lb.fingerprint}
-    return Report("a4-separation", _echo(args), ids, status, payload)
+    return "pass" if (genus1_equal and separated) else "fail", payload
 
 
-def job_k_identity(args) -> Report:
-    la, lb = resolve_pair(args)
-    targets = load_tset(args.tset)
-    rep = theta.k_identity_check(la, lb, t_set=targets, jobs=args.jobs)
+def job_k_identity(args, lats):
+    la, lb = lats
+    rep = theta.k_identity_check(la, lb, t_set=load_tset(args.tset))
     payload = [
         f"k: {_fmt_frac(rep.k)}",
         f"normalizing_T: {rep.normalizing_target.key()}",
         f"verified: {str(rep.verified).lower()}",
     ]
-    for t, lhs, rhs in rep.rows:
-        payload.append(f"T [{t.key()}]: lhs={lhs} rhs={rhs}")
-    ids = {la.name: la.fingerprint, lb.name: lb.fingerprint}
-    return Report("k-identity", _echo(args), ids, "pass" if rep.verified else "fail", payload)
+    payload.extend(f"T [{t.key()}]: lhs={lhs} rhs={rhs}" for t, lhs, rhs in rep.rows)
+    return "pass" if rep.verified else "fail", payload
 
 
-def job_independence(args) -> Report:
-    if args.lattices == []:
-        raise InputError("--lattices needs at least one lattice name")
-    names = list(niemeier.RANK24_NAMES) if args.lattices is None else args.lattices
-    genus = _option(args.genus, 4)
-    ids = {}
-    series = []
-    for name in names:
-        lat = _builtin(name)
-        ids[lat.name] = lat.fingerprint
-        if genus <= 3:
-            bound = _option(args.trace_bound, DEFAULT_TRACE_BOUNDS.get(genus, 6))
-            series.append(theta.theta_truncated(lat, genus, bound, jobs=args.jobs))
-        else:
-            bound = _option(args.trace_bound, 8)
-            coeffs = {
-                t: enumeration.representation_count(lat, t, jobs=args.jobs)
-                for t in theta.CURATED_GENUS4
-                if t.trace <= bound
-            }
+def job_independence(args, lats):
+    if _option(args.genus, 4) <= 3:
+        series = _series(args, lats)
+    else:  # degree 4, on the curated indices
+        bound = _option(args.trace_bound, 8)
+        series = []
+        for lat in lats:
+            coeffs = {t: enumeration.representation_count(lat, t) for t in theta.CURATED_GENUS4 if t.trace <= bound}
             series.append(
                 theta.Series(
                     genus=4,
@@ -410,88 +386,54 @@ def job_independence(args) -> Report:
                     provenance=f"curated:{lat.name}",
                 )
             )
-    rank = theta.linear_independence_rank(series)
-    payload = [f"series: {len(series)}", f"rank: {rank}"]
-    return Report("independence", _echo(args), ids, "computed", payload)
+    return "computed", [f"series: {len(series)}", f"rank: {theta.linear_independence_rank(series)}"]
 
 
-def job_hyp_predicate(args) -> Report:
-    la, lb = resolve_pair(args)
-    result = lattices.stable_eq_hyp_predicate(la, lb)
-    mu_a = lattices.minimum_norm(la)
-    mu_b = lattices.minimum_norm(lb)
+def job_hyp_predicate(args, lats):
+    la, lb = lats
     payload = [
         f"rank: {la.rank} {lb.rank}",
-        f"min_norm: {mu_a} {mu_b}",
-        f"predicate: {str(result).lower()}",
+        f"min_norm: {lattices.minimum_norm(la)} {lattices.minimum_norm(lb)}",
+        f"predicate: {str(lattices.stable_eq_hyp_predicate(la, lb)).lower()}",
     ]
-    ids = {la.name: la.fingerprint, lb.name: lb.fingerprint}
-    return Report("hyp-predicate", _echo(args), ids, "computed", payload)
+    return "computed", payload
 
 
-def registry_list() -> list[dict]:
-    """Deterministic listing of built-in lattices: name, rank, minimum, root data."""
-    out = []
-    for name in niemeier.BUILTIN_NAMES:
-        lat = niemeier.builtin(name)
-        mu = lattices.minimum_norm(lat)
+def job_list(args, lats):
+    """The registry: name, rank, minimum, root count and root system."""
+    payload = []
+    for lat in lats:
         r2 = enumeration.shell_count(lat, 2)
         label = lattices.root_system(lat).label if r2 else "(no roots)"
-        out.append(
-            {
-                "name": name,
-                "rank": lat.rank,
-                "min_norm": mu,
-                "r2": r2,
-                "root_system": label,
-                "fingerprint": lat.fingerprint,
-            }
-        )
-    return out
-
-
-def job_list(args) -> Report:
-    payload = []
-    ids = {}
-    for row in registry_list():
-        ids[row["name"]] = row["fingerprint"]
         payload.append(
-            f"{row['name']}: rank={row['rank']} mu={row['min_norm']} "
-            f"r2={row['r2']} roots={row['root_system']}"
+            f"{lat.name}: rank={lat.rank} mu={lattices.minimum_norm(lat)} r2={r2} roots={label}"
         )
-    return Report("list", _echo(args), ids, "computed", payload)
+    return "computed", payload
+
+
+class Job(NamedTuple):
+    run: Callable[[argparse.Namespace, list[Lattice]], tuple[str, list[str]]]
+    lattices: str  # a key of SOURCES
+    options: tuple[str, ...] = ()  # read besides those that name the lattices
 
 
 JOBS = {
-    "validate": job_validate,
-    "shells": job_shells,
-    "theta": job_theta,
-    "diff": job_diff,
-    "product": job_product,
-    "restrict": job_restrict,
-    "venkov": job_venkov,
-    "heat": job_heat,
-    "witt": job_witt,
-    "schottky": job_schottky,
-    "a4-separation": job_a4_separation,
-    "k-identity": job_k_identity,
-    "independence": job_independence,
-    "hyp-predicate": job_hyp_predicate,
-    "list": job_list,
+    "validate": Job(job_validate, "lattice"),
+    "shells": Job(job_shells, "lattice", ("norm_bound",)),
+    "theta": Job(job_theta, "lattice", ("genus", "trace_bound")),
+    "diff": Job(job_diff, "pair", ("genus", "trace_bound")),
+    "product": Job(job_product, "pair", ("genus", "trace_bound")),
+    "restrict": Job(job_restrict, "lattice", ("genus", "trace_bound")),
+    "venkov": Job(job_venkov, "lattice-or-rank24", ("norm_bound",)),
+    "heat": Job(job_heat, "lattice", ("genus", "trace_bound")),
+    "witt": Job(job_witt, "witt", ("max_genus", "trace_bound")),
+    "schottky": Job(job_schottky, "witt", ("trace_bound",)),
+    "a4-separation": Job(job_a4_separation, "pair", ("norm_bound",)),
+    "k-identity": Job(job_k_identity, "pair", ("tset",)),
+    "independence": Job(job_independence, "lattices", ("genus", "trace_bound")),
+    "hyp-predicate": Job(job_hyp_predicate, "pair"),
+    "list": Job(job_list, "registry"),
 }
-
-
-def _echo(args) -> dict:
-    """Deterministic parameter echo: everything that shapes the result, and
-    nothing that doesn't (worker count, output path, cache state)."""
-    keep = ("lattice", "spec", "pair", "genus", "trace_bound", "norm_bound",
-            "max_genus", "tset", "lattices")
-    out = {}
-    for k in keep:
-        v = getattr(args, k, None)
-        if v is not None:
-            out[k.replace("_", "-")] = v
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -509,28 +451,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm-bound", type=int, dest="norm_bound")
     p.add_argument("--max-genus", type=int, dest="max_genus")
     p.add_argument("--tset", help="JSON file with a list of upper triangles")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write the report to this file")
     return p
 
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
-    for opt in ("genus", "trace_bound", "norm_bound", "max_genus"):
-        v = getattr(args, opt, None)
-        if v is not None and v < 0:
-            print(f"error: --{opt.replace('_', '-')} must be nonnegative", file=sys.stderr)
-            return EXIT_INPUT
+    job = JOBS[args.kind]
+    names, resolve = SOURCES[job.lattices]
+    # Every option given besides the kind and the output path shapes the result.
+    given = {opt: v for opt, v in vars(args).items() if v is not None and opt not in ("kind", "out")}
     t0 = time.time()
     try:
-        report = JOBS[args.kind](args)
+        for opt, v in given.items():
+            flag = "--" + opt.replace("_", "-")
+            if opt not in names + job.options:
+                raise InputError(f"{args.kind} does not read {flag}")
+            if isinstance(v, int) and v < 0:
+                raise InputError(f"{flag} must be nonnegative")
+        lats = resolve(args)
+        status, payload = job.run(args, lats)
     except (InputError, LatticeError, NotPositiveDefiniteError,
             enumeration.RepresentationDomainError, theta.SeriesError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    params = {opt.replace("_", "-"): v for opt, v in given.items()}
+    report = Report(args.kind, params, {lat.name: lat.fingerprint for lat in lats}, status, payload)
     text = report.render()
     if args.out:
         try:

@@ -22,9 +22,7 @@ representatives:
   integer products (at genus 2, against one of each +-z pair).
 
 A lattice without roots has W = 1; its orbits are then those of -1.
-
-Everything runs in one process; the `jobs` argument of the public functions
-is accepted and has no effect.
+Everything runs in one process.
 
 Every engine that stores shells gets them from `_LatticeContext`, which sizes
 them from the shell counts first and refuses more than
@@ -500,7 +498,7 @@ def _cache_put(fp: str, key: str, value: int) -> None:
 
 def representation_count(lat: "Lattice", target, jobs: int = 1) -> int:
     """Exact number of ordered g-tuples in L^g with the prescribed Gram matrix.
-    `jobs` is accepted and has no effect: every count runs in this process."""
+    `jobs` is ignored; it stays only because bench/workloads.py passes it."""
     t = target if isinstance(target, GramTarget) else GramTarget.from_rows(target)
     rep = class_representative(t)
     key = rep.key()
@@ -782,9 +780,9 @@ def class_counts(lat: "Lattice", targets: Iterable[GramTarget]) -> dict[GramTarg
     return out
 
 
-def representation_profile(lat: "Lattice", genus: int, trace_bound: int, jobs: int = 1) -> dict[GramTarget, int]:
+def representation_profile(lat: "Lattice", genus: int, trace_bound: int) -> dict[GramTarget, int]:
     """r_L(T) for every representable even PSD T with trace <= bound (zeros
-    omitted); one count per class representative.  `jobs` has no effect."""
+    omitted); one count per class representative."""
     if genus == 0:
         return {GramTarget.zero(0): 1}
     counts = class_counts(lat, candidate_targets(genus, trace_bound))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,9 +40,6 @@ class JacobiCoefficient:
     trace_bound: int
     entries: dict[tuple[GramTarget, tuple[int, ...]], int]
 
-    def count(self, s: GramTarget, ell: Sequence[int]) -> int:
-        return self.entries.get((s, tuple(int(x) for x in ell)), 0)
-
     def second_moment(self, s: GramTarget, i: int, j: int) -> int:
         """Exact sum over l of l_i * l_j * N(S, l)."""
         return sum(ell[i] * ell[j] * c for (t, ell), c in self.entries.items() if t == s)
@@ -54,7 +51,7 @@ def jacobi_coefficient(lat: "Lattice", genus: int, index: int, trace_bound: int,
     N(S, l) counts the tuples (x_1..x_g, y) whose Gram matrix is the
     degree-(g+1) index T = [[S, l], [l^T, 2n]], so it is r_L(T); the table
     holds r_L(T) for every candidate T with T_gg = 2n and trace(S) <= bound.
-    `jobs` has no effect.
+    `jobs` is ignored; it stays only because bench/workloads.py passes it.
     """
     if index < 1:
         raise ValueError("Fourier-Jacobi index must be >= 1")
@@ -162,12 +159,13 @@ def heat_coefficient_check(
     jacobi: JacobiCoefficient | None = None,
     jobs: int = 1,
 ) -> bool:
-    """Exact identity r2 * S_ij * r_L(S) = c * sum_l l_i l_j N(S, l) for i <= j."""
+    """Exact identity r2 * S_ij * r_L(S) = c * sum_l l_i l_j N(S, l) for i <= j.
+    `jobs` is ignored; it stays only because bench/workloads.py passes it."""
     s.check_valid()
     r2 = shell_count(lat, 2)
     if jacobi is None:
-        jacobi = jacobi_coefficient(lat, genus, 1, s.trace, jobs=jobs)
-    r_s = representation_count(lat, s, jobs=jobs)
+        jacobi = jacobi_coefficient(lat, genus, 1, s.trace)
+    r_s = representation_count(lat, s)
     for i in range(genus):
         for j in range(i, genus):
             moment = jacobi.second_moment(s, i, j)
@@ -177,7 +175,7 @@ def heat_coefficient_check(
     return True
 
 
-def pair_difference_f1_check(left: "Lattice", right: "Lattice", genus: int, trace_bound: int, jobs: int = 1) -> bool:
+def pair_difference_f1_check(left: "Lattice", right: "Lattice", genus: int, trace_bound: int) -> bool:
     """Verify the chain used for same-root-count pairs: equal root numbers, one
     shared constant c, and the first Fourier-Jacobi second moments of both
     lattices pinned to their representation numbers by the heat identity."""
@@ -191,8 +189,8 @@ def pair_difference_f1_check(left: "Lattice", right: "Lattice", genus: int, trac
         return False
     c = rep_left.constant
     for lat in (left, right):
-        jac = jacobi_coefficient(lat, genus, 1, trace_bound, jobs=jobs)
+        jac = jacobi_coefficient(lat, genus, 1, trace_bound)
         for s in enumeration.candidate_targets(genus, trace_bound):
-            if not heat_coefficient_check(lat, genus, s, c, jacobi=jac, jobs=jobs):
+            if not heat_coefficient_check(lat, genus, s, c, jacobi=jac):
                 return False
     return True

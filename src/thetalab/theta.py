@@ -65,10 +65,11 @@ class Series:
 
 
 def theta_truncated(lat: "Lattice", genus: int, trace_bound: int, jobs: int = 1) -> Series:
-    """Exact truncation of the degree-g theta series of a lattice."""
+    """Exact truncation of the degree-g theta series of a lattice.
+    `jobs` is ignored; it stays only because bench/workloads.py passes it."""
     if genus < 0 or trace_bound < 0:
         raise SeriesError("genus and trace bound must be nonnegative")
-    coeffs = representation_profile(lat, genus, trace_bound, jobs=jobs)
+    coeffs = representation_profile(lat, genus, trace_bound)
     return Series(
         genus=genus,
         trace_bound=trace_bound,
@@ -144,7 +145,7 @@ def siegel_restrict(f: Series):
     )
 
 
-def block_factorization_check(lat: "Lattice", t1: GramTarget, t2: GramTarget, jobs: int = 1) -> bool:
+def block_factorization_check(lat: "Lattice", t1: GramTarget, t2: GramTarget) -> bool:
     """Coefficient form of the product factorization: summing representation
     numbers over all off-diagonal completions of diag(T1, T2) must give
     r(T1) * r(T2)."""
@@ -168,7 +169,7 @@ def block_factorization_check(lat: "Lattice", t1: GramTarget, t2: GramTarget, jo
                 t.check_valid()
             except RepresentationDomainError:
                 return
-            total += representation_count(lat, t, jobs=jobs)
+            total += representation_count(lat, t)
             return
         i, j = cells[idx]
         for v in range(-bounds[i][j], bounds[i][j] + 1):
@@ -177,7 +178,7 @@ def block_factorization_check(lat: "Lattice", t1: GramTarget, t2: GramTarget, jo
         del block[(i, j)]
 
     fill(0, {})
-    lhs = representation_count(lat, t1, jobs=jobs) * representation_count(lat, t2, jobs=jobs)
+    lhs = representation_count(lat, t1) * representation_count(lat, t2)
     return total == lhs
 
 
@@ -232,7 +233,6 @@ def distinguishing_report(
     right: "Lattice",
     g_max: int,
     trace_bound: int,
-    jobs: int = 1,
 ) -> DistinguishReport:
     """First coefficient (canonical scan order) where the two series differ.
 
@@ -249,8 +249,8 @@ def distinguishing_report(
         else:
             break
         for t in targets:
-            a = representation_count(left, t, jobs=jobs)
-            b = representation_count(right, t, jobs=jobs)
+            a = representation_count(left, t)
+            b = representation_count(right, t)
             if a != b:
                 return DistinguishReport(True, genus, t, a, b)
     return DistinguishReport(False, None, None, None, None)
@@ -274,16 +274,14 @@ def linear_independence_rank(series: Sequence[Series]) -> int:
 # The degree-4 k-identity
 
 
-def weight8_difference_coefficient(t: GramTarget, jobs: int = 1) -> int:
+def weight8_difference_coefficient(t: GramTarget) -> int:
     """Coefficient of (theta of E8+E8) - (theta of D16+) at T."""
     from .niemeier import builtin
 
-    return representation_count(builtin("E8+E8"), t, jobs=jobs) - representation_count(
-        builtin("D16+"), t, jobs=jobs
-    )
+    return representation_count(builtin("E8+E8"), t) - representation_count(builtin("D16+"), t)
 
 
-def weight12_product_coefficient(t: GramTarget, jobs: int = 1) -> int:
+def weight12_product_coefficient(t: GramTarget) -> int:
     """Coefficient at T of (theta of E8) * ((theta of E8+E8) - (theta of D16+)).
 
     Valid for T with diagonal entries in {0, 2}: every even PSD split of such a
@@ -304,10 +302,10 @@ def weight12_product_coefficient(t: GramTarget, jobs: int = 1) -> int:
         rest = [slots[i] for i in range(m) if not mask >> i & 1]
         if any(t.entries[i][j] for i in s for j in rest):
             continue
-        left = representation_count(e8, t.principal_submatrix(s), jobs=jobs)
+        left = representation_count(e8, t.principal_submatrix(s))
         if left == 0:
             continue
-        right = weight8_difference_coefficient(t.principal_submatrix(rest), jobs=jobs)
+        right = weight8_difference_coefficient(t.principal_submatrix(rest))
         if right:
             total += left * right
     return total
@@ -329,12 +327,13 @@ def k_identity_check(
 ) -> KIdentityReport:
     """Determine the constant k with theta(left,4) - theta(right,4) =
     k * theta(E8,4) * (theta(E8+E8,4) - theta(D16+,4)) on the given indices,
-    and verify the identity at each of them."""
+    and verify the identity at each of them.
+    `jobs` is ignored; it stays only because bench/workloads.py passes it."""
     targets = tuple(t_set) if t_set is not None else CURATED_GENUS4
     rows = []
     for t in targets:
-        lhs = representation_count(left, t, jobs=jobs) - representation_count(right, t, jobs=jobs)
-        rhs = weight12_product_coefficient(t, jobs=jobs)
+        lhs = representation_count(left, t) - representation_count(right, t)
+        rhs = weight12_product_coefficient(t)
         rows.append((t, lhs, rhs))
     norm_row = next(((t, lhs, rhs) for t, lhs, rhs in rows if rhs != 0), None)
     if norm_row is None:

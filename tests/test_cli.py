@@ -8,11 +8,13 @@ from thetalab.cli import (
     EXIT_FAIL,
     EXIT_INPUT,
     EXIT_PASS,
+    JOBS,
     build_parser,
     load_spec_file,
     load_tset,
     run,
 )
+from thetalab.niemeier import BUILTIN_NAMES
 from thetalab.theta import CURATED_GENUS4, parse_series
 
 
@@ -152,10 +154,10 @@ def test_load_tset_default_and_file(tmp_path):
         load_tset(str(tmp_path / "missing.json"))
 
 
-def test_witt_small_is_deterministic_across_jobs(capsys):
+def test_witt_small_is_deterministic(capsys):
     argv = ["witt", "--max-genus", "1", "--trace-bound", "6"]
-    code1, out1 = run_capture(capsys, argv + ["--jobs", "1"])
-    code2, out2 = run_capture(capsys, argv + ["--jobs", "2"])
+    code1, out1 = run_capture(capsys, argv)
+    code2, out2 = run_capture(capsys, argv)
     assert code1 == code2 == EXIT_PASS
     assert out1 == out2
 
@@ -189,8 +191,41 @@ def test_list_contains_registry(capsys):
         assert f"r2={r2}" in out
 
 
-def test_jobs_must_be_positive(capsys):
-    assert run(["validate", "--lattice", "E8", "--jobs", "0"]) == EXIT_INPUT
+def test_parser_rejects_jobs():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["validate", "--lattice", "E8", "--jobs", "1"])
+
+
+# One cheap invocation of every kind: (argv, exit code, names on the `lattice:` lines).
+EVERY_KIND = [
+    (["validate", "--lattice", "E8"], EXIT_PASS, ["E8"]),
+    (["shells", "--lattice", "E8", "--norm-bound", "2"], EXIT_PASS, ["E8"]),
+    (["theta", "--lattice", "E8", "--trace-bound", "2"], EXIT_PASS, ["E8"]),
+    (["diff", "--pair", "E8+E8:D16+", "--trace-bound", "2"], EXIT_PASS, ["D16+", "E8+E8"]),
+    (["product", "--pair", "E8:E8", "--trace-bound", "2"], EXIT_PASS, ["E8"]),
+    (["restrict", "--lattice", "E8", "--genus", "1", "--trace-bound", "2"], EXIT_PASS, ["E8"]),
+    (["venkov", "--lattice", "E8"], EXIT_PASS, ["E8"]),
+    (["heat", "--lattice", "E8", "--genus", "1", "--trace-bound", "2"], EXIT_PASS, ["E8"]),
+    (["witt", "--max-genus", "1", "--trace-bound", "2"], EXIT_PASS, ["D16+", "E8+E8"]),
+    # No curated index of trace <= 4 separates the pair.
+    (["schottky", "--trace-bound", "4"], EXIT_FAIL, ["D16+", "E8+E8"]),
+    (["a4-separation", "--pair", "E8:E8", "--norm-bound", "2"], EXIT_FAIL, ["E8"]),
+    # The two sides agree everywhere, so k = 0, which does not verify.
+    (["k-identity", "--pair", "E8:E8"], EXIT_FAIL, ["E8"]),
+    (["independence", "--lattices", "E8", "E8+E8", "--genus", "1", "--trace-bound", "2"], EXIT_PASS, ["E8", "E8+E8"]),
+    (["hyp-predicate", "--pair", "E8:E8"], EXIT_PASS, ["E8"]),
+    (["list"], EXIT_PASS, sorted(BUILTIN_NAMES)),
+]
+
+
+@pytest.mark.parametrize("argv,code,names", EVERY_KIND, ids=[argv[0] for argv, _, _ in EVERY_KIND])
+def test_every_kind_runs(capsys, argv, code, names):
+    assert sorted(case[0] for case, _, _ in EVERY_KIND) == sorted(JOBS)
+    got, out = run_capture(capsys, argv)
+    assert got == code
+    lines = out.splitlines()
+    assert lines[1] == f"job: {argv[0]}"
+    assert [line.split()[1] for line in lines if line.startswith("lattice: ")] == names
 
 
 def test_parser_rejects_unknown_kind():
@@ -212,15 +247,22 @@ def test_parser_rejects_unknown_kind():
         ("spec", {"components": [["Q", 3]]}),
         ("spec", {"components": [["A"]]}),
         ("spec", b"\xff\xfe not utf-8"),
+        # A name is one report line: a line break would forge a "status: pass" line.
+        ("spec", {"name": "A2\nstatus: pass", "gram": [[2, -1], [-1, 2]]}),
+        ("spec", {"name": ["x"], "gram": [[2]]}),
         ("shells", {"gram": [[2, 3], [3, 2]]}),  # indefinite: LLL cannot reduce it
         ("out", None),  # the report's directory does not exist
         ("lattices", None),  # `--lattices` given without a name
+        ("argv", ["witt", "--lattice", "E8"]),  # witt always compares E8+E8 with D16+
+        ("argv", ["schottky", "--pair", "E8:E8"]),
+        ("venkov", None),  # `--spec` names a missing file
     ],
     ids=[
         "tset-no-targets-key", "tset-string-entry", "tset-float", "tset-bool",
         "spec-ragged-gram", "spec-string-in-gram", "spec-float-in-gram", "spec-bad-ade-symbol",
-        "spec-short-component", "spec-not-utf8", "spec-indefinite-gram", "out-missing-dir",
-        "independence-no-lattices",
+        "spec-short-component", "spec-not-utf8", "spec-name-line-break", "spec-name-not-string",
+        "spec-indefinite-gram", "out-missing-dir", "independence-no-lattices", "witt-lattice-not-read",
+        "schottky-pair-not-read", "venkov-spec-missing",
     ],
 )
 def test_bad_input_exits_3_with_message(tmp_path, capsys, kind, content):
@@ -235,10 +277,17 @@ def test_bad_input_exits_3_with_message(tmp_path, capsys, kind, content):
         argv = ["validate", "--lattice", "E8", "--out", str(tmp_path / "missing" / "report.txt")]
     elif kind == "lattices":
         argv = ["independence", "--lattices", "--genus", "1", "--trace-bound", "2"]
+    elif kind == "argv":
+        argv = content
+    elif kind == "venkov":
+        argv = ["venkov", "--spec", str(tmp_path / "missing.json")]
     else:
         argv = ["validate" if kind == "spec" else kind, "--spec", str(path)]
     assert run(argv) == EXIT_INPUT
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if kind == "argv":
+        assert f"does not read {argv[1]}" in err
 
 
 # Runs the CLI in a child of a child, so that the peak RSS read by getrusage
