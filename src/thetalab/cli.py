@@ -140,6 +140,8 @@ def _builtins(names) -> list[Lattice]:
 
 
 def resolve_lattice(args) -> list[Lattice]:
+    if args.lattice and args.spec:
+        raise InputError("give --lattice NAME or --spec FILE, not both")
     if args.lattice:
         return [_builtin(args.lattice)]
     if args.spec:
@@ -436,8 +438,15 @@ JOBS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """An argument the parser rejects is an input error (exit 3)."""
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="thetalab",
         description="Exact lattice theta-series computations and identity checks.",
     )

@@ -3,8 +3,9 @@
 A glued lattice is the disjoint union, over its glue words, of products of
 component cosets, so its shell sizes are convolutions of per-component coset
 counts.  A_n and D_n coset counts come from small integer dynamic programs
-over ambient coordinates; E6/E7/E8 cosets are enumerated directly in the dual
-lattice (their shells are tiny).  Everything is exact integer counting.
+over ambient coordinates; E6/E7/E8 cosets are counted on the shells of the
+dual lattice (tiny), each shell labelled by one integer product with the
+class labels of the dual basis.  Everything is exact integer counting.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ from math import isqrt
 
 from .exactnum import det_exact
 from .fincke_pohst import shells_upto
+from .lazy import lazy_module
 from .rootdata import ade_gram, disc_order, dual_class_labels, _inverse_gram
+
+np = lazy_module("numpy")
 
 NormTable = dict[Fraction, int]
 
@@ -118,23 +122,18 @@ def _e_coset_counts(rank: int, cls: int, bound: Fraction) -> NormTable:
     ginv = _inverse_gram("E", rank)
     # det * G^{-1} is the integer Gram of the dual basis, scaled by det.
     dual_scaled = [[int(ginv[i][j] * det) for j in range(rank)] for i in range(rank)]
-    labels = dual_class_labels("E", rank)
+    labels_np = np.array(dual_class_labels("E", rank), dtype=np.int64)
     order = disc_order("E", rank)
     out: NormTable = {}
     if cls == 0:
         out[Fraction(0)] = 1
     b_scaled = int(bound * det)
     for qscaled, vecs in shells_upto(dual_scaled, b_scaled).items():
-        norm = Fraction(qscaled, det)
-        if norm > bound:
-            continue
-        hit = 0
-        for t in vecs:
-            c = sum(ti * li for ti, li in zip(t, labels)) % order
-            if c == cls:
-                hit += 1
+        # int32 coordinates times labels below the order (<= 3), over <= 8
+        # columns: exact in int64.
+        hit = int(np.count_nonzero(vecs.astype(np.int64) @ labels_np % order == cls))
         if hit:
-            out[norm] = out.get(norm, 0) + hit
+            out[Fraction(qscaled, det)] = hit
     return out
 
 

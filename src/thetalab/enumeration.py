@@ -44,12 +44,13 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
-
 from . import cosets, rootdata, weyl
 from .exactnum import is_positive_semidefinite, rank_int
 from .fincke_pohst import counts_upto, lll_gram, shells_upto
+from .lazy import lazy_module
 from .weyl import iter_bits
+
+np = lazy_module("numpy")
 
 if TYPE_CHECKING:  # pragma: no cover
     from .lattices import Lattice
@@ -138,8 +139,8 @@ class GramTarget:
 
 _CONTEXTS: dict[str, "_LatticeContext"] = {}
 
-# Most vectors one lattice may store as shells: they are walked as Python
-# tuples (about 0.2 kB each at rank 16-24) before they become int32 arrays.
+# Most vectors one lattice may store as shells, as int32 rows (96 bytes each
+# at rank 24, and as much again while the walk's chunks are joined).
 # E8+E8 and D16+ have 1,112,640 nonzero vectors of norm <= 6; E8^3 has
 # 17,134,560, which would take several GB.
 _SHELL_VECTORS_LIMIT = 5 * 10**6
@@ -166,7 +167,6 @@ class _LatticeContext:
             self.gram_red, self.transform = lll_gram(self.gram)
         else:
             self.gram_red, self.transform = [], []
-        self._gram_red_np = np.array(self.gram_red, dtype=np.int64).reshape(self.rank, self.rank)
         self._shells_np: dict[int, np.ndarray] = {}
         self._shells_bound = 0
         self._counts: dict[int, int] = {0: 1}
@@ -176,6 +176,10 @@ class _LatticeContext:
         self._weyl = None
         self._orbits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._hists: dict[tuple[int, ...], dict[int, int]] = {}
+
+    @functools.cached_property
+    def _gram_red_np(self) -> np.ndarray:
+        return np.array(self.gram_red, dtype=np.int64).reshape(self.rank, self.rank)
 
     # ---- shells -----------------------------------------------------------
 
@@ -204,11 +208,7 @@ class _LatticeContext:
                 raise RepresentationDomainError(
                     f"shells to norm {bound} at rank {self.rank} too large: {size} vectors"
                 )
-            got = shells_upto(self.gram_red, bound)
-            arrays = {}
-            for q, vecs in got.items():
-                arrays[q] = np.array(vecs, dtype=np.int32).reshape(len(vecs), self.rank)
-            self._shells_np = arrays
+            self._shells_np = shells_upto(self.gram_red, bound)
             self._shells_bound = bound
         return {q: a for q, a in self._shells_np.items() if q <= bound}
 

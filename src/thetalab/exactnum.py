@@ -135,36 +135,57 @@ def _bareiss_det(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def integral_gram_schmidt(g: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """Integral Gram-Schmidt data of an integer Gram matrix (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.6.7), without fractions.
+
+    Returns (d, lam): d[i] is the determinant of the leading i x i block
+    (d[0] = 1), and lam[i][j] = d[j + 1] * mu[i][j] for j < i, where
+    G = M diag(d[k + 1] / d[k]) M^T with M unit lower-triangular, M[i][j] =
+    mu[i][j].  Every division is exact.  Raises NotPositiveDefiniteError
+    with the first k whose pivot d[k + 1] / d[k] is not positive.
+    """
+    n = len(g)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            x = g[i][j]
+            for l in range(j):
+                x = (d[l + 1] * x - lam[i][l] * lam[j][l]) // d[l]
+            if j < i:
+                lam[i][j] = x
+            elif x <= 0:
+                raise NotPositiveDefiniteError(i)
+            else:
+                d[i + 1] = x
+    return d, lam
+
+
 def ldl_rational(g: RatMatrix) -> tuple[list[Fraction], RatMatrix]:
     """Exact LDL^T-style factorization of a symmetric matrix: G = U^T D U.
 
     U is unit upper-triangular, D a list of diagonal entries.  Raises
     NotPositiveDefiniteError (with the offending pivot index) unless every
-    pivot is positive.
+    pivot is positive.  Computed by `integral_gram_schmidt` on G with its
+    denominators cleared.
     """
     n = g.nrows
     if g.ncols != n or any(g.rows[i][j] != g.rows[j][i] for i in range(n) for j in range(i)):
         raise ValueError("ldl_rational needs a symmetric matrix")
-    a = [[Fraction(x) for x in r] for r in g.rows]
-    d: list[Fraction] = []
-    u = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        pivot = a[k][k]
-        if pivot <= 0:
-            raise NotPositiveDefiniteError(k)
-        d.append(pivot)
-        for j in range(k + 1, n):
-            u[k][j] = a[k][j] / pivot
-        for i in range(k + 1, n):
-            for j in range(i, n):
-                a[i][j] -= a[k][i] * a[k][j] / pivot
-                a[j][i] = a[i][j]
-    return d, RatMatrix(tuple(tuple(r) for r in u))
+    scaled, den = g.scaled_int()
+    d, lam = integral_gram_schmidt(scaled.rows)
+    pivots = [Fraction(d[k + 1], d[k] * den) for k in range(n)]
+    u = tuple(
+        tuple(Fraction(lam[j][k], d[k + 1]) if j > k else Fraction(int(j == k)) for j in range(n))
+        for k in range(n)
+    )
+    return pivots, RatMatrix(u)
 
 
 def is_positive_definite(g: IntMatrix) -> bool:
     try:
-        ldl_rational(RatMatrix.from_rows(g.rows))
+        integral_gram_schmidt(g.rows)
     except NotPositiveDefiniteError:
         return False
     return True

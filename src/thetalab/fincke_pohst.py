@@ -1,17 +1,36 @@
 """Exact short-vector enumeration for positive definite integer Gram matrices.
 
-The recursion is the usual Fincke-Pohst walk over an LDL factorization, but
-every bound is computed in scaled integer arithmetic (no floating point), so
-the output is complete and duplicate-free by construction.
+The walk is Fincke-Pohst (Math. Comp. 44, 1985) on the integral Gram-Schmidt
+data of the Gram matrix (`exactnum.integral_gram_schmidt`): the leading
+minors D_i and lam[j][i] = D_{i+1} mu[j][i], with no common scale.  Level i
+fixes x_i given x_{i+1..n-1}; with
+
+    t_i = D_{i+1} x_i + sum_{j>i} lam[j][i] x_j,
+    N_i = (t_i^2 + D_i N_{i+1}) / D_{i+1},   N_n = 0,
+
+N_i is D_i times the norm of x projected away from b_0..b_{i-1} (an integer,
+so the division is exact) and N_0 = x G x^T.  A prefix is kept while
+N_i <= bound D_i, that is t_i^2 <= bound D_i D_{i+1} - D_i N_{i+1}.
+
+The walk runs in numpy: each level expands a frontier of prefixes at once
+(np.repeat over the number of children of each), depth first in chunks of
+at most _CHUNK children, so memory stays bounded.  Square roots are integer
+Newton iterations.  Every intermediate is bounded from D and the bound
+before the walk starts; when that bound does not fit int64 the same code
+runs on arrays of Python ints.  Nothing uses floating point, so the output
+is complete and duplicate-free by construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
-from typing import Callable
+from math import isqrt
+from typing import Iterator
 
-from .exactnum import NotPositiveDefiniteError, RatMatrix, ldl_rational
+from .exactnum import integral_gram_schmidt
+from .lazy import lazy_module
+
+np = lazy_module("numpy")
 
 
 def lll_gram(gram: list[list[int]], delta: Fraction = Fraction(3, 4)) -> tuple[list[list[int]], list[list[int]]]:
@@ -31,19 +50,7 @@ def lll_gram(gram: list[list[int]], delta: Fraction = Fraction(3, 4)) -> tuple[l
         return g, u
     delta = Fraction(delta)
 
-    d = [1] * (n + 1)
-    lam = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            x = g[i][j]
-            for l in range(j):
-                x = (d[l + 1] * x - lam[i][l] * lam[j][l]) // d[l]
-            if j < i:
-                lam[i][j] = x
-            elif x <= 0:
-                raise NotPositiveDefiniteError(i)
-            else:
-                d[i + 1] = x
+    d, lam = integral_gram_schmidt(g)
 
     def row_sub(i, j, q):
         # basis_i -= q * basis_j, applied to gram, transform and lam
@@ -91,82 +98,107 @@ def lll_gram(gram: list[list[int]], delta: Fraction = Fraction(3, 4)) -> tuple[l
     return g, u
 
 
-class _ScaledLdl:
-    """Integer-scaled LDL data for exact bound predicates during enumeration."""
-
-    def __init__(self, gram: list[list[int]]):
-        n = len(gram)
-        d, umat = ldl_rational(RatMatrix.from_rows(gram))
-        self.n = n
-        # Row denominators for the unit-triangular factor.
-        self.m = [lcm(*[umat.rows[i][j].denominator for j in range(i, n)]) for i in range(n)]
-        self.v = [[int(umat.rows[i][j] * self.m[i]) for j in range(n)] for i in range(n)]
-        # Common scale so that all level weights are integers.
-        scale = 1
-        for i in range(n):
-            scale = lcm(scale, d[i].denominator * self.m[i] * self.m[i])
-        self.scale = scale
-        self.w = [int(d[i] * scale) // (self.m[i] * self.m[i]) for i in range(n)]
-        for i in range(n):
-            assert self.w[i] * self.m[i] * self.m[i] == d[i] * scale
+# Most children one expansion step builds at once (rows of the frontier).
+_CHUNK = 1 << 15
 
 
-def _walk(gram: list[list[int]], bound: int, visit: Callable[[list[int], int], None]) -> None:
-    """Visit every nonzero x with 0 < x^T gram x <= bound as (coords, norm)."""
+# Below this many radicands, math.isqrt per entry is cheaper than the fixed
+# cost of the Newton steps' array operations.
+_NEWTON_MIN = 512
+
+
+def _isqrt(a, powers):
+    """Elementwise floor(sqrt(a)) of a nonnegative integer array: math.isqrt
+    per entry on small arrays, integer Newton steps on large ones.  `powers`
+    holds 1, 2, 4, ... past max(a), in the dtype of a; the Newton start
+    2^ceil(b/2), for an entry of b bits, is at least its square root."""
+    if len(a) < _NEWTON_MIN:
+        x = np.array([isqrt(v) for v in a.tolist()], dtype=a.dtype)
+    else:
+        x = powers[(powers.searchsorted(a, side="right") + 1) // 2]
+        while True:
+            y = (x + a // np.maximum(x, 1)) // 2
+            if (y >= x).all():
+                break
+            x = np.minimum(x, y)
+    assert (x * x <= a).all() and ((x + 1) * (x + 1) > a).all()
+    return x
+
+
+def _half_shell_chunks(gram: list[list[int]], bound: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (coords, norms) chunks of every nonzero x with x G x^T <= bound
+    whose last nonzero coordinate is positive (one of each +-x pair)."""
     n = len(gram)
     if n == 0 or bound <= 0:
         return
-    ldl = _ScaledLdl(gram)
-    scale = ldl.scale
-    w, v, m = ldl.w, ldl.v, ldl.m
-    x = [0] * n
-    # centers[i] holds sum_{j>i} v[i][j] * x[j]; the true center is centers[i]/m[i].
-    centers = [0] * n
-    top_budget = bound * scale
+    d, lam = integral_gram_schmidt(gram)
+    # Bounds, from the top level down: |t_i| <= root[i], |c_i| <= centre[i]
+    # (c_i the sum over j > i), |x_i| <= coord[i].
+    root, centre, coord = [0] * n, [0] * n, [0] * n
+    for i in reversed(range(n)):
+        root[i] = isqrt(bound * d[i] * d[i + 1])
+        centre[i] = sum(abs(lam[j][i]) * coord[j] for j in range(i + 1, n))
+        coord[i] = (root[i] + centre[i]) // d[i + 1]
+    # Largest magnitude of any intermediate: bound D_i D_{i+1} bounds the
+    # radicand, D_i N_{i+1} and t_i^2 + D_i N_{i+1}; (root + 2)^2 the square
+    # roots' check; root + centre the interval ends, D_{i+1} x_i and t_i.
+    # Newton's x + a // x and the interval lengths stay below 2 top.
+    top = max(max((root[i] + 2) ** 2, bound * d[i] * d[i + 1], root[i] + centre[i] + d[i + 1]) for i in range(n))
+    dtype = np.int64 if 2 * top < 2**63 else object
+    powers = np.array([1 << b for b in range(top.bit_length() + 1)], dtype=dtype)
+    lam_t = np.array([[lam[j][i] for j in range(n)] for i in range(n)], dtype=dtype)
 
-    def rec(i: int, budget: int):
-        wi = w[i]
-        ci = centers[i]
-        mi = m[i]
-        s = isqrt(budget // wi)
-        xi_min = -((ci + s) // mi)          # ceil((-ci - s) / mi)
-        xi_max = (s - ci) // mi             # floor((-ci + s) / mi)
-        if i == 0:
-            for xi in range(xi_min, xi_max + 1):
-                t = mi * xi + ci
-                rem = budget - wi * t * t
-                if rem >= 0 and rem < top_budget:
-                    x[0] = xi
-                    visit(x, (top_budget - rem) // scale)
-            return
-        for xi in range(xi_min, xi_max + 1):
-            t = mi * xi + ci
-            rem = budget - wi * t * t
-            if rem < 0:
-                continue
-            x[i] = xi
-            for k in range(i):
-                centers[k] += v[k][i] * xi
-            rec(i - 1, rem)
-            for k in range(i):
-                centers[k] -= v[k][i] * xi
+    def expand(i, xs, norm):
+        # xs: coordinates i+1..n-1 of each prefix; norm: its N_{i+1}.
+        c = xs @ lam_t[i, i + 1 :]
+        dn = d[i] * norm
+        s = _isqrt(bound * d[i] * d[i + 1] - dn, powers)
+        lo = -((s + c) // d[i + 1])
+        # N_{i+1} = 0 only on the zero prefix; x_i >= 0 there keeps one of each +-x.
+        lo = np.where(norm == 0, np.maximum(lo, 0), lo)
+        k = ((s - c) // d[i + 1] - lo + 1).astype(np.int64, copy=False)
+        ends = k.cumsum()
+        a = 0
+        while a < len(k):
+            base = int(ends[a - 1]) if a else 0
+            b = max(int(ends.searchsorted(base + _CHUNK, side="right")), a + 1)
+            kk = k[a:b]
+            m = int(ends[b - 1]) - base
+            x = (lo[a:b] - (ends[a:b] - kk - base)).repeat(kk) + np.arange(m)
+            t = d[i + 1] * x + c[a:b].repeat(kk)
+            child = (t * t + dn[a:b].repeat(kk)) // d[i + 1]
+            xs_child = np.empty((m, n - i), dtype=dtype)
+            xs_child[:, 0] = x
+            xs_child[:, 1:] = xs[a:b].repeat(kk, axis=0)
+            if i:
+                yield from expand(i - 1, xs_child, child)
+            else:
+                keep = child > 0
+                yield xs_child[keep], child[keep]
+            a = b
 
-    rec(n - 1, top_budget)
+    yield from expand(n - 1, np.zeros((1, 0), dtype=dtype), np.zeros(1, dtype=dtype))
 
 
-def shells_upto(gram: list[list[int]], bound: int) -> dict[int, list[tuple[int, ...]]]:
-    """All nonzero vectors with norm <= bound, grouped by norm (coords in the given basis)."""
-    out: dict[int, list[tuple[int, ...]]] = {}
-    _walk(gram, bound, lambda x, q: out.setdefault(q, []).append(tuple(x)))
-    return out
+def shells_upto(gram: list[list[int]], bound: int) -> dict[int, np.ndarray]:
+    """All nonzero vectors with norm <= bound, grouped by norm: one int32
+    array of rows (coordinates in the given basis) per norm."""
+    parts: dict[int, list] = {}
+    for xs, norms in _half_shell_chunks(gram, bound):
+        assert xs.size == 0 or int(abs(xs).max()) < 2**31
+        xs = xs.astype(np.int32)
+        order = np.argsort(norms, kind="stable")
+        values, starts = np.unique(norms[order], return_index=True)
+        for q, part in zip(values.tolist(), np.split(xs[order], starts[1:])):
+            parts.setdefault(q, []).extend((part, -part))
+    return {q: np.concatenate(ps) for q, ps in sorted(parts.items())}
 
 
 def counts_upto(gram: list[list[int]], bound: int) -> dict[int, int]:
     """Counts of nonzero vectors by norm <= bound, without storing them."""
     out: dict[int, int] = {}
-
-    def visit(_x, q):
-        out[q] = out.get(q, 0) + 1
-
-    _walk(gram, bound, visit)
+    for _, norms in _half_shell_chunks(gram, bound):
+        values, counts = np.unique(norms, return_counts=True)
+        for q, c in zip(values.tolist(), counts.tolist()):
+            out[q] = out.get(q, 0) + 2 * c
     return out

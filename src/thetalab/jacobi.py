@@ -21,11 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import enumeration
 from .enumeration import GramTarget, representation_count, shell_count
 from .lattices import LatticeError
+from .lazy import lazy_module
+
+np = lazy_module("numpy")
 
 if TYPE_CHECKING:  # pragma: no cover
     from .lattices import Lattice

@@ -7,6 +7,7 @@ from math import isqrt
 import numpy as np
 
 from thetalab.enumeration import GramTarget, candidate_targets, shell_vectors
+from thetalab.exactnum import NotPositiveDefiniteError
 from thetalab.theta import Series
 
 
@@ -36,6 +37,28 @@ def ldl_box_vectors(gram, bound):
         if 0 < q <= bound:
             vectors.setdefault(q, []).append(x)
     return vectors
+
+
+def fraction_ldl(gram):
+    """(pivots, U) with G = U^T diag(pivots) U, by symmetric Gaussian
+    elimination on Fractions; raises NotPositiveDefiniteError at the first
+    pivot that is not positive."""
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    d = []
+    u = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot <= 0:
+            raise NotPositiveDefiniteError(k)
+        d.append(pivot)
+        for j in range(k + 1, n):
+            u[k][j] = a[k][j] / pivot
+        for i in range(k + 1, n):
+            for j in range(i, n):
+                a[i][j] -= a[k][i] * a[k][j] / pivot
+                a[j][i] = a[i][j]
+    return d, u
 
 
 def ldl_box_counts(gram, bound):

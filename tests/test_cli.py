@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ from thetalab.cli import (
     load_tset,
     run,
 )
+from thetalab.enumeration import CACHE_ENV
 from thetalab.niemeier import BUILTIN_NAMES
 from thetalab.theta import CURATED_GENUS4, parse_series
 
@@ -192,8 +194,9 @@ def test_list_contains_registry(capsys):
 
 
 def test_parser_rejects_jobs():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["validate", "--lattice", "E8", "--jobs", "1"])
+    assert exc.value.code == EXIT_INPUT
 
 
 # One cheap invocation of every kind: (argv, exit code, names on the `lattice:` lines).
@@ -228,9 +231,11 @@ def test_every_kind_runs(capsys, argv, code, names):
     assert [line.split()[1] for line in lines if line.startswith("lattice: ")] == names
 
 
-def test_parser_rejects_unknown_kind():
-    with pytest.raises(SystemExit):
+def test_parser_rejects_unknown_kind(capsys):
+    with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["frobnicate"])
+    assert exc.value.code == EXIT_INPUT
+    assert "error: argument kind: invalid choice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -256,13 +261,14 @@ def test_parser_rejects_unknown_kind():
         ("argv", ["witt", "--lattice", "E8"]),  # witt always compares E8+E8 with D16+
         ("argv", ["schottky", "--pair", "E8:E8"]),
         ("venkov", None),  # `--spec` names a missing file
+        ("both", {"gram": [[2, -1], [-1, 2]]}),  # `--lattice` and `--spec` together
     ],
     ids=[
         "tset-no-targets-key", "tset-string-entry", "tset-float", "tset-bool",
         "spec-ragged-gram", "spec-string-in-gram", "spec-float-in-gram", "spec-bad-ade-symbol",
         "spec-short-component", "spec-not-utf8", "spec-name-line-break", "spec-name-not-string",
         "spec-indefinite-gram", "out-missing-dir", "independence-no-lattices", "witt-lattice-not-read",
-        "schottky-pair-not-read", "venkov-spec-missing",
+        "schottky-pair-not-read", "venkov-spec-missing", "lattice-and-spec",
     ],
 )
 def test_bad_input_exits_3_with_message(tmp_path, capsys, kind, content):
@@ -281,6 +287,8 @@ def test_bad_input_exits_3_with_message(tmp_path, capsys, kind, content):
         argv = content
     elif kind == "venkov":
         argv = ["venkov", "--spec", str(tmp_path / "missing.json")]
+    elif kind == "both":
+        argv = ["theta", "--lattice", "E8", "--spec", str(path), "--trace-bound", "2"]
     else:
         argv = ["validate" if kind == "spec" else kind, "--spec", str(path)]
     assert run(argv) == EXIT_INPUT
@@ -288,6 +296,27 @@ def test_bad_input_exits_3_with_message(tmp_path, capsys, kind, content):
     assert err.startswith("error: ")
     if kind == "argv":
         assert f"does not read {argv[1]}" in err
+
+
+# Runs the CLI in-process and reports on stderr's last line whether numpy was
+# loaded (a module registered lazily loads no submodule until first used).
+_NUMPY_RUN = """
+import sys
+from thetalab import cli
+code = cli.run(sys.argv[1:])
+print(code, any(name.startswith("numpy.") for name in sys.modules), file=sys.stderr)
+"""
+
+
+def test_cache_hit_run_does_not_load_numpy(tmp_path):
+    argv = ["witt", "--max-genus", "2", "--trace-bound", "4"]
+    env = {**os.environ, CACHE_ENV: str(tmp_path)}
+    runs = [subprocess.run([sys.executable, "-c", _NUMPY_RUN, *argv], capture_output=True, text=True,
+                           env=env, timeout=300) for _ in range(2)]
+    (cold, cold_numpy), (warm, warm_numpy) = (proc.stderr.splitlines()[-1].split() for proc in runs)
+    assert cold == warm == str(EXIT_PASS)
+    assert runs[0].stdout == runs[1].stdout
+    assert cold_numpy == "True" and warm_numpy == "False"
 
 
 # Runs the CLI in a child of a child, so that the peak RSS read by getrusage

@@ -17,7 +17,7 @@ from thetalab.exactnum import (
     row_basis_rational,
 )
 
-from oracles import fraction_rank, in_z_span
+from oracles import fraction_ldl, fraction_rank, in_z_span
 
 
 def cofactor_det(rows):
@@ -115,6 +115,44 @@ def test_ldl_reconstructs_when_it_succeeds(rows):
         for i in range(n)
     ]
     assert rec == [[Fraction(x) for x in row] for row in g]
+
+
+def _symmetric(rows):
+    n = len(rows)
+    return [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_ldl_matches_fraction_elimination(rows):
+    # Most draws are indefinite: the same first bad pivot must be reported.
+    g = _symmetric(rows)
+    try:
+        want = fraction_ldl(g)
+    except NotPositiveDefiniteError as e:
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            ldl_rational(RatMatrix.from_rows(g))
+        assert exc.value.pivot_index == e.pivot_index
+        return
+    d, u = ldl_rational(RatMatrix.from_rows(g))
+    assert (d, [list(r) for r in u.rows]) == want
+
+
+def test_ldl_of_a_rational_matrix():
+    g = [[Fraction(1, 2), Fraction(1, 3), 0], [Fraction(1, 3), 1, Fraction(-1, 4)], [0, Fraction(-1, 4), Fraction(5, 6)]]
+    d, u = ldl_rational(RatMatrix.from_rows(g))
+    assert (d, [list(r) for r in u.rows]) == fraction_ldl(g)
+    n = len(g)
+    assert [[sum(u.rows[k][i] * d[k] * u.rows[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == g
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        ldl_rational(RatMatrix.from_rows([[Fraction(1, 2), 1], [1, Fraction(1, 3)]]))
+    assert exc.value.pivot_index == 1
 
 
 def test_psd_checks():

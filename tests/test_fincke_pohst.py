@@ -1,0 +1,104 @@
+"""The Fincke-Pohst walk: shells checked row by row against exact norms, the
+coset counts and a brute-force box scan."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thetalab import enumeration as en
+from thetalab import fincke_pohst as fp
+from thetalab.cosets import glued_shell_counts
+from thetalab.fincke_pohst import counts_upto, shells_upto
+from thetalab.niemeier import BUILTIN_NAMES, builtin
+
+from oracles import ldl_box_vectors
+
+RANK16 = ("E8", "E8+E8", "D16+")
+
+
+def _sorted_row_keys(x):
+    """The rows as columns of int64 keys, in sorted order: each run of `per`
+    coordinates read as the digits of one integer in base 2 max|x| + 1, with
+    `per` as large as keeps every key below 2^62."""
+    base = 2 * int(np.abs(x).max()) + 1
+    per = 1
+    while base ** (per + 1) < 2**62:
+        per += 1
+    digits = x + base // 2
+    weights = base ** np.arange(per, dtype=np.int64)
+    keys = np.stack([digits[:, j : j + per] @ weights[: min(per, x.shape[1] - j)] for j in range(0, x.shape[1], per)])
+    return keys[:, np.lexsort(keys)]
+
+
+@pytest.mark.parametrize("name,bound", [(name, 4) for name in BUILTIN_NAMES] + [(name, 6) for name in RANK16])
+def test_builtin_shells_are_exact(name, bound):
+    lat = builtin(name)
+    gram = en._context(lat).gram_red
+    shells = shells_upto(gram, bound)
+    g = np.array(gram, dtype=np.int64)
+    for q, rows in shells.items():
+        assert rows.dtype == np.int32 and rows.shape[1] == lat.rank
+        x = rows.astype(np.int64)
+        assert (int(np.abs(x).max()) * int(np.abs(g).max()) * lat.rank) ** 2 < 2**62
+        assert (np.einsum("ij,ij->i", x @ g, x) == q).all()
+        keys = _sorted_row_keys(x)
+        assert (keys[:, 1:] != keys[:, :-1]).any(axis=0).all()  # distinct rows
+        assert (_sorted_row_keys(-x) == keys).all()  # closed under negation
+    comps, words = lat.decomposition
+    want = glued_shell_counts(tuple(comps), tuple(words), bound)
+    assert {0: 1, **{q: len(rows) for q, rows in shells.items()}} == want
+    assert {0: 1, **counts_upto(gram, bound)} == want
+
+
+def _as_sets(shells):
+    return {q: set(map(tuple, rows.tolist())) for q, rows in shells.items()}
+
+
+def _box_sets(gram, bound):
+    return {q: set(vecs) for q, vecs in ldl_box_vectors(gram, bound).items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+    ),
+    st.integers(0, 10),
+)
+def test_random_gram_shells_match_box_scan(a, bound):
+    n = len(a)
+    # A^T A + I: positive definite and, in general, far from reduced.
+    gram = [[sum(a[k][i] * a[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]
+    want = _box_sets(gram, bound)
+    assert _as_sets(shells_upto(gram, bound)) == want
+    assert counts_upto(gram, bound) == {q: len(v) for q, v in want.items()}
+
+
+@pytest.mark.parametrize("newton_min", [0, 10**9], ids=["newton", "isqrt"])
+@pytest.mark.parametrize(
+    "gram,bound",
+    [
+        ([[2**40, 1], [1, 2**40]], 2**41),
+        ([[2**70]], 4 * 2**70),
+        ([[10**12, 3, 0], [3, 10**12, 5], [0, 5, 10**12]], 3 * 10**12),
+    ],
+)
+def test_walk_beyond_int64_matches_box_scan(monkeypatch, newton_min, gram, bound):
+    # bound * D_i * D_{i+1} exceeds 2^63: the walk runs on Python-int arrays,
+    # with either square root.
+    monkeypatch.setattr(fp, "_NEWTON_MIN", newton_min)
+    want = _box_sets(gram, bound)
+    assert want and _as_sets(shells_upto(gram, bound)) == want
+    assert counts_upto(gram, bound) == {q: len(v) for q, v in want.items()}
+
+
+@pytest.mark.parametrize("newton_min", [0, 10**9], ids=["newton", "isqrt"])
+def test_scaled_e8_walk_beyond_int64(monkeypatch, newton_min):
+    # 2^40 E8 to norm 2^40 * 4: the same 2400 vectors as E8 to norm 4, on
+    # Python-int arrays.
+    monkeypatch.setattr(fp, "_NEWTON_MIN", newton_min)
+    gram = en._context(builtin("E8")).gram_red
+    scale = 2**40
+    want = {q * scale: rows for q, rows in _as_sets(shells_upto(gram, 4)).items()}
+    assert _as_sets(shells_upto([[scale * x for x in row] for row in gram], 4 * scale)) == want
