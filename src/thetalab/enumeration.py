@@ -36,7 +36,6 @@ results are exact; nothing here uses floating point.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import os
 import zlib
@@ -389,15 +388,19 @@ def root_components(lat: "Lattice") -> list[tuple[str, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient cache (in-memory plus an optional directory of checked entries)
+# Coefficient cache (in-memory plus an optional append-only log per lattice)
 
 _MEM_CACHE: dict[tuple[str, str], int] = {}
 
 CACHE_ENV = "THETALAB_CACHE"
 
-# Directory of the current entry format under the cache root; entries written
-# in another format are never read.
-_CACHE_FORMAT = "v2"
+# Directory of the current log format under the cache root; entries written
+# in another format (the one-file-per-entry `v2/`) are never read.
+_CACHE_FORMAT = "v3"
+
+# Log path -> its checked entries, read once per process at the first lookup;
+# None marks a key whose good lines disagree, so it is recomputed.
+_DISK_LOGS: dict[str, dict[str, int | None]] = {}
 
 
 def _cache_dir() -> str | None:
@@ -408,16 +411,16 @@ def cache_stats() -> dict[str, int]:
     return dict(_CACHE_STATS)
 
 
-# `corrupt` counts disk entries rejected by their check (then recomputed and replaced).
+# `corrupt` counts log lines rejected by their check, and keys whose good
+# lines disagree; both are recomputed and appended again.
 _CACHE_STATS = {"memory_hits": 0, "disk_hits": 0, "misses": 0, "writes": 0, "corrupt": 0}
 
 
-def _disk_path(fp: str, key: str) -> str | None:
+def _disk_path(fp: str) -> str | None:
     root = _cache_dir()
     if not root:
         return None
-    h = hashlib.sha1(key.encode()).hexdigest()[:24]
-    return os.path.join(root, _CACHE_FORMAT, fp[:24], f"{h}.txt")
+    return os.path.join(root, _CACHE_FORMAT, f"{fp[:24]}.log")
 
 
 def _entry_line(key: str, value: int) -> str:
@@ -426,16 +429,35 @@ def _entry_line(key: str, value: int) -> str:
     return f"{body} {zlib.crc32(body.encode()):08x}\n"
 
 
-def _entry_value(text: str, key: str) -> int | None:
-    """The value stored in a cache entry for `key`, or None unless the entry
-    is exactly what `_entry_line` writes (so truncated, empty and garbled
-    entries are rejected)."""
-    _, _, rest = text.partition(" = ")
+def _read_log(path: str) -> dict[str, int | None]:
+    """The entries of one log.  Each record is written as a newline and then
+    an entry line, so a torn last record (no final newline) ends before the
+    next record starts; the blank lines between records are skipped, and any
+    other line that is not exactly an entry, or a torn tail, is corrupt."""
     try:
-        value = int(rest.partition(" ")[0])
-    except ValueError:
-        return None
-    return value if text == _entry_line(key, value) else None
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:  # absent or unreadable: every lookup is a plain miss
+        return {}
+    *lines, tail = data.split(b"\n")
+    entries: dict[str, int | None] = {}
+    bad = 1 if tail else 0
+    for raw in lines:
+        if not raw:
+            continue
+        text = raw.decode("latin-1") + "\n"
+        key, _, rest = text.partition(" = ")
+        try:
+            value = int(rest.partition(" ")[0])
+        except ValueError:
+            value = None
+        if value is None or text != _entry_line(key, value):  # re-rendered exactly, check included
+            bad += 1
+        elif entries.setdefault(key, value) not in (value, None):
+            entries[key] = None
+            bad += 1
+    _CACHE_STATS["corrupt"] += bad
+    return entries
 
 
 def _cache_get(fp: str, key: str) -> int | None:
@@ -443,53 +465,48 @@ def _cache_get(fp: str, key: str) -> int | None:
     if hit is not None:
         _CACHE_STATS["memory_hits"] += 1
         return hit
-    path = _disk_path(fp, key)
+    path = _disk_path(fp)
     if path:
-        try:
-            with open(path, "r", encoding="ascii") as fh:
-                text = fh.read()
-        except OSError:  # absent or unreadable: a plain miss
-            text = None
-        except ValueError:  # not ASCII
-            text = ""
-        if text is not None:
-            n = _entry_value(text, key)
-            if n is not None:
-                _MEM_CACHE[(fp, key)] = n
-                _CACHE_STATS["disk_hits"] += 1
-                return n
-            _CACHE_STATS["corrupt"] += 1
+        log = _DISK_LOGS.get(path)
+        if log is None:
+            log = _DISK_LOGS[path] = _read_log(path)
+        n = log.get(key)
+        if n is not None:
+            _MEM_CACHE[(fp, key)] = n
+            _CACHE_STATS["disk_hits"] += 1
+            return n
     _CACHE_STATS["misses"] += 1
     return None
 
 
 def _cache_put(fp: str, key: str, value: int) -> None:
-    """Publish the entry whole: write a private temp file, then rename it over
-    the entry's path, so no reader sees a partial write."""
+    """Append the entry to the lattice's log in one write.  O_APPEND makes
+    concurrent appends land whole and in turn; a short write leaves a torn
+    tail, which the leading newline of the next record closes off."""
     if _MEM_CACHE.get((fp, key)) == value:  # a nested call (shell_count) stored it
         return
     _MEM_CACHE[(fp, key)] = value
-    path = _disk_path(fp, key)
+    path = _disk_path(fp)
     if not path:
         return
-    tmp = f"{path}.{os.getpid()}.tmp"
+    record = ("\n" + _entry_line(key, value)).encode("ascii")
+    flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
     try:
         try:
-            fh = open(tmp, "w", encoding="ascii")
+            fd = os.open(path, flags, 0o644)
         except FileNotFoundError:
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            fh = open(tmp, "w", encoding="ascii")
-        with fh:
-            fh.write(_entry_line(key, value))
-        os.replace(tmp, path)
+            fd = os.open(path, flags, 0o644)
+        try:
+            whole = os.write(fd, record) == len(record)
+        finally:
+            os.close(fd)
     except OSError:
         # The disk cache is optional: a failed write only costs a recomputation.
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
         return
-    _CACHE_STATS["writes"] += 1
+    if whole:
+        _CACHE_STATS["writes"] += 1
+        _DISK_LOGS.get(path, {}).setdefault(key, value)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ r_L([[S, l], [l^T, 2n]]), so the table is read from
 The root-moment identity r2 * Q(v,v) = c * sum_y Q(y,v)^2 is checked through
 the exact second-moment matrix M = sum_y (Gy)(Gy)^T: the matrix equality
 r2 * G = c * M is equivalent to the identity holding for every vector of the
-lattice at once, and a direct per-vector check over enumerated shells
-cross-checks it on small norms.
+lattice at once, and a direct check over the shells of small norm
+cross-checks it (above norm 2 on one vector per Weyl orbit: both sides are
+W-invariant).
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class VenkovReport:
     constant: Fraction
     checked_norm_bound: int
     consistent: bool
-    verified_vectors: int  # vectors re-checked by the direct per-vector sum
+    verified_vectors: int  # vectors covered by the direct sum (orbits by their sizes)
 
 
 def _root_moment_matrix(lat: "Lattice") -> tuple[int, list[list[int]]]:
@@ -104,7 +105,9 @@ def venkov_constant(lat: "Lattice", norm_bound: int = 8, per_vector_norm_cap: in
     bound) is exactly the matrix equality r2 * G = c * M with M the root
     second-moment matrix; that equality is what is checked.  Vectors with norm
     up to per_vector_norm_cap are additionally re-verified by the direct sum
-    over roots.
+    over roots: the roots themselves, and above norm 2 one dominant vector
+    per Weyl orbit.  `verified_vectors` counts the vectors so covered, each
+    orbit by its size.
     """
     r2, m = _root_moment_matrix(lat)
     gram = lat.gram.rows
@@ -129,19 +132,26 @@ def venkov_constant(lat: "Lattice", norm_bound: int = 8, per_vector_norm_cap: in
         c = Fraction(0)
     verified = 0
     if consistent and per_vector_norm_cap > 0:
-        # Q(y, v) is basis-free: reduced coordinates, int64 blocks of 2^14 entries.
+        # Both sides are invariant under the Weyl group W (it permutes the
+        # roots), so above norm 2 one dominant vector per W-orbit checks its
+        # whole orbit.  The norm-2 shell is the roots themselves: checking
+        # them all is one r2 x r2 product, cheaper than finding W.
+        # Q(y, v) is basis-free: reduced coordinates, int64.
         ctx = enumeration._context(lat)
         gy = ctx.shell_array(2).astype(np.int64) @ ctx._gram_red_np
-        step = max(1, (1 << 14) // len(gy))
-        for norm, vecs in sorted(ctx.shell_arrays_upto(min(norm_bound, per_vector_norm_cap)).items()):
-            assert (int(np.abs(gy).max()) * int(np.abs(vecs).max(initial=0)) * n) ** 2 * len(gy) < 2**62
-            for start in range(0, len(vecs), step):
-                dots = vecs[start : start + step].astype(np.int64) @ gy.T
-                sums = np.einsum("ij,ij->i", dots, dots)
-                # At most one sum satisfies the identity: checking the extremes checks all.
-                for rhs_direct in (int(sums.min()), int(sums.max())):
-                    consistent &= r2 * norm * c.denominator == c.numerator * rhs_direct
-            verified += len(vecs)
+        for norm in sorted(ctx.shell_arrays_upto(min(norm_bound, per_vector_norm_cap))):
+            if norm == 2:
+                rows, covered = ctx.shell_array(2), r2
+            else:
+                rows, weights = ctx.orbits(norm)
+                covered = int(weights.sum())
+            assert (int(np.abs(gy).max()) * int(np.abs(rows).max(initial=0)) * n) ** 2 * len(gy) < 2**62
+            dots = rows.astype(np.int64) @ gy.T
+            sums = np.einsum("ij,ij->i", dots, dots)
+            # At most one sum satisfies the identity: checking the extremes checks all.
+            for rhs_direct in (int(sums.min()), int(sums.max())):
+                consistent &= r2 * norm * c.denominator == c.numerator * rhs_direct
+            verified += covered
     return VenkovReport(
         lattice_id=lat.name,
         r2=r2,

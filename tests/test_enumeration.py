@@ -1,7 +1,9 @@
+import hashlib
 import itertools
-import os
+import multiprocessing
 import pathlib
 import random
+import shutil
 from collections import Counter
 from fractions import Fraction
 
@@ -247,21 +249,28 @@ def test_parallel_determinism():
     assert counts[0] == counts[1] == hists[0][3] > 0
 
 
+def _fresh_process_view():
+    """Forget every cached count and every log read, as a new process would."""
+    en._MEM_CACHE.clear()
+    en._DISK_LOGS.clear()
+
+
 def test_cache_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv(en.CACHE_ENV, str(tmp_path))
     e8 = builtin("E8")
     t = [[2, 1], [1, 2]]
-    en._MEM_CACHE.clear()  # earlier tests may hold this count in memory
+    _fresh_process_view()  # earlier tests may hold this count in memory
     v1 = representation_count(e8, t)
-    files = list(tmp_path.rglob("*.txt"))
-    assert files
-    en._MEM_CACHE.clear()
+    logs = sorted(tmp_path.rglob("*"))
+    assert logs == [tmp_path / "v3", tmp_path / "v3" / f"{e8.fingerprint[:24]}.log"]
+    _fresh_process_view()
+    before = en.cache_stats()
     v2 = representation_count(e8, t)
     assert v1 == v2 == 13440
+    assert en.cache_stats()["disk_hits"] - before["disk_hits"] == 1
     # cache is safe to delete
-    for f in files:
-        f.unlink()
-    en._MEM_CACHE.clear()
+    logs[1].unlink()
+    _fresh_process_view()
     assert representation_count(e8, t) == 13440
 
 
@@ -295,44 +304,120 @@ def test_domain_errors():
 @pytest.mark.parametrize(
     "entry",
     [
-        "1|4 = 21",  # cut short before the check and the newline
-        "",  # created but never written
-        "\x00\x17 garbage",
-        "1|4 = 21 00000000\n",  # well formed, wrong check
+        b"1|4 = 21",  # a torn tail: cut short before the check and the newline
+        b"\x00" * 20 + b"\n",  # space allocated but never written (a crash can leave zeros)
+        b"\x00\x17 garbage\n",
+        b"1|4 = 21 00000000\n",  # well formed, wrong check
     ],
-    ids=["truncated", "empty", "garbage", "bad-check"],
+    ids=["truncated", "zeroed", "garbage", "bad-check"],
 )
 def test_cache_rejects_and_replaces_bad_entry(tmp_path, monkeypatch, entry):
     monkeypatch.setenv(en.CACHE_ENV, str(tmp_path))
     e8 = builtin("E8")
-    en._MEM_CACHE.pop((e8.fingerprint, "1|4"), None)
-    path = en._disk_path(e8.fingerprint, "1|4")
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="latin-1") as fh:
-        fh.write(entry)
+    _fresh_process_view()
+    path = pathlib.Path(en._disk_path(e8.fingerprint))
+    path.parent.mkdir(parents=True)
+    path.write_bytes(entry)
     before = en.cache_stats()
     assert shell_count(e8, 4) == 2160
     after = en.cache_stats()
     assert after["corrupt"] - before["corrupt"] == 1
     assert after["writes"] - before["writes"] == 1
-    # The entry was replaced by a good one, which a fresh read accepts.
-    en._MEM_CACHE.pop((e8.fingerprint, "1|4"), None)
+    # A good entry was appended after the bad one, and a fresh read accepts it.
+    _fresh_process_view()
     assert shell_count(e8, 4) == 2160
     assert en.cache_stats()["disk_hits"] - after["disk_hits"] == 1
-    assert [p.name for p in pathlib.Path(path).parent.iterdir()] == [os.path.basename(path)]
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
 
 
 def test_cache_ignores_unversioned_entries(tmp_path, monkeypatch):
     monkeypatch.setenv(en.CACHE_ENV, str(tmp_path))
     e8 = builtin("E8")
-    en._MEM_CACHE.pop((e8.fingerprint, "1|4"), None)
-    path = pathlib.Path(en._disk_path(e8.fingerprint, "1|4"))
-    # The unchecked format kept entries one level up, without a format directory.
-    old = tmp_path / path.parent.name / path.name
-    old.parent.mkdir()
-    old.write_text("1|4 = 21\n")
+    _fresh_process_view()
+    name = hashlib.sha1(b"1|4").hexdigest()[:24] + ".txt"
+    # Earlier formats kept one file per entry: unchecked in the lattice's
+    # directory, then checked under v2/.  Each holds a wrong value here.
+    old = {
+        tmp_path / e8.fingerprint[:24] / name: "1|4 = 21\n",
+        tmp_path / "v2" / e8.fingerprint[:24] / name: en._entry_line("1|4", 21),
+    }
+    for path, text in old.items():
+        path.parent.mkdir(parents=True)
+        path.write_text(text)
     assert shell_count(e8, 4) == 2160
-    assert old.read_text() == "1|4 = 21\n"
+    assert all(path.read_text() == text for path, text in old.items())
+
+
+def test_cache_torn_tail_does_not_swallow_next_entry(tmp_path, monkeypatch):
+    monkeypatch.setenv(en.CACHE_ENV, str(tmp_path))
+    _fresh_process_view()
+    en._cache_put("torn-tail", "1|2", 240)
+    path = pathlib.Path(en._disk_path("torn-tail"))
+    with path.open("ab") as fh:
+        fh.write(b"\n1|4 = 2160 0")  # a record cut short
+    en._cache_put("torn-tail", "1|6", 6720)
+    _fresh_process_view()
+    before = en.cache_stats()
+    assert [en._cache_get("torn-tail", k) for k in ("1|2", "1|4", "1|6")] == [240, None, 6720]
+    assert en.cache_stats()["corrupt"] - before["corrupt"] == 1
+
+
+def _append_entries(fp, indices):
+    for i in indices:
+        en._cache_put(fp, f"1|{2 * i}", 7**i)
+
+
+def test_cache_concurrent_appends_land_whole(tmp_path, monkeypatch):
+    # Two processes append to one log at once, with overlapping keys and
+    # lines of 10 to 440 bytes; every line must land whole.
+    monkeypatch.setenv(en.CACHE_ENV, str(tmp_path))
+    _fresh_process_view()
+    fork = multiprocessing.get_context("fork")
+    procs = [fork.Process(target=_append_entries, args=("appends", range(200 * w, 200 * w + 300))) for w in range(2)]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(timeout=120)
+    assert [proc.exitcode for proc in procs] == [0, 0]
+    before = en.cache_stats()
+    assert all(en._cache_get("appends", f"1|{2 * i}") == 7**i for i in range(500))
+    after = en.cache_stats()
+    assert after["disk_hits"] - before["disk_hits"] == 500
+    assert after["corrupt"] == before["corrupt"]
+
+
+def test_cache_recomputes_conflicting_entries(tmp_path, monkeypatch):
+    monkeypatch.setenv(en.CACHE_ENV, str(tmp_path))
+    e8 = builtin("E8")
+    _fresh_process_view()
+    path = pathlib.Path(en._disk_path(e8.fingerprint))
+    path.parent.mkdir(parents=True)
+    # Two lines that each pass their check, with different values.
+    path.write_text(en._entry_line("1|4", 2160) + en._entry_line("1|4", 21))
+    for _ in range(2):  # the appended entry does not settle it: a fresh read recomputes again
+        _fresh_process_view()
+        before = en.cache_stats()
+        assert shell_count(e8, 4) == 2160
+        after = en.cache_stats()
+        assert {k: after[k] - before[k] for k in after} == {
+            "memory_hits": 0, "disk_hits": 0, "misses": 1, "writes": 1, "corrupt": 1}
+
+
+def test_cache_survives_log_deleted_mid_run(tmp_path, monkeypatch):
+    monkeypatch.setenv(en.CACHE_ENV, str(tmp_path))
+    e8 = builtin("E8")
+    _fresh_process_view()
+    assert shell_count(e8, 2) == 240
+    path = pathlib.Path(en._disk_path(e8.fingerprint))
+    shutil.rmtree(path.parent)
+    en._MEM_CACHE.clear()
+    assert shell_count(e8, 2) == 240  # the log as this process read and wrote it
+    assert shell_count(e8, 4) == 2160  # appended to a new log
+    _fresh_process_view()
+    before = en.cache_stats()
+    assert shell_count(e8, 4) == 2160 and shell_count(e8, 2) == 240
+    after = en.cache_stats()
+    assert (after["disk_hits"] - before["disk_hits"], after["misses"] - before["misses"]) == (1, 1)
 
 
 # ADE sums of rank <= 5; block-diagonal Gram matrices of these are the oracle's input.
