@@ -13,16 +13,21 @@ representatives:
   instead get exact coset-decomposition counts, which agree and are fast),
 * a root-system factorisation when every diagonal entry of T is 2 (the hot
   path for genus 3 and 4): a sum over the placements of T's connected blocks
-  in the irreducible root components, of products of per-component counts,
-  each kept per ADE type and found by a bitset depth-first search with the
-  first root fixed (the Weyl group is transitive on the roots),
+  (`weyl.pieces` of its nonzero pattern) in the irreducible root components,
+  of products of per-component counts, each kept per ADE type and found by
+  a bitset depth-first search with the first root fixed (the Weyl group is
+  transitive on the roots),
 * one orbit counter over stored shells for every other shape: its first slot
   runs over one vector of each Weyl-group orbit (`weyl`), the middle slots
   are walked, and the last two slots are one weighted histogram of blocked
   integer products (at genus 2, against one of each +-z pair).
 
-A lattice without roots has W = 1; its orbits are then those of -1.
-Everything runs in one process.
+The root engine and the orbit counter share one root-system record per
+lattice (`_LatticeContext.root_system`), found once from the norm-2 shell:
+the roots, their inner-product masks, the simple roots, the components,
+each typed by its simple roots (`weyl.components`), and |W|.  A lattice
+without roots has W = 1; its orbits are then those of -1.  Everything runs
+in one process.
 
 Every engine that stores shells gets them from `_LatticeContext`, which sizes
 them from the shell counts first and refuses more than
@@ -41,10 +46,10 @@ import os
 import zlib
 from dataclasses import dataclass
 from math import isqrt
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from . import cosets, rootdata, weyl
-from .exactnum import is_positive_semidefinite, rank_int
+from . import cosets, weyl
+from .exactnum import is_positive_semidefinite
 from .fincke_pohst import counts_upto, lll_gram, shells_upto
 from .lazy import lazy_module
 from .weyl import iter_bits
@@ -156,6 +161,20 @@ def _context(lat: "Lattice") -> "_LatticeContext":
     return ctx
 
 
+class _RootSystem(NamedTuple):
+    vectors: np.ndarray  # int32 rows, reduced-basis coordinates
+    masks: dict[int, list[int]]  # bit j of masks[d][i]: roots i and j have inner product d
+    linked: list[int]  # bit j of linked[i]: roots i and j are not orthogonal
+    simple: int  # bit mask of the simple roots
+    components: list[tuple[str, int]]  # (ADE symbol, bit mask) of each irreducible component
+    order: int  # |W|
+
+
+def _bit_rows(flags: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int, bit j for column j."""
+    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(flags, axis=1, bitorder="little")]
+
+
 class _LatticeContext:
     def __init__(self, lat: "Lattice"):
         self.fingerprint = lat.fingerprint
@@ -170,9 +189,6 @@ class _LatticeContext:
         self._shells_bound = 0
         self._counts: dict[int, int] = {0: 1}
         self._counts_bound = 0
-        self._roots = None
-        self._components = None
-        self._weyl = None
         self._orbits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._hists: dict[tuple[int, ...], dict[int, int]] = {}
 
@@ -225,51 +241,23 @@ class _LatticeContext:
             out[q] = [tuple(int(x) for x in row) for row in mapped]
         return out
 
-    # ---- roots ------------------------------------------------------------
+    # ---- roots and Weyl-group orbits ----------------------------------------
 
-    def root_data(self):
-        """(vectors int32 (reduced coords), masks by dot): bit j of masks[d][i]
-        is set when the roots i and j have inner product d."""
-        if self._roots is None:
-            arr = self.shell_array(2)
-            long = arr.astype(np.int64)
-            dots = long @ self._gram_red_np @ long.T
-            assert dots.max(initial=0) <= 2 and dots.min(initial=0) >= -2
-            masks = {}
-            for d in (-2, -1, 0, 1, 2):
-                packed = np.packbits(dots == d, axis=1, bitorder="little")
-                masks[d] = [int.from_bytes(row.tobytes(), "little") for row in packed]
-            self._roots = (arr, masks)
-        return self._roots
-
-    def _linked(self) -> list[int]:
-        """Bit mask, for each root, of the roots with nonzero inner product with it."""
-        masks = self.root_data()[1]
-        return [a | b | c | d for a, b, c, d in zip(masks[-2], masks[-1], masks[1], masks[2])]
-
-    def root_components(self) -> list[tuple[str, int]]:
-        """Irreducible components of the root system, as (ADE symbol, bit mask
-        of their root indices): the connected pieces of the graph joining roots
-        with nonzero inner product, each matched by (rank of span, root count)."""
-        if self._components is None:
-            arr = self.root_data()[0]
-            self._components = [
-                (rootdata.classify_component(rank_int(arr[list(iter_bits(comp))].tolist()), comp.bit_count()), comp)
-                for comp in weyl.pieces(self._linked(), (1 << len(arr)) - 1)
-            ]
-        return self._components
-
-    # ---- Weyl-group orbits --------------------------------------------------
-
-    def weyl_group(self) -> tuple[int, int]:
-        """(bit mask of the simple roots, order of the Weyl group W)."""
-        if self._weyl is None:
-            arr, masks = self.root_data()
-            symbols = [symbol for symbol, _ in self.root_components()]
-            simple = weyl.simple_roots(arr.tolist(), masks[1])
-            assert simple.bit_count() == sum(int(s[1:]) for s in symbols)
-            self._weyl = (simple, weyl.group_order(symbols))
-        return self._weyl
+    @functools.cached_property
+    def root_system(self) -> _RootSystem:
+        """The roots, their inner products, and the simple roots, which type
+        each irreducible component by its rank (`weyl.components`) and so
+        give the order of the Weyl group W."""
+        vectors = self.shell_array(2)
+        long = vectors.astype(np.int64)
+        dots = long @ self._gram_red_np @ long.T
+        assert dots.max(initial=0) <= 2 and dots.min(initial=0) >= -2
+        masks = {d: _bit_rows(dots == d) for d in range(-2, 3)}
+        linked = _bit_rows(dots != 0)
+        simple = weyl.simple_roots(vectors.tolist(), masks[1])
+        components = list(weyl.components(linked, simple, (1 << len(vectors)) - 1))
+        order = weyl.group_order(symbol for symbol, _ in components)
+        return _RootSystem(vectors, masks, linked, simple, components, order)
 
     def orbits(self, norm: int) -> tuple[np.ndarray, np.ndarray]:
         """(rows, weights): the vectors of the norm shell in the closed
@@ -280,15 +268,13 @@ class _LatticeContext:
         got = self._orbits.get(norm)
         if got is None:
             shell = self.shell_array(norm)
-            roots = self.root_data()[0].astype(np.int64)
-            simple, order = self.weyl_group()
-            if simple:
-                gs = self._gram_red_np @ roots[list(iter_bits(simple))].T
+            rs = self.root_system
+            roots = rs.vectors.astype(np.int64)
+            if rs.simple:
+                gs = self._gram_red_np @ roots[list(iter_bits(rs.simple))].T
                 rows = shell[_nonnegative_rows(shell, gs)]
-                dots = rows.astype(np.int64) @ self._gram_red_np @ roots.T
-                orthogonal = [int.from_bytes(z.tobytes(), "little")
-                              for z in np.packbits(dots == 0, axis=1, bitorder="little")]
-                weights = np.array(weyl.orbit_sizes(orthogonal, self._linked(), simple, order), dtype=np.int64)
+                orthogonal = _bit_rows(rows.astype(np.int64) @ self._gram_red_np @ roots.T == 0)
+                weights = np.array(weyl.orbit_sizes(orthogonal, rs.linked, rs.simple, rs.order), dtype=np.int64)
             else:
                 rows = _sign_half(shell)
                 weights = np.full(len(rows), 2, dtype=np.int64)
@@ -384,7 +370,7 @@ def shell_vectors(lat: "Lattice", norm: int) -> dict[int, list[tuple[int, ...]]]
 
 def root_components(lat: "Lattice") -> list[tuple[str, int]]:
     """(ADE symbol, root count) of each irreducible component of the root system."""
-    return [(symbol, comp.bit_count()) for symbol, comp in _context(lat).root_components()]
+    return [(symbol, comp.bit_count()) for symbol, comp in _context(lat).root_system.components]
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +469,6 @@ def _cache_put(fp: str, key: str, value: int) -> None:
     """Append the entry to the lattice's log in one write.  O_APPEND makes
     concurrent appends land whole and in turn; a short write leaves a torn
     tail, which the leading newline of the next record closes off."""
-    if _MEM_CACHE.get((fp, key)) == value:  # a nested call (shell_count) stored it
-        return
     _MEM_CACHE[(fp, key)] = value
     path = _disk_path(fp)
     if not path:
@@ -531,7 +515,7 @@ def _rep_count(lat: "Lattice", t: GramTarget) -> int:
     """r_L(T) for a class representative T (reduced, no zero rows)."""
     g = t.genus
     if g < 2:
-        return shell_count(lat, t.trace)
+        return _context(lat).counts_upto(t.trace).get(t.trace, 0)
     if all(t.entries[i][i] == 2 for i in range(g)):
         return _count_root_tuples(lat, t)
     return _count_general(lat, t)
@@ -632,15 +616,6 @@ def _root_dfs_level(masks, t_entries, g, level, level_masks) -> int:
     return total
 
 
-def _blocks(t: GramTarget) -> list[list[int]]:
-    """Slots of each connected block of the graph joining i and j when T_ij != 0."""
-    blocks: list[list[int]] = []
-    for i in range(t.genus):
-        joined = [b for b in blocks if any(t.entries[i][j] for j in b)]
-        blocks = [b for b in blocks if b not in joined] + [sorted([i, *(j for b in joined for j in b)])]
-    return blocks
-
-
 # r_R(T) by (ADE symbol of an irreducible root system R, class representative
 # of T): it depends on the type of R only, so every lattice with an E8
 # component shares the E8 counts.
@@ -660,7 +635,7 @@ def _component_count(ctx: "_LatticeContext", symbol: str, comp: int, t: GramTarg
     if n is None:
         n = comp.bit_count()
         if t.genus > 1:
-            masks = ctx.root_data()[1]
+            masks = ctx.root_system.masks
             rho = (comp & -comp).bit_length() - 1
             first = [masks[t.entries[0][k]][rho] & comp for k in range(1, t.genus)]
             n *= _root_dfs_level(masks, t.entries, t.genus, 1, first)
@@ -677,14 +652,16 @@ def _count_root_tuples(lat: "Lattice", t: GramTarget) -> int:
     The sum is a dynamic program over the components and the subsets of blocks.
     """
     ctx = _context(lat)
-    blocks = _blocks(t)
+    # The blocks are the pieces of the graph joining slots i and j when T_ij != 0.
+    linked = [sum(1 << j for j, x in enumerate(row) if x) for row in t.entries]
+    blocks = list(weyl.pieces(linked, (1 << t.genus) - 1))
     full = (1 << len(blocks)) - 1
     # parts[s]: T restricted to the slots of the blocks in the subset s.
-    parts = [t.principal_submatrix(sorted(i for k, b in enumerate(blocks) if s >> k & 1 for i in b))
+    parts = [t.principal_submatrix(list(iter_bits(sum(b for k, b in enumerate(blocks) if s >> k & 1))))
              for s in range(full + 1)]
     # ways[s]: maps of the blocks in s into the components taken so far.
     ways = [1] + [0] * full
-    for symbol, comp in ctx.root_components():
+    for symbol, comp in ctx.root_system.components:
         counts = [1] + [_component_count(ctx, symbol, comp, parts[s]) for s in range(1, full + 1)]
         new = list(ways)
         for s in range(1, full + 1):

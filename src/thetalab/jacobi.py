@@ -85,14 +85,12 @@ class VenkovReport:
 
 def _root_moment_matrix(lat: "Lattice") -> tuple[int, list[list[int]]]:
     """(r2, M) with M = sum over roots y of (G y)(G y)^T, exactly."""
-    table = enumeration.shell_vectors(lat, 2)
-    roots = table.get(2, [])
-    r2 = len(roots)
+    ctx = enumeration._context(lat)
+    y = ctx.shell_array(2).astype(np.int64) @ np.array(ctx.transform, dtype=np.int64)  # original basis
+    r2 = len(y)
     if r2 == 0:
         raise LatticeError("no roots: the moment identity is vacuous")
-    g = np.array([list(r) for r in lat.gram.rows], dtype=np.int64)
-    y = np.array(roots, dtype=np.int64)
-    gy = y @ g  # rows are (G y)^T
+    gy = y @ np.array(lat.gram.rows, dtype=np.int64)  # rows are (G y)^T
     assert int(np.abs(gy).max()) ** 2 * r2 < 2**62
     m = gy.T @ gy
     return r2, [[int(x) for x in row] for row in m]

@@ -18,6 +18,7 @@ from .enumeration import (
     GramTarget,
     RepresentationDomainError,
     candidate_targets,
+    class_representative,
     representation_count,
     representation_profile,
 )
@@ -284,13 +285,15 @@ def weight8_difference_coefficient(t: GramTarget) -> int:
 def weight12_product_coefficient(t: GramTarget) -> int:
     """Coefficient at T of (theta of E8) * ((theta of E8+E8) - (theta of D16+)).
 
-    Valid for T with diagonal entries in {0, 2}: every even PSD split of such a
-    T is a pair of complementary principal submatrices on block-compatible slot
+    A class invariant, so T is replaced by its class representative, which
+    must have diagonal entries in {0, 2}: every even PSD split of such a T is
+    a pair of complementary principal submatrices on block-compatible slot
     subsets, so the convolution is a finite sum over subsets.
     """
     from .niemeier import builtin
 
     e8 = builtin("E8")
+    t = class_representative(t)
     g = t.genus
     slots = [i for i in range(g) if t.entries[i][i] == 2]
     if any(t.entries[i][i] not in (0, 2) for i in range(g)):

@@ -11,6 +11,9 @@ Coxeter Groups, 1.12).  So the dominant vectors of a shell stand for its
 orbits, with the orbit sizes |W| / |W_y| as weights.
 
 Roots are indices into one list, and a set of roots is a bit mask over it.
+Each irreducible component of a set of roots is typed by its size and its
+number of simple roots, its rank (`components`), for the whole root system
+and for every stabiliser alike.
 """
 
 from __future__ import annotations
@@ -68,17 +71,21 @@ def group_order(symbols: Iterable[str]) -> int:
     return prod(rootdata.weyl_order(s[0], int(s[1:])) for s in symbols)
 
 
+def components(linked: Sequence[int], simple: int, roots: int) -> Iterator[tuple[str, int]]:
+    """(ADE symbol, bit mask) of each piece of the roots in the mask `roots`,
+    whose members in `simple` are a base of them: a piece holds as many
+    simple roots as its rank, which with its size gives its type."""
+    for piece in pieces(linked, roots):
+        yield rootdata.classify_component((piece & simple).bit_count(), piece.bit_count()), piece
+
+
 def orbit_sizes(orthogonal: Iterable[int], linked: Sequence[int], simple: int, order: int) -> list[int]:
     """|W| / |W_y| for each dominant y, given the mask of the roots
-    orthogonal to y: each piece of those roots holds as many simple roots as
-    its rank, which with its size gives its type."""
+    orthogonal to y, whose base is the simple roots among them."""
     stabilisers: dict[int, int] = {}
     sizes = []
     for roots in orthogonal:
         if roots not in stabilisers:
-            stabilisers[roots] = group_order(
-                rootdata.classify_component((piece & simple).bit_count(), piece.bit_count())
-                for piece in pieces(linked, roots)
-            )
+            stabilisers[roots] = group_order(symbol for symbol, _ in components(linked, simple, roots))
         sizes.append(order // stabilisers[roots])
     return sizes

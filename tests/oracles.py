@@ -7,7 +7,8 @@ from math import isqrt
 import numpy as np
 
 from thetalab.enumeration import GramTarget, candidate_targets, shell_vectors
-from thetalab.exactnum import NotPositiveDefiniteError
+from thetalab.exactnum import NotPositiveDefiniteError, rank_int
+from thetalab.rootdata import classify_component
 from thetalab.theta import Series
 
 
@@ -145,6 +146,18 @@ def fraction_rank(rows):
             a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
         rank += 1
     return rank
+
+
+def span_rank_types(vectors, masks):
+    """(ADE symbol, rank) of the roots in each bit mask over the rows of
+    `vectors`, the rank being that of their span by exact elimination
+    (`rank_int`), not a count of simple roots."""
+    out = []
+    for mask in masks:
+        rows = [v for i, v in enumerate(vectors) if mask >> i & 1]
+        rank = rank_int(rows)
+        out.append((classify_component(rank, len(rows)), rank))
+    return out
 
 
 def in_z_span(basis, v):

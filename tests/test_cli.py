@@ -146,6 +146,32 @@ def test_k_identity_zero_tset_is_input_error(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+def test_k_identity_tset_takes_conjugates_of_valid_indices(tmp_path, capsys):
+    # D4's Cartan matrix as given, and after x_2 -> x_2 + x_1 (diagonal 2, 4,
+    # 2, 2): the same class, so the same k and the same lhs and rhs.
+    payloads = []
+    for upper in ([2, 0, -1, 0, 2, -1, 0, 2, -1, 2], [2, 2, -1, 0, 4, -2, 0, 2, -1, 2]):
+        tset = tmp_path / "tset.json"
+        tset.write_text(json.dumps([upper]))
+        code, out = run_capture(capsys, ["k-identity", "--pair", "A17E7:D10E7^2", "--tset", str(tset)])
+        assert code == EXIT_PASS
+        payloads.append([line.rpartition("]: ")[2] for line in out.splitlines()
+                         if line.startswith(("k:", "verified:", "T ["))])
+    assert payloads[0] == payloads[1] == ["k: -15/128", "verified: true", "lhs=-604800 rhs=5160960"]
+
+
+def test_venkov_reports_an_inconsistent_root_system(tmp_path, capsys):
+    # A2 + D4 is not irreducible and its components have different Coxeter
+    # numbers, so r2 G is no multiple of the root moment matrix.
+    spec = tmp_path / "a2d4.json"
+    spec.write_text(json.dumps({"name": "A2D4", "gram": [
+        [2, -1, 0, 0, 0, 0], [-1, 2, 0, 0, 0, 0], [0, 0, 2, -1, 0, 0],
+        [0, 0, -1, 2, -1, -1], [0, 0, 0, -1, 2, 0], [0, 0, 0, -1, 0, 2]]}))
+    code, out = run_capture(capsys, ["venkov", "--spec", str(spec)])
+    assert code == EXIT_FAIL
+    assert "\nA2D4: r2=30 c=5 consistent=false spot_checked=0\n" in out
+
+
 def test_load_tset_default_and_file(tmp_path):
     assert load_tset(None) == CURATED_GENUS4
     f = tmp_path / "t.json"

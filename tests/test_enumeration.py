@@ -26,7 +26,7 @@ from thetalab.enumeration import (
 from thetalab.exactnum import IntMatrix, NotPositiveDefiniteError, RatMatrix, det_exact, ldl_rational, rank_int
 from thetalab.fincke_pohst import lll_gram
 from thetalab.jacobi import jacobi_coefficient
-from thetalab.lattices import direct_sum, from_gram, root_lattice
+from thetalab.lattices import direct_sum, from_gram, root_lattice, root_system
 from thetalab.niemeier import BUILTIN_NAMES, builtin
 from thetalab.rootdata import ade_gram
 
@@ -39,6 +39,7 @@ from oracles import (
     root_indices,
     root_tuple_count,
     shell_pair_histogram,
+    span_rank_types,
     tuple_gram_counts,
 )
 
@@ -274,6 +275,23 @@ def test_cache_round_trip(tmp_path, monkeypatch):
     assert representation_count(e8, t) == 13440
 
 
+def test_cold_genus1_count_is_one_lookup(tmp_path, monkeypatch):
+    # A genus-1 count reads the shell counts directly, so a cold one looks
+    # its key up once; with a cache directory it is written once.
+    e8 = builtin("E8")
+    for writes in (0, 1):
+        if writes:
+            monkeypatch.setenv(en.CACHE_ENV, str(tmp_path))
+        _fresh_process_view()
+        deltas = []
+        for _ in range(2):
+            before = en.cache_stats()
+            assert representation_count(e8, [[4]]) == 2160
+            after = en.cache_stats()
+            deltas.append({k: after[k] - before[k] for k in after if after[k] != before[k]})
+        assert deltas == [{"misses": 1, **({"writes": 1} if writes else {})}, {"memory_hits": 1}]
+
+
 def test_candidate_targets_g1():
     keys = [t.key() for t in candidate_targets(1, 4)]
     assert keys == ["1|0", "1|2", "1|4"]
@@ -431,8 +449,9 @@ def _block_gram(kind, rank):
 
 
 @st.composite
-def small_ade_lattices(draw, kinds=tuple(SMALL_ADE), max_rank=5, max_parts=3):
-    """(block-diagonal Gram, the same lattice under a random unimodular basis)."""
+def ade_sums(draw, kinds=tuple(SMALL_ADE), max_rank=5, max_parts=3):
+    """(components, block-diagonal Gram, the same lattice under a random
+    unimodular basis)."""
     comps = draw(
         st.lists(st.sampled_from(kinds), min_size=1, max_size=max_parts).filter(
             lambda c: sum(r for _, r in c) <= max_rank
@@ -454,7 +473,12 @@ def small_ade_lattices(draw, kinds=tuple(SMALL_ADE), max_rank=5, max_parts=3):
             m = draw(st.sampled_from((-2, -1, 1, 2)))
             u[i] = [a + m * b for a, b in zip(u[i], u[j])]
     changed = [[sum(u[i][a] * g[a][b] * u[j][b] for a in range(n) for b in range(n)) for j in range(n)] for i in range(n)]
-    return g, changed
+    return comps, g, changed
+
+
+def small_ade_lattices(kinds=tuple(SMALL_ADE), max_rank=5, max_parts=3):
+    """(block-diagonal Gram, the same lattice under a random unimodular basis)."""
+    return ade_sums(kinds, max_rank, max_parts).map(lambda drawn: drawn[1:])
 
 
 def _oracle_shells(gram, bound):
@@ -645,6 +669,36 @@ def test_root_engine_matches_oracle_on_random_bases(pair, targets):
     lat = from_gram("changed", changed)
     for t in targets:
         assert en._count_root_tuples(lat, t) == root_tuple_count(lat, t.entries), t.key()
+
+
+def _labels(symbols):
+    """Root-system labels as `root_system` reports them."""
+    return tuple(sorted(Counter(symbols).items(), key=lambda kv: (kv[0][0], int(kv[0][1:]))))
+
+
+def _check_root_typing(lat):
+    # Each component typed by its simple roots against the rank of its span,
+    # and the simple roots against the rank of the whole root set.
+    rs = en._context(lat).root_system
+    vectors = rs.vectors.tolist()
+    oracle = span_rank_types(vectors, [mask for _, mask in rs.components])
+    assert [(symbol, (mask & rs.simple).bit_count()) for symbol, mask in rs.components] == oracle
+    assert rs.simple.bit_count() == rank_int(vectors)
+    assert root_system(lat).components == _labels(symbol for symbol, _ in oracle)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_root_typing_matches_span_ranks_on_builtins(name):
+    _check_root_typing(builtin(name))
+
+
+@settings(max_examples=15, deadline=None)
+@given(ade_sums(kinds=tuple(ADE_UP_TO_8), max_rank=8, max_parts=5))
+def test_root_typing_matches_span_ranks_on_random_bases(drawn):
+    comps, _, changed = drawn
+    lat = from_gram("changed", changed)
+    _check_root_typing(lat)
+    assert root_system(lat).components == _labels(f"{kind}{rank}" for kind, rank in comps)
 
 
 def _conjugate_steps(rows, perm, steps, trace_bound):

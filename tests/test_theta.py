@@ -19,6 +19,7 @@ from thetalab.theta import (
     series_product,
     siegel_restrict,
     theta_truncated,
+    weight12_product_coefficient,
 )
 
 from oracles import constant_one
@@ -191,6 +192,26 @@ def test_k_identity_cannot_normalize_on_zero_target():
         k_identity_check(
             builtin("E8D16"), builtin("E8^3"), t_set=[GramTarget.zero(4)]
         )
+
+
+# D4's Cartan matrix, a curated index, and the same after x_2 -> x_2 + x_1:
+# diagonal (2, 4, 2, 2), whose class representative is the all-2 D4 index.
+D4_INDEX = GramTarget.from_rows([[2, 0, -1, 0], [0, 2, -1, 0], [-1, -1, 2, -1], [0, 0, -1, 2]])
+D4_MOVED = GramTarget.from_rows([[2, 2, -1, 0], [2, 4, -2, 0], [-1, -2, 2, -1], [0, 0, -1, 2]])
+
+
+def test_k_identity_on_a_conjugate_of_a_curated_index():
+    # Both sides are class invariants, so the moved index gives the rows and
+    # the k of the curated one.
+    assert D4_INDEX in CURATED_GENUS4
+    pair = builtin("A17E7"), builtin("D10E7^2")
+    curated = k_identity_check(*pair, t_set=[D4_INDEX])
+    moved = k_identity_check(*pair, t_set=[D4_MOVED])
+    assert [r[1:] for r in moved.rows] == [r[1:] for r in curated.rows] == [(-604800, 5160960)]
+    assert moved.k == curated.k == Fraction(-15, 128) and moved.verified
+    # A class whose representative has a diagonal entry 4 is still refused.
+    with pytest.raises(SeriesError, match="diagonal entries 0 or 2"):
+        weight12_product_coefficient(GramTarget.diagonal([4, 0, 0, 0]))
 
 
 def test_curated_set_shape():
