@@ -15,9 +15,8 @@ from .enumeration import (
     representation_count,
     representation_profile,
     shell_count,
-    shell_vectors,
 )
-from .exactnum import IntMatrix, NotPositiveDefiniteError, RatMatrix, det_exact, ldl_rational
+from .exactnum import NotPositiveDefiniteError, det_exact
 from .jacobi import (
     JacobiCoefficient,
     VenkovReport,

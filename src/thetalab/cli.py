@@ -98,10 +98,7 @@ def load_spec_file(path: str) -> Lattice:
         raise InputError("lattice spec name must be a string without line breaks")
     try:
         if "gram" in data:
-            gram = _int_rows(data["gram"], "gram")
-            if any(len(row) != len(gram) for row in gram):
-                raise InputError("gram must be a square matrix")
-            return lattices.from_gram(name, gram)
+            return lattices.from_gram(name, _int_rows(data["gram"], "gram"))
         if "components" in data:
             comps = data["components"]
             if not isinstance(comps, list) or not all(

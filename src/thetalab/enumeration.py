@@ -179,12 +179,8 @@ class _LatticeContext:
     def __init__(self, lat: "Lattice"):
         self.fingerprint = lat.fingerprint
         self.rank = lat.rank
-        self.gram = [list(r) for r in lat.gram.rows]
         self.decomposition = lat.decomposition
-        if self.rank:
-            self.gram_red, self.transform = lll_gram(self.gram)
-        else:
-            self.gram_red, self.transform = [], []
+        self.gram_red, self.transform = lll_gram(lat.gram)
         self._shells_np: dict[int, np.ndarray] = {}
         self._shells_bound = 0
         self._counts: dict[int, int] = {0: 1}
@@ -231,15 +227,6 @@ class _LatticeContext:
         if norm == 0:
             return np.zeros((1, self.rank), dtype=np.int32)
         return self.shell_arrays_upto(norm).get(norm, np.zeros((0, self.rank), dtype=np.int32))
-
-    def shell_vectors_original(self, bound: int) -> dict[int, list[tuple[int, ...]]]:
-        """Vectors by norm, mapped back to coordinates in the original basis."""
-        u = np.array(self.transform, dtype=np.int64).reshape(self.rank, self.rank)
-        out: dict[int, list[tuple[int, ...]]] = {}
-        for q, arr in self.shell_arrays_upto(bound).items():
-            mapped = arr.astype(np.int64) @ u
-            out[q] = [tuple(int(x) for x in row) for row in mapped]
-        return out
 
     # ---- roots and Weyl-group orbits ----------------------------------------
 
@@ -361,11 +348,6 @@ def shell_count(lat: "Lattice", norm: int) -> int:
     value = _context(lat).counts_upto(norm).get(norm, 0)
     _cache_put(lat.fingerprint, f"1|{norm}", value)
     return value
-
-
-def shell_vectors(lat: "Lattice", norm: int) -> dict[int, list[tuple[int, ...]]]:
-    """Vectors grouped by norm up to `norm`, in original-basis coordinates."""
-    return _context(lat).shell_vectors_original(norm)
 
 
 def root_components(lat: "Lattice") -> list[tuple[str, int]]:

@@ -1,14 +1,15 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra on matrices given as lists of int rows.
 
-Everything here works over arbitrary-precision integers and `Fraction`s;
-no floating point is used on any verified path.
+Everything here works over arbitrary-precision integers; rational rows enter
+only through `clear_denominators`.  No floating point is used on any
+verified path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 
@@ -20,94 +21,33 @@ class NotPositiveDefiniteError(ValueError):
         super().__init__(f"not positive definite: non-positive pivot at index {pivot_index}")
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense integer matrix stored as a tuple of row tuples."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.rows:
-            w = len(self.rows[0])
-            if any(len(r) != w for r in self.rows):
-                raise ValueError("ragged rows")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in r) for r in rows))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
-    def is_symmetric(self) -> bool:
-        return self.is_square() and all(
-            self.rows[i][j] == self.rows[j][i] for i in range(self.nrows) for j in range(i)
-        )
+def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """(d * rows as integer rows, d), with d the least common denominator of the entries."""
+    d = lcm(1, *(x.denominator for r in rows for x in r))
+    return [[int(x * d) for x in r] for r in rows], d
 
 
-@dataclass(frozen=True)
-class RatMatrix:
-    """Dense rational matrix; `Fraction` keeps entries reduced with positive denominator."""
-
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        if self.rows:
-            w = len(self.rows[0])
-            if any(len(r) != w for r in self.rows):
-                raise ValueError("ragged rows")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
-        return cls(tuple(tuple(Fraction(x) for x in r) for r in rows))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def common_denominator(self) -> int:
-        d = 1
-        for r in self.rows:
-            for x in r:
-                d = lcm(d, x.denominator)
-        return d
-
-    def scaled_int(self, d: int | None = None) -> tuple[IntMatrix, int]:
-        """Clear denominators: returns (d*self as IntMatrix, d)."""
-        if d is None:
-            d = self.common_denominator()
-        m = IntMatrix(tuple(tuple(int(x * d) for x in r) for r in self.rows))
-        return m, d
-
-
-def gram_of_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Euclidean Gram matrix of a list of row vectors."""
+def scaled_gram(rows: Sequence[Sequence[int]], d: int) -> tuple[tuple[int, ...], ...]:
+    """The Gram matrix B B^T / d^2 of the integer rows B.  Raises ValueError
+    unless every entry divides exactly."""
+    d2 = d * d
     n = len(rows)
-    g = [[Fraction(0)] * n for _ in range(n)]
+    g = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
-            s = sum(rows[i][k] * rows[j][k] for k in range(len(rows[i])))
-            g[i][j] = g[j][i] = s
-    return g
+            q, r = divmod(sum(map(mul, rows[i], rows[j])), d2)
+            if r:
+                raise ValueError("the rows do not have an integral Gram matrix")
+            g[i][j] = g[j][i] = q
+    return tuple(map(tuple, g))
 
 
-def det_exact(m: IntMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    if not m.is_square():
+def det_exact(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square list of integer rows, by Bareiss
+    fraction-free elimination."""
+    if any(len(r) != len(rows) for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    return _bareiss_det([list(r) for r in m.rows])
+    return _bareiss_det([list(r) for r in rows])
 
 
 def _bareiss_det(a: list[list[int]]) -> int:
@@ -162,30 +102,9 @@ def integral_gram_schmidt(g: Sequence[Sequence[int]]) -> tuple[list[int], list[l
     return d, lam
 
 
-def ldl_rational(g: RatMatrix) -> tuple[list[Fraction], RatMatrix]:
-    """Exact LDL^T-style factorization of a symmetric matrix: G = U^T D U.
-
-    U is unit upper-triangular, D a list of diagonal entries.  Raises
-    NotPositiveDefiniteError (with the offending pivot index) unless every
-    pivot is positive.  Computed by `integral_gram_schmidt` on G with its
-    denominators cleared.
-    """
-    n = g.nrows
-    if g.ncols != n or any(g.rows[i][j] != g.rows[j][i] for i in range(n) for j in range(i)):
-        raise ValueError("ldl_rational needs a symmetric matrix")
-    scaled, den = g.scaled_int()
-    d, lam = integral_gram_schmidt(scaled.rows)
-    pivots = [Fraction(d[k + 1], d[k] * den) for k in range(n)]
-    u = tuple(
-        tuple(Fraction(lam[j][k], d[k + 1]) if j > k else Fraction(int(j == k)) for j in range(n))
-        for k in range(n)
-    )
-    return pivots, RatMatrix(u)
-
-
-def is_positive_definite(g: IntMatrix) -> bool:
+def is_positive_definite(rows: Sequence[Sequence[int]]) -> bool:
     try:
-        integral_gram_schmidt(g.rows)
+        integral_gram_schmidt(rows)
     except NotPositiveDefiniteError:
         return False
     return True
@@ -278,13 +197,3 @@ def _hnf_int_rows(rows: list[list[int]]) -> list[list[int]]:
                 basis[k] = [x - q * y for x, y in zip(basis[k], basis[i])]
     return basis
 
-
-def row_basis_rational(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Basis (as rows) of the additive group generated by rational row vectors.
-
-    Clears the common denominator, row-reduces over Z, and scales back.
-    """
-    rat = RatMatrix.from_rows(rows)
-    scaled, d = rat.scaled_int()
-    basis = _hnf_int_rows([list(r) for r in scaled.rows])
-    return [[Fraction(x, d) for x in row] for row in basis]

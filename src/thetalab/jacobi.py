@@ -90,7 +90,7 @@ def _root_moment_matrix(lat: "Lattice") -> tuple[int, list[list[int]]]:
     r2 = len(y)
     if r2 == 0:
         raise LatticeError("no roots: the moment identity is vacuous")
-    gy = y @ np.array(lat.gram.rows, dtype=np.int64)  # rows are (G y)^T
+    gy = y @ np.array(lat.gram, dtype=np.int64)  # rows are (G y)^T
     assert int(np.abs(gy).max()) ** 2 * r2 < 2**62
     m = gy.T @ gy
     return r2, [[int(x) for x in row] for row in m]
@@ -108,7 +108,7 @@ def venkov_constant(lat: "Lattice", norm_bound: int = 8, per_vector_norm_cap: in
     orbit by its size.
     """
     r2, m = _root_moment_matrix(lat)
-    gram = lat.gram.rows
+    gram = lat.gram
     n = lat.rank
     c = None
     consistent = True

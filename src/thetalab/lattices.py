@@ -1,29 +1,24 @@
 """Construction and validation of even unimodular lattices.
 
-Lattices are held as a rational basis (rows in a Euclidean ambient space)
-together with the integer Gram matrix of that basis.  Root lattices, direct
-sums, D_n^+ plus-constructions and glue-code lattices are all built here and
-checked exactly: evenness, determinant, positive definiteness, root counts
-and the root-system label.
+A lattice is its integer Gram matrix; every invariant and every count
+depends on nothing else.  Root lattices, direct sums, D_n^+
+plus-constructions and glue-code lattices are all built here, the last two
+from rational rows in a Euclidean ambient space that are used once, in
+integers, to form the Gram matrix.  Each is checked exactly: evenness,
+determinant, positive definiteness, root counts and the root-system label.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from . import enumeration, rootdata
-from .exactnum import (
-    IntMatrix,
-    RatMatrix,
-    det_exact,
-    gram_of_rows,
-    is_positive_definite,
-    row_basis_rational,
-)
+from .exactnum import _hnf_int_rows, clear_denominators, det_exact, is_positive_definite, scaled_gram
 
 
 class LatticeError(ValueError):
@@ -70,19 +65,18 @@ class GlueSpec:
 
 @dataclass(frozen=True)
 class Lattice:
-    """An integral lattice: rational basis rows in Euclidean ambient space, with
-    the exact Gram matrix of those rows."""
+    """An integral lattice, given by the Gram matrix of a basis as a tuple of
+    int rows, and for glued lattices the glue data that its coset counts use."""
 
     name: str
-    basis: RatMatrix
-    gram: IntMatrix
+    gram: tuple[tuple[int, ...], ...]
     decomposition: tuple[tuple[tuple[str, int], ...], tuple[tuple[int, ...], ...]] | None = field(
         default=None, compare=False
     )
 
     @property
     def rank(self) -> int:
-        return self.gram.nrows
+        return len(self.gram)
 
     @property
     def fingerprint(self) -> str:
@@ -93,14 +87,8 @@ class Lattice:
 
 
 @lru_cache(maxsize=None)
-def _fingerprint_cached(rows: tuple[tuple[int, ...], ...]) -> str:
-    h = hashlib.sha256()
-    h.update(repr(rows).encode())
-    return h.hexdigest()[:32]
-
-
-def _fingerprint(gram: IntMatrix) -> str:
-    return _fingerprint_cached(gram.rows)
+def _fingerprint(gram: tuple[tuple[int, ...], ...]) -> str:
+    return hashlib.sha256(repr(gram).encode()).hexdigest()[:32]
 
 
 @dataclass(frozen=True)
@@ -130,86 +118,68 @@ class ValidationReport:
         return self.even and self.det == 1 and self.positive_definite
 
 
-def from_gram(name: str, gram, decomposition=None) -> Lattice:
-    g = gram if isinstance(gram, IntMatrix) else IntMatrix.from_rows(gram)
-    if not g.is_symmetric():
+def from_gram(name: str, gram) -> Lattice:
+    """The lattice with this Gram matrix: square, symmetric, with integer
+    entries (`operator.index`, so numpy integers pass and 2.5 or "2" do not)."""
+    try:
+        rows = tuple(tuple(map(operator.index, r)) for r in gram)
+    except TypeError as e:
+        raise LatticeError(f"Gram matrix entries must be integers: {e}")
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise LatticeError("Gram matrix must be square")
+    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
         raise LatticeError("Gram matrix must be symmetric")
-    n = g.nrows
-    basis = RatMatrix.from_rows([[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)])
-    return Lattice(name=name, basis=basis, gram=g, decomposition=decomposition)
+    return Lattice(name, rows)
 
 
 def root_lattice(kind: str, rank: int) -> Lattice:
     """The ADE root lattice with the standard Dynkin Gram matrix."""
-    roots = rootdata.simple_roots(kind, rank)
-    gram = rootdata.ade_gram(kind, rank)
-    return Lattice(
-        name=f"{kind}{rank}",
-        basis=RatMatrix.from_rows(roots),
-        gram=gram,
-        decomposition=(((kind, rank),), ((0,),)),
-    )
+    return Lattice(f"{kind}{rank}", rootdata.ade_gram(kind, rank), (((kind, rank),), ((0,),)))
 
 
 def direct_sum(l1: Lattice, l2: Lattice) -> Lattice:
     """Orthogonal direct sum; Gram is block diagonal."""
     n1, n2 = l1.rank, l2.rank
-    a1, a2 = l1.basis.ncols, l2.basis.ncols
-    rows = []
-    for r in l1.basis.rows:
-        rows.append(list(r) + [Fraction(0)] * a2)
-    for r in l2.basis.rows:
-        rows.append([Fraction(0)] * a1 + list(r))
-    gram = [[0] * (n1 + n2) for _ in range(n1 + n2)]
-    for i in range(n1):
-        for j in range(n1):
-            gram[i][j] = l1.gram.rows[i][j]
-    for i in range(n2):
-        for j in range(n2):
-            gram[n1 + i][n1 + j] = l2.gram.rows[i][j]
+    if n1 == 0:
+        return l2
+    if n2 == 0:
+        return l1
+    gram = tuple(r + (0,) * n2 for r in l1.gram) + tuple((0,) * n1 + r for r in l2.gram)
     decomposition = None
     if l1.decomposition and l2.decomposition:
         (c1, w1), (c2, w2) = l1.decomposition, l2.decomposition
         if len(w1) * len(w2) <= 4096:
             decomposition = (c1 + c2, tuple(a + b for a in w1 for b in w2))
-    name = f"{l1.name}+{l2.name}"
-    if n1 == 0:
-        return Lattice(name=l2.name, basis=l2.basis, gram=l2.gram, decomposition=l2.decomposition)
-    if n2 == 0:
-        return Lattice(name=l1.name, basis=l1.basis, gram=l1.gram, decomposition=l1.decomposition)
-    return Lattice(
-        name=name,
-        basis=RatMatrix.from_rows(rows),
-        gram=IntMatrix.from_rows(gram),
-        decomposition=decomposition,
-    )
+    return Lattice(f"{l1.name}+{l2.name}", gram, decomposition)
 
 
-ZERO_LATTICE = Lattice(name="0", basis=RatMatrix(()), gram=IntMatrix(()), decomposition=((), ((),)))
+ZERO_LATTICE = Lattice("0", (), ((), ((),)))
+
+
+def _from_ambient(name: str, rows, rank: int, decomposition) -> Lattice:
+    """The lattice generated by rational ambient rows, which must have this
+    rank and be even unimodular: one denominator d is cleared, the integer
+    rows are row-reduced, and the Gram matrix B B^T / d^2 is formed in ints."""
+    scaled, d = clear_denominators(rows)
+    basis = _hnf_int_rows(scaled)
+    try:
+        gram = scaled_gram(basis, d)
+    except ValueError:
+        raise LatticeError(f"{name}: the rows do not generate an integral lattice")
+    if len(basis) != rank:
+        raise LatticeError(f"{name}: the rows generate rank {len(basis)}, expected {rank}")
+    lat = Lattice(name, gram, decomposition)
+    _require_even_unimodular(lat)
+    return lat
 
 
 def plus_construction(n: int) -> Lattice:
     """D_n^+: D_n together with the all-halves glue vector; even unimodular iff 8 | n."""
     if n < 8 or n % 8 != 0:
         raise LatticeError(f"D_{n}^+ is not an even unimodular lattice (need n = 0 mod 8)")
-    dn = rootdata.simple_roots("D", n)
-    rows = [list(r) for r in dn]
-    rows.append([Fraction(1, 2)] * n)
-    basis = row_basis_rational(rows)
-    if len(basis) != n:
-        raise LatticeError("plus construction did not give a full-rank lattice")
-    gram_rat = gram_of_rows(basis)
-    if any(x.denominator != 1 for r in gram_rat for x in r):
-        raise LatticeError("plus construction gave a non-integral Gram matrix")
-    gram = IntMatrix.from_rows([[int(x) for x in r] for r in gram_rat])
-    lat = Lattice(
-        name=f"D{n}+",
-        basis=RatMatrix.from_rows(basis),
-        gram=gram,
-        decomposition=((("D", n),), ((0,), (1,))),
-    )
-    _require_even_unimodular(lat)
-    return lat
+    rows = [*rootdata.simple_roots("D", n), [Fraction(1, 2)] * n]
+    return _from_ambient(f"D{n}+", rows, n, ((("D", n),), ((0,), (1,))))
 
 
 def glue(spec: GlueSpec, name: str | None = None) -> Lattice:
@@ -218,46 +188,18 @@ def glue(spec: GlueSpec, name: str | None = None) -> Lattice:
     Fails unless the result is an integral even unimodular positive definite
     lattice (bad glue data is detected, not repaired).
     """
+    comps = spec.components
     words = spec.word_group()
-    total_rank = sum(rank for _, rank in spec.components)
-    offsets = []
-    dim = 0
-    for kind, rank in spec.components:
-        offsets.append(dim)
-        dim += rootdata.ambient_dim(kind, rank)
-    rows: list[list[Fraction]] = []
-    for (kind, rank), off in zip(spec.components, offsets):
-        for root in rootdata.simple_roots(kind, rank):
-            row = [Fraction(0)] * dim
-            for t, x in enumerate(root):
-                row[off + t] = x
-            rows.append(row)
+    dims = [rootdata.ambient_dim(kind, rank) for kind, rank in comps]
+    rows = []
+    for c, (kind, rank) in enumerate(comps):
+        pad = (0,) * sum(dims[:c]), (0,) * sum(dims[c + 1 :])
+        rows += [pad[0] + root + pad[1] for root in rootdata.simple_roots(kind, rank)]
     for word in words:
-        row = [Fraction(0)] * dim
-        for (kind, rank), cls, off in zip(spec.components, word, offsets):
-            rep = rootdata.disc_rep_ambient(kind, rank, cls)
-            for t, x in enumerate(rep):
-                row[off + t] += x
-        rows.append(row)
-    basis = row_basis_rational(rows)
-    if len(basis) != total_rank:
-        raise LatticeError(
-            f"glue produced rank {len(basis)}, expected {total_rank}"
-        )
-    gram_rat = gram_of_rows(basis)
-    if any(x.denominator != 1 for r in gram_rat for x in r):
-        raise LatticeError("glue words do not give an integral lattice")
-    gram = IntMatrix.from_rows([[int(x) for x in r] for r in gram_rat])
+        rows.append(sum((rootdata.disc_rep_ambient(kind, rank, cls) for (kind, rank), cls in zip(comps, word)), ()))
     if name is None:
-        name = "".join(f"{k}{r}" for k, r in spec.components)
-    lat = Lattice(
-        name=name,
-        basis=RatMatrix.from_rows(basis),
-        gram=gram,
-        decomposition=(spec.components, words),
-    )
-    _require_even_unimodular(lat)
-    return lat
+        name = "".join(f"{kind}{rank}" for kind, rank in comps)
+    return _from_ambient(name, rows, sum(rank for _, rank in comps), (comps, words))
 
 
 def _require_even_unimodular(lat: Lattice) -> None:
@@ -272,12 +214,12 @@ def _require_even_unimodular(lat: Lattice) -> None:
 def validate(lat: Lattice) -> ValidationReport:
     """Exact invariant checks; enumeration supplies min norm and root count."""
     g = lat.gram
-    even = all(g.rows[i][i] % 2 == 0 for i in range(g.nrows))
+    even = all(r[i] % 2 == 0 for i, r in enumerate(g))
     det = det_exact(g)
-    pd = is_positive_definite(g) if g.nrows else True
+    pd = is_positive_definite(g)
     min_norm = None
     roots = None
-    if pd and g.nrows:
+    if pd and g:
         min_norm = minimum_norm(lat)
         roots = enumeration.shell_count(lat, 2)
     return ValidationReport(even=even, det=det, positive_definite=pd, min_norm=min_norm, root_count=roots)
@@ -288,7 +230,7 @@ def minimum_norm(lat: Lattice) -> int:
     if lat.rank == 0:
         raise EmptyLatticeError("rank-0 lattice has no nonzero vectors")
     bound = 2
-    limit = 2 * max(lat.gram.rows[i][i] for i in range(lat.rank))
+    limit = 2 * max(lat.gram[i][i] for i in range(lat.rank))
     while True:
         counts = enumeration.shell_counts_upto(lat, bound)
         hits = [q for q, c in counts.items() if q > 0 and c > 0]

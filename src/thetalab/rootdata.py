@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exactnum import IntMatrix, det_exact, gram_of_rows
+from .exactnum import clear_denominators, det_exact, scaled_gram
 
 def _check(kind: str, rank: int) -> None:
     if kind == "A" and rank >= 1:
@@ -71,9 +71,8 @@ def simple_roots(kind: str, rank: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def ade_gram(kind: str, rank: int) -> IntMatrix:
-    g = gram_of_rows(simple_roots(kind, rank))
-    return IntMatrix.from_rows([[int(x) for x in r] for r in g])
+def ade_gram(kind: str, rank: int) -> tuple[tuple[int, ...], ...]:
+    return scaled_gram(*clear_denominators(simple_roots(kind, rank)))
 
 
 def disc_order(kind: str, rank: int) -> int:
@@ -88,9 +87,9 @@ def disc_order(kind: str, rank: int) -> int:
 @lru_cache(maxsize=None)
 def _inverse_gram(kind: str, rank: int) -> list[list[Fraction]]:
     g = ade_gram(kind, rank)
-    n = g.nrows
+    n = len(g)
     det = det_exact(g)
-    aug = [[Fraction(g.rows[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    aug = [[Fraction(g[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = next(i for i in range(col, n) if aug[i][col] != 0)
         aug[col], aug[piv] = aug[piv], aug[col]

@@ -379,7 +379,7 @@ def parse_series(text: str) -> Series:
     header = {}
     body_start = 1
     for i, ln in enumerate(lines[1:], start=1):
-        if ":" in ln and "=" not in ln:
+        if ":" in ln:  # body rows never contain ":"
             key, _, val = ln.partition(":")
             header[key.strip()] = val.strip()
             body_start = i + 1

@@ -6,7 +6,8 @@ from math import isqrt
 
 import numpy as np
 
-from thetalab.enumeration import GramTarget, candidate_targets, shell_vectors
+from thetalab import enumeration
+from thetalab.enumeration import GramTarget, candidate_targets
 from thetalab.exactnum import NotPositiveDefiniteError, rank_int
 from thetalab.rootdata import classify_component
 from thetalab.theta import Series
@@ -166,10 +167,22 @@ def in_z_span(basis, v):
     return coords is not None and all(c.denominator == 1 for c in coords)
 
 
+def shells_in_basis(lat, bound):
+    """The lattice's vectors of each norm <= bound, as tuples of coordinates in
+    its own basis: the context's stored shells (reduced coordinates) mapped
+    through its change of basis."""
+    ctx = enumeration._context(lat)
+    u = np.array(ctx.transform, dtype=np.int64).reshape(lat.rank, lat.rank)
+    return {
+        q: [tuple(map(int, row)) for row in arr.astype(np.int64) @ u]
+        for q, arr in ctx.shell_arrays_upto(bound).items()
+    }
+
+
 def pairwise_dots(lat, vectors):
     """Exact inner-product matrix of vectors given in original-basis coordinates."""
     v = np.array(vectors, dtype=np.int64)
-    g = np.array([list(r) for r in lat.gram.rows], dtype=np.int64)
+    g = np.array(lat.gram, dtype=np.int64).reshape(lat.rank, lat.rank)
     bound = (np.abs(v).max(initial=0) ** 2) * max(1, int(np.abs(g).max(initial=0))) * max(1, lat.rank) ** 2
     assert bound < 2**62, "dot bound exceeded"
     return v @ g @ v.T
@@ -288,7 +301,7 @@ def root_tuple_count(lat, t):
     over all roots of L: x_0 runs over one root of each +-v pair and the total
     is doubled; x_k for k >= 1 runs over the roots whose inner products with
     the slots fixed so far match T."""
-    roots = shell_vectors(lat, 2).get(2, [])
+    roots = shells_in_basis(lat, 2).get(2, [])
     if not roots:
         return 0
     g = len(t)

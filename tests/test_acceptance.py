@@ -296,7 +296,7 @@ def test_criterion_11_engineering(tmp_path):
     # Brute-force oracle equivalence of the enumerator, up to norm 8.
     for kind, rank in (("A", 1), ("A", 2), ("D", 4)):
         L = lat.root_lattice(kind, rank)
-        gram = [list(r) for r in L.gram.rows]
+        gram = [list(r) for r in L.gram]
         got = {q: c for q, c in en.shell_counts_upto(L, 8).items() if q > 0}
         ok &= got == ldl_box_counts(gram, 8)
     got = {q: c for q, c in en.shell_counts_upto(builtin("E8"), 8).items() if q > 0}

@@ -69,7 +69,7 @@ def test_d_coset_counts_match_box_scan(rank, cls):
 @pytest.mark.parametrize("kind,rank", [("A", 5), ("D", 6), ("E", 6), ("E", 7), ("E", 8)])
 def test_class0_matches_direct_enumeration(kind, rank):
     table = dict(component_coset_counts(kind, rank, 0, Fraction(8)))
-    gram = [list(r) for r in ade_gram(kind, rank).rows]
+    gram = [list(r) for r in ade_gram(kind, rank)]
     fp = {Fraction(k): v for k, v in counts_upto(gram, 8).items()}
     fp[Fraction(0)] = 1
     assert table == fp
@@ -84,7 +84,7 @@ def test_d8_plus_equals_e8_shells():
 def test_glued_counts_match_streaming_on_a_niemeier_lattice():
     lat = builtin("A5^4D4")
     dp = shell_counts_upto(lat, 4)
-    gram = [list(r) for r in lat.gram.rows]
+    gram = [list(r) for r in lat.gram]
     fp = counts_upto(gram, 4)
     fp[0] = 1
     assert dp == fp
@@ -93,7 +93,7 @@ def test_glued_counts_match_streaming_on_a_niemeier_lattice():
 def test_glued_counts_match_streaming_on_d16_plus():
     lat = builtin("D16+")
     dp = shell_counts_upto(lat, 6)
-    gram = [list(r) for r in lat.gram.rows]
+    gram = [list(r) for r in lat.gram]
     fp = counts_upto(gram, 6)
     fp[0] = 1
     assert dp == fp
@@ -128,6 +128,6 @@ def test_coset_counts_of_random_root_lattice_sums_match_streaming(parts):
     for kind, rank in parts[1:]:
         lat = direct_sum(lat, root_lattice(kind, rank))
     assert lat.decomposition is not None
-    fp = counts_upto([list(r) for r in lat.gram.rows], 8)
+    fp = counts_upto([list(r) for r in lat.gram], 8)
     fp[0] = 1
     assert shell_counts_upto(lat, 8) == fp

@@ -21,9 +21,8 @@ from thetalab.enumeration import (
     representation_profile,
     shell_count,
     shell_counts_upto,
-    shell_vectors,
 )
-from thetalab.exactnum import IntMatrix, NotPositiveDefiniteError, RatMatrix, det_exact, ldl_rational, rank_int
+from thetalab.exactnum import NotPositiveDefiniteError, det_exact, integral_gram_schmidt, rank_int
 from thetalab.fincke_pohst import lll_gram
 from thetalab.jacobi import jacobi_coefficient
 from thetalab.lattices import direct_sum, from_gram, root_lattice, root_system
@@ -39,6 +38,7 @@ from oracles import (
     root_indices,
     root_tuple_count,
     shell_pair_histogram,
+    shells_in_basis,
     span_rank_types,
     tuple_gram_counts,
 )
@@ -50,7 +50,7 @@ from oracles import (
 )
 def test_shells_match_ldl_box_oracle(kind, rank, bound):
     lat = root_lattice(kind, rank)
-    gram = [list(r) for r in lat.gram.rows]
+    gram = [list(r) for r in lat.gram]
     expect = ldl_box_counts(gram, bound)
     got = {q: c for q, c in shell_counts_upto(lat, bound).items() if q > 0}
     assert got == expect
@@ -72,7 +72,7 @@ def test_known_small_shells():
 
 def test_shell_vectors_structure():
     e8 = builtin("E8")
-    table = shell_vectors(e8, 4)
+    table = shells_in_basis(e8, 4)
     assert set(table) == {2, 4}
     for q, vecs in table.items():
         assert len(vecs) == shell_count(e8, q)
@@ -88,7 +88,7 @@ def test_shell_vectors_structure():
 def test_shell_counts_invariant_under_basis_change(name, perm):
     kind, rank = name[0], int(name[1])
     lat = root_lattice(kind, rank)
-    g = [list(r) for r in lat.gram.rows]
+    g = [list(r) for r in lat.gram]
     n = len(g)
     # Unimodular change of basis: permutation plus one shear.
     p = [i % n for i in perm[:n]]
@@ -110,10 +110,11 @@ def test_lll_gram_is_reduced_change_of_basis(a):
     red, u = lll_gram(g)
     assert red == [[sum(u[i][s] * g[s][t] * u[j][t] for s in range(n) for t in range(n))
                     for j in range(n)] for i in range(n)]
-    assert abs(det_exact(IntMatrix.from_rows(u))) == 1
-    # red = U^T D U: mu[i][j] = U[j][i] and bstar = D.
-    bstar, umat = ldl_rational(RatMatrix.from_rows(red))
-    mu = [[umat.rows[j][i] for j in range(n)] for i in range(n)]
+    assert abs(det_exact(u)) == 1
+    # Gram-Schmidt data of red: bstar[k] = d[k+1]/d[k], mu[i][j] = lam[i][j]/d[j+1].
+    d, lam = integral_gram_schmidt(red)
+    bstar = [Fraction(d[k + 1], d[k]) for k in range(n)]
+    mu = [[Fraction(lam[i][j], d[j + 1]) for j in range(n)] for i in range(n)]
     assert all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(n) for j in range(i))
     assert all(bstar[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bstar[k - 1] for k in range(1, n))
 
@@ -139,7 +140,7 @@ def test_representation_count_e8_values():
 
 def test_pair_count_brute_force_oracle():
     e8 = builtin("E8")
-    roots = shell_vectors(e8, 2)[2]
+    roots = shells_in_basis(e8, 2)[2]
     dots = pairwise_dots(e8, roots)
     for b in (-2, -1, 0, 1, 2):
         expect = int((dots == b).sum())
@@ -150,7 +151,7 @@ def test_pair_count_brute_force_oracle():
 
 def test_triple_count_brute_force_oracle_on_a2():
     a2 = root_lattice("A", 2)
-    vecs = shell_vectors(a2, 2)[2]
+    vecs = shells_in_basis(a2, 2)[2]
     dots = pairwise_dots(a2, vecs)
     t = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
     expect = 0
@@ -445,7 +446,7 @@ ROOTLESS = ("R", 2)
 
 
 def _block_gram(kind, rank):
-    return [[4, 1], [1, 4]] if (kind, rank) == ROOTLESS else ade_gram(kind, rank).rows
+    return [[4, 1], [1, 4]] if (kind, rank) == ROOTLESS else ade_gram(kind, rank)
 
 
 @st.composite
@@ -759,7 +760,7 @@ def test_class_representative_properties(drawn):
     assert all(e[i][i] <= e[i + 1][i + 1] for i in range(h - 1))
     # Same determinant once padded with the dropped zero rows, same rank.
     padded = [list(r) + [0] * (g - h) for r in e] + [[0] * g for _ in range(g - h)]
-    assert det_exact(IntMatrix.from_rows(padded)) == det_exact(IntMatrix.from_rows(t.entries))
+    assert det_exact(padded) == det_exact(t.entries)
     assert rank_int(e) == rank_int(t.entries)
     # Every permutation and sign change of T has the same representative.
     for p in itertools.permutations(range(g)):

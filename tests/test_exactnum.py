@@ -5,16 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetalab.exactnum import (
-    IntMatrix,
     NotPositiveDefiniteError,
-    RatMatrix,
+    _hnf_int_rows,
+    clear_denominators,
     det_exact,
-    gram_of_rows,
+    integral_gram_schmidt,
     is_positive_definite,
     is_positive_semidefinite,
-    ldl_rational,
     rank_int,
-    row_basis_rational,
+    scaled_gram,
 )
 
 from oracles import fraction_ldl, fraction_rank, in_z_span
@@ -37,11 +36,11 @@ GRAM_A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
 
 
 def test_det_1x1():
-    assert det_exact(IntMatrix.from_rows([[2]])) == 2
+    assert det_exact([[2]]) == 2
 
 
 def test_det_a4_matches_cofactor_oracle():
-    assert det_exact(IntMatrix.from_rows(GRAM_A4)) == cofactor_det(GRAM_A4) == 5
+    assert det_exact(GRAM_A4) == cofactor_det(GRAM_A4) == 5
 
 
 def test_det_e8_is_one():
@@ -49,12 +48,12 @@ def test_det_e8_is_one():
 
     g = ade_gram("E", 8)
     assert det_exact(g) == 1
-    assert cofactor_det([list(r) for r in g.rows]) == 1
+    assert cofactor_det([list(r) for r in g]) == 1
 
 
 def test_det_rejects_nonsquare():
     with pytest.raises(ValueError):
-        det_exact(IntMatrix.from_rows([[1, 2]]))
+        det_exact([[1, 2]])
 
 
 @settings(max_examples=150, deadline=None)
@@ -66,34 +65,44 @@ def test_det_rejects_nonsquare():
     )
 )
 def test_det_matches_cofactor_on_random_matrices(rows):
-    assert det_exact(IntMatrix.from_rows(rows)) == cofactor_det(rows)
+    assert det_exact(rows) == cofactor_det(rows)
+
+
+def ldl(g):
+    """(pivots, U) with G = U^T diag(pivots) U, read off `integral_gram_schmidt`:
+    pivot k is d[k+1]/d[k], and U[k][i] = mu[i][k] = lam[i][k]/d[k+1]."""
+    d, lam = integral_gram_schmidt(g)
+    n = len(g)
+    pivots = [Fraction(d[k + 1], d[k]) for k in range(n)]
+    u = [[Fraction(lam[i][k], d[k + 1]) if i > k else Fraction(int(i == k)) for i in range(n)] for k in range(n)]
+    return pivots, u
 
 
 def test_ldl_1x1():
-    d, u = ldl_rational(RatMatrix.from_rows([[2]]))
+    d, u = ldl([[2]])
     assert d == [Fraction(2)]
-    assert u.rows == ((Fraction(1),),)
+    assert u == [[Fraction(1)]]
 
 
 def test_ldl_2x2_hand_checked():
-    d, u = ldl_rational(RatMatrix.from_rows([[2, 1], [1, 2]]))
+    d, u = ldl([[2, 1], [1, 2]])
     assert d == [Fraction(2), Fraction(3, 2)]
-    assert u.rows == ((Fraction(1), Fraction(1, 2)), (Fraction(0), Fraction(1)))
+    assert u == [[Fraction(1), Fraction(1, 2)], [Fraction(0), Fraction(1)]]
 
 
 def test_ldl_d4_pivots_positive():
     from thetalab.rootdata import ade_gram
 
-    d, _ = ldl_rational(RatMatrix.from_rows(ade_gram("D", 4).rows))
+    d, _ = ldl(ade_gram("D", 4))
     assert len(d) == 4 and all(p > 0 for p in d)
 
 
 def test_ldl_reports_first_bad_pivot():
     with pytest.raises(NotPositiveDefiniteError) as exc:
-        ldl_rational(RatMatrix.from_rows([[2, 0], [0, -2]]))
+        integral_gram_schmidt([[2, 0], [0, -2]])
     assert exc.value.pivot_index == 1
     with pytest.raises(NotPositiveDefiniteError) as exc:
-        ldl_rational(RatMatrix.from_rows([[0]]))
+        integral_gram_schmidt([[0]])
     assert exc.value.pivot_index == 0
 
 
@@ -109,12 +118,9 @@ def test_ldl_reconstructs_when_it_succeeds(rows):
     n = len(rows)
     # A^T A + I is symmetric positive definite.
     g = [[sum(rows[k][i] * rows[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]
-    d, u = ldl_rational(RatMatrix.from_rows(g))
-    rec = [
-        [sum(u.rows[k][i] * d[k] * u.rows[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    assert rec == [[Fraction(x) for x in row] for row in g]
+    d, u = ldl(g)
+    rec = [[sum(u[k][i] * d[k] * u[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    assert rec == g
 
 
 def _symmetric(rows):
@@ -137,27 +143,15 @@ def test_ldl_matches_fraction_elimination(rows):
         want = fraction_ldl(g)
     except NotPositiveDefiniteError as e:
         with pytest.raises(NotPositiveDefiniteError) as exc:
-            ldl_rational(RatMatrix.from_rows(g))
+            integral_gram_schmidt(g)
         assert exc.value.pivot_index == e.pivot_index
         return
-    d, u = ldl_rational(RatMatrix.from_rows(g))
-    assert (d, [list(r) for r in u.rows]) == want
-
-
-def test_ldl_of_a_rational_matrix():
-    g = [[Fraction(1, 2), Fraction(1, 3), 0], [Fraction(1, 3), 1, Fraction(-1, 4)], [0, Fraction(-1, 4), Fraction(5, 6)]]
-    d, u = ldl_rational(RatMatrix.from_rows(g))
-    assert (d, [list(r) for r in u.rows]) == fraction_ldl(g)
-    n = len(g)
-    assert [[sum(u.rows[k][i] * d[k] * u.rows[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == g
-    with pytest.raises(NotPositiveDefiniteError) as exc:
-        ldl_rational(RatMatrix.from_rows([[Fraction(1, 2), 1], [1, Fraction(1, 3)]]))
-    assert exc.value.pivot_index == 1
+    assert ldl(g) == want
 
 
 def test_psd_checks():
-    assert is_positive_definite(IntMatrix.from_rows([[2, 1], [1, 2]]))
-    assert not is_positive_definite(IntMatrix.from_rows([[2, 2], [2, 2]]))
+    assert is_positive_definite([[2, 1], [1, 2]])
+    assert not is_positive_definite([[2, 2], [2, 2]])
     assert is_positive_semidefinite([[2, 2], [2, 2]])
     assert not is_positive_semidefinite([[0, 1], [1, 0]])
 
@@ -176,19 +170,22 @@ def _d8_plus_rows():
 
 
 def test_hnf_d8_plus_gives_even_unimodular_lattice():
-    basis = row_basis_rational(_d8_plus_rows())
+    scaled, d = clear_denominators(_d8_plus_rows())
+    assert d == 2
+    basis = _hnf_int_rows(scaled)
     assert len(basis) == 8
-    gram = gram_of_rows(basis)
-    assert all(x.denominator == 1 for r in gram for x in r)
-    gi = IntMatrix.from_rows([[int(x) for x in r] for r in gram])
-    assert det_exact(gi) == 1
-    assert all(gi.rows[i][i] % 2 == 0 for i in range(8))
+    gram = scaled_gram(basis, d)
+    assert det_exact(gram) == 1
+    assert all(gram[i][i] % 2 == 0 for i in range(8))
+    # (e1 / 2) . (e1 / 2) = 1/4 is not an integer.
+    with pytest.raises(ValueError):
+        scaled_gram([[1] + [0] * 7], 2)
 
 
 def test_row_basis_independent_of_row_order():
-    rows = _d8_plus_rows()
-    b1 = row_basis_rational(rows)
-    b2 = row_basis_rational(list(reversed(rows)))
+    rows, _ = clear_denominators(_d8_plus_rows())
+    b1 = _hnf_int_rows(rows)
+    b2 = _hnf_int_rows(list(reversed(rows)))
     # Same lattice: mutual membership of basis vectors.
     assert all(in_z_span(b1, v) for v in b2)
     assert all(in_z_span(b2, v) for v in b1)

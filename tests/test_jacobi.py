@@ -13,7 +13,7 @@ from thetalab.jacobi import (
 from thetalab.lattices import LatticeError, from_gram
 from thetalab.niemeier import builtin
 
-from oracles import by_target, pairwise_dots
+from oracles import by_target, pairwise_dots, shells_in_basis
 
 S0 = GramTarget.from_rows([[0]])
 S2 = GramTarget.from_rows([[2]])
@@ -37,7 +37,7 @@ def test_e8_index1_marginal_and_histogram():
     tab = by_target(jac, S2)
     assert sum(tab.values()) == 240 * 240
     # Independent double loop over root pairs.
-    roots = en.shell_vectors(e8, 2)[2]
+    roots = shells_in_basis(e8, 2)[2]
     dots = pairwise_dots(e8, roots)
     for ell in (-2, -1, 0, 1, 2):
         assert tab[(ell,)] == int((dots == ell).sum())
@@ -93,9 +93,9 @@ def test_venkov_e8_constant_rank_over_two():
 def test_venkov_direct_double_loop_oracle():
     e8 = builtin("E8")
     rep = venkov_constant(e8, per_vector_norm_cap=2)
-    shells = en.shell_vectors(e8, 4)
+    shells = shells_in_basis(e8, 4)
     roots = shells[2]
-    g = [list(r) for r in e8.gram.rows]
+    g = e8.gram
 
     def q(v, w):
         return sum(v[i] * g[i][j] * w[j] for i in range(8) for j in range(8))
@@ -115,7 +115,7 @@ def test_venkov_invariant_under_basis_permutation():
     rep = venkov_constant(lat, per_vector_norm_cap=2)
     n = lat.rank
     perm = list(reversed(range(n)))
-    g = lat.gram.rows
+    g = lat.gram
     permuted = from_gram("D4^6-permuted", [[g[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
     rep2 = venkov_constant(permuted, per_vector_norm_cap=2)
     assert rep2.consistent and rep2.constant == rep.constant == Fraction(12)

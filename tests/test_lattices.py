@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from thetalab import enumeration as en
@@ -20,11 +23,48 @@ from thetalab.lattices import (
     stable_eq_hyp_predicate,
     validate,
 )
-from thetalab.niemeier import builtin
+from thetalab.niemeier import BUILTIN_NAMES, builtin
 
 
 def test_a1_gram():
-    assert root_lattice("A", 1).gram.rows == ((2,),)
+    assert root_lattice("A", 1).gram == ((2,),)
+
+
+def test_from_gram_takes_integers_only():
+    assert from_gram("x", np.array([[2, 1], [1, 2]])).gram == ((2, 1), (1, 2))
+    for bad in (
+        [[2.5]],
+        [["2"]],
+        [[Fraction(5, 2)]],
+        [[2, 1], [1]],  # ragged
+        [[2, 1]],  # not square
+        [[2, 1], [0, 2]],  # not symmetric
+    ):
+        with pytest.raises(LatticeError):
+            from_gram("x", bad)
+
+
+# SHA-256 prefixes of the built-in Gram matrices; cache logs and report
+# `lattice:` lines are keyed by them.
+BUILTIN_FINGERPRINTS = {
+    "E8": "fb618f6924fe760b1f79d83d61805002",
+    "E8+E8": "3d6766ce236dfbacb4638c1008104c30",
+    "D16+": "7540c51b0d029ab11e194203aed93ea3",
+    "A5^4D4": "e43fdbb423dc3c21545a4bb49b1e803d",
+    "D4^6": "359c243c7066c6d5e02c6545c4536a84",
+    "A9^2D6": "534e9b2d537da8ec1a28573f7ac9597f",
+    "D6^4": "be480224c6a518c167f8c65b80b362f7",
+    "E6^4": "3922a4acbe8bd61d6da7c8ffc61eb66c",
+    "A11D7E6": "9894245aeb667c7ab246fcd761212b60",
+    "A17E7": "7a9b1e8cd3873d389c345003397702f3",
+    "D10E7^2": "c8cc8c8a01efe7dd9b75c7c96100eeae",
+    "E8D16": "ee366a1aa603a419becc471b1931b87f",
+    "E8^3": "a9d8750bb0736bafac4734d40eaa6ffd",
+}
+
+
+def test_builtin_fingerprints_are_pinned():
+    assert {name: builtin(name).fingerprint for name in BUILTIN_NAMES} == BUILTIN_FINGERPRINTS
 
 
 def test_an_determinant_recurrence():
@@ -65,8 +105,8 @@ def test_direct_sum_zero_identity():
 def test_direct_sum_commutative_up_to_permutation():
     a = root_lattice("A", 1)
     b = root_lattice("A", 2)
-    g1 = direct_sum(a, b).gram.rows
-    g2 = direct_sum(b, a).gram.rows
+    g1 = direct_sum(a, b).gram
+    g2 = direct_sum(b, a).gram
     perm = [2, 0, 1]  # move the A1 block behind the A2 block
     permuted = tuple(tuple(g2[perm[i]][perm[j]] for j in range(3)) for i in range(3))
     assert g1 == permuted

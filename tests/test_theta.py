@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from thetalab.enumeration import GramTarget, shell_count
-from thetalab.lattices import root_lattice
+from thetalab.lattices import from_gram, root_lattice
 from thetalab.niemeier import builtin
 from thetalab.theta import (
     CURATED_GENUS4,
@@ -229,6 +229,15 @@ def test_export_parse_round_trip():
     back = parse_series(text)
     assert back == tr
     assert export_series(back) == text  # bit-exact round trip
+
+
+def test_export_parse_round_trip_of_a_name_with_separators():
+    # The provenance line "expr: a=b: c#..." holds both "=" and ":".
+    tr = theta_truncated(from_gram("a=b: c", [[2, -1], [-1, 2]]), 2, 4)
+    text = export_series(tr)
+    back = parse_series(text)
+    assert back == tr and back.provenance.startswith("a=b: c#")
+    assert export_series(back) == text
 
 
 def test_export_genus0():
