@@ -16,7 +16,8 @@ representatives:
   (`weyl.pieces` of its nonzero pattern) in the irreducible root components,
   of products of per-component counts, each kept per ADE type and found by
   a bitset depth-first search with the first root fixed (the Weyl group is
-  transitive on the roots),
+  transitive on the roots); from genus 3 on it is the highest root, and the
+  second runs over one root of each orbit of its stabiliser,
 * one orbit counter over stored shells for every other shape: its first slot
   runs over one vector of each Weyl-group orbit (`weyl`), the middle slots
   are walked, and the last two slots are one weighted histogram of blocked
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 import zlib
 from dataclasses import dataclass
@@ -77,17 +79,24 @@ class GramTarget:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "GramTarget":
-        t = tuple(tuple(int(x) for x in r) for r in rows)
-        return cls(t)
+        """Integer entries only (`operator.index`: numpy ints pass, floats and
+        strings raise RepresentationDomainError)."""
+        try:
+            return cls(tuple(tuple(operator.index(x) for x in r) for r in rows))
+        except TypeError as e:
+            raise RepresentationDomainError(f"index entries must be integers: {e}") from None
 
     @classmethod
     def from_upper(cls, genus: int, upper: Sequence[int]) -> "GramTarget":
+        if len(upper) != genus * (genus + 1) // 2:
+            raise RepresentationDomainError(
+                f"{len(upper)} entries are not the upper triangle of a genus-{genus} index"
+            )
         rows = [[0] * genus for _ in range(genus)]
         it = iter(upper)
         for i in range(genus):
             for j in range(i, genus):
-                v = int(next(it))
-                rows[i][j] = rows[j][i] = v
+                rows[i][j] = rows[j][i] = next(it)
         return cls.from_rows(rows)
 
     @classmethod
@@ -186,6 +195,7 @@ class _LatticeContext:
         self._counts: dict[int, int] = {0: 1}
         self._counts_bound = 0
         self._orbits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._highest: dict[int, weyl.HighestRootOrbits] = {}
         self._hists: dict[tuple[int, ...], dict[int, int]] = {}
 
     @functools.cached_property
@@ -267,6 +277,14 @@ class _LatticeContext:
                 weights = np.full(len(rows), 2, dtype=np.int64)
             assert int(weights.sum()) == len(shell), f"orbit sizes do not sum to the norm-{norm} shell"
             got = self._orbits[norm] = (rows, weights)
+        return got
+
+    def highest_root_orbits(self, comp: int) -> weyl.HighestRootOrbits:
+        """`weyl.highest_root_orbits` of one irreducible root component, found once."""
+        got = self._highest.get(comp)
+        if got is None:
+            rs = self.root_system
+            got = self._highest[comp] = weyl.highest_root_orbits(rs.masks, rs.linked, rs.simple, comp)
         return got
 
 
@@ -609,18 +627,28 @@ def _component_count(ctx: "_LatticeContext", symbol: str, comp: int, t: GramTarg
 
     The Weyl group of the component acts transitively on its roots and keeps
     the count of completions, so x_0 is fixed at one root and the count of the
-    rest is multiplied by the number of roots.
+    rest is multiplied by the number of roots.  From genus 3 on, x_0 is the
+    highest root theta, and x_1 runs over one root of each orbit of theta's
+    stabiliser, weighted by the orbit size (`weyl.highest_root_orbits`).
     """
     t = class_representative(t)
     key = (symbol, t.key())
     n = _COMPONENT_COUNTS.get(key)
     if n is None:
         n = comp.bit_count()
-        if t.genus > 1:
-            masks = ctx.root_system.masks
+        masks = ctx.root_system.masks
+        rows = t.entries
+        if t.genus == 2:
             rho = (comp & -comp).bit_length() - 1
-            first = [masks[t.entries[0][k]][rho] & comp for k in range(1, t.genus)]
-            n *= _root_dfs_level(masks, t.entries, t.genus, 1, first)
+            n *= (masks[rows[0][1]][rho] & comp).bit_count()
+        elif t.genus > 2:
+            theta, _, reps = ctx.highest_root_orbits(comp)
+            total = 0
+            for x, w in reps[rows[0][1]]:
+                nxt = [masks[rows[0][k]][theta] & masks[rows[1][k]][x] & comp for k in range(2, t.genus)]
+                if all(nxt):
+                    total += w * _root_dfs_level(masks, rows, t.genus, 2, nxt)
+            n *= total
         _COMPONENT_COUNTS[key] = n
     return n
 

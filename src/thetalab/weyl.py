@@ -10,6 +10,13 @@ simple roots orthogonal to y as a base (Humphreys, Reflection Groups and
 Coxeter Groups, 1.12).  So the dominant vectors of a shell stand for its
 orbits, with the orbit sizes |W| / |W_y| as weights.
 
+The same holds one slot further on.  The stabiliser W_J of a dominant y is a
+reflection group with base J, the simple roots orthogonal to y, and keeps
+every count with y in the first slot; so the second slot can run over one
+vector of each W_J-orbit, those in J's closed chamber, weighted by
+|W_J| / |W_{J,x}|.  The root engine does this with y the highest root of an
+irreducible component (`highest_root_orbits`).
+
 Roots are indices into one list, and a set of roots is a bit mask over it.
 Each irreducible component of a set of roots is typed by its size and its
 number of simple roots, its rank (`components`), for the whole root system
@@ -19,7 +26,7 @@ and for every stabiliser alike.
 from __future__ import annotations
 
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import rootdata
 
@@ -89,3 +96,37 @@ def orbit_sizes(orthogonal: Iterable[int], linked: Sequence[int], simple: int, o
             stabilisers[roots] = group_order(symbol for symbol, _ in components(linked, simple, roots))
         sizes.append(order // stabilisers[roots])
     return sizes
+
+
+class HighestRootOrbits(NamedTuple):
+    theta: int  # the highest root
+    order: int  # |W_J|, J the simple roots orthogonal to theta
+    # v -> (x, |W_J x|) for each root x in J's chamber with (x, theta) = v
+    reps: dict[int, list[tuple[int, int]]]
+
+
+def highest_root_orbits(
+    masks: Mapping[int, Sequence[int]], linked: Sequence[int], simple: int, comp: int
+) -> HighestRootOrbits:
+    """The highest root theta of the irreducible component `comp`, the one
+    root of it in the closed dominant chamber, and one root of each orbit of
+    its stabiliser W_J on the roots of `comp`, by inner product with theta.
+
+    The roots orthogonal to theta have base J, so W_J is their Weyl group.
+    W_J keeps (x, theta); each of its orbits meets the chamber
+    {x : (x, a) >= 0 for a in J} once, and the stabiliser there is the Weyl
+    group of the roots orthogonal to theta and x.  Bit j of masks[d][i] is
+    set when roots i and j have inner product d."""
+    theta = next(i for i in iter_bits(comp) if not (masks[-1][i] | masks[-2][i]) & simple)
+    fixed = masks[0][theta] & comp
+    outside = 0
+    for a in iter_bits(fixed & simple):
+        outside |= masks[-1][a] | masks[-2][a]
+    order = group_order(symbol for symbol, _ in components(linked, simple, fixed))
+    reps = {}
+    for v, rows in masks.items():
+        xs = list(iter_bits(rows[theta] & comp & ~outside))
+        sizes = orbit_sizes((masks[0][x] & fixed for x in xs), linked, simple, order)
+        assert sum(sizes) == (rows[theta] & comp).bit_count(), f"stabiliser orbits miss roots at {v}"
+        reps[v] = list(zip(xs, sizes))
+    return HighestRootOrbits(theta, order, reps)

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetalab import enumeration as en
+from thetalab import weyl
 from thetalab.enumeration import (
     GramTarget,
     RepresentationDomainError,
@@ -318,6 +319,18 @@ def test_domain_errors():
         representation_count(e8, [[2, 3], [3, 2]])  # not PSD
     with pytest.raises(RepresentationDomainError):
         representation_count(e8, [[2, 1], [0, 2]])  # not symmetric
+
+
+def test_index_entries_are_integers_only():
+    e8 = builtin("E8")
+    assert representation_count(e8, np.array([[2]])) == 240
+    assert GramTarget.from_upper(2, [2, np.int32(1), 2]) == GramTarget.from_rows([[2, 1], [1, 2]])
+    for bad in ([[2.9]], [["2"]], [[Fraction(5, 2)]]):
+        with pytest.raises(RepresentationDomainError):
+            representation_count(e8, bad)
+    for genus, upper in ((2, [2, 1]), (1, [2, 5, 7])):  # short, long
+        with pytest.raises(RepresentationDomainError):
+            GramTarget.from_upper(genus, upper)
 
 
 @pytest.mark.parametrize(
@@ -650,14 +663,52 @@ def test_root_engine_matches_oracle_on_builtins(name):
         assert en._count_root_tuples(lat, t) == root_tuple_count(lat, t.entries), t.key()
 
 
-@pytest.mark.parametrize("name", ["D4^6", "A5^4D4", "E8"])
+ADE_UP_TO_8 = [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)] + [("E", 6), ("E", 7), ("E", 8)]
+
+
+def _named_lattice(name):
+    """A built-in lattice, or else the root lattice of an ADE symbol."""
+    return builtin(name) if name in BUILTIN_NAMES else root_lattice(name[0], int(name[1:]))
+
+
+@pytest.mark.parametrize("name", ["D4^6", "A5^4D4", "E8", "E6", "E7", "A7", "D6"])
 def test_root_engine_matches_oracle_at_genus4(name):
-    lat = builtin(name)
+    lat = _named_lattice(name)
     for t in ROOT_INDICES_G4:
         assert en._count_root_tuples(lat, t) == root_tuple_count(lat, t.entries), t.key()
 
 
-ADE_UP_TO_8 = [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)] + [("E", 6), ("E", 7), ("E", 8)]
+# |W_J| and the stabiliser orbit sizes on the roots x with (x, theta) = -1, 0, 1.
+PINNED_STABILISER_ORBITS = {
+    "E8": (2903040, [[56], [126], [56]]),
+    "E7": (23040, [[32], [60], [32]]),
+    "E6": (720, [[20], [30], [20]]),
+    "D6": (384, [[16], [24, 2], [16]]),
+    "A5": (24, [[4, 4], [12], [4, 4]]),
+}
+
+
+@pytest.mark.parametrize(
+    "name", BUILTIN_NAMES + tuple(f"{k}{n}" for k, n in ADE_UP_TO_8 if f"{k}{n}" not in BUILTIN_NAMES)
+)
+def test_highest_root_orbits(name):
+    # theta is the only root of its component with no negative product with
+    # a simple root, and the orbit sizes of its stabiliser sum to the roots
+    # with each product.
+    ctx = en._context(_named_lattice(name))
+    rs = ctx.root_system
+    roots = rs.vectors.astype(np.int64) @ ctx._gram_red_np
+    dominant = (roots @ rs.vectors[list(weyl.iter_bits(rs.simple))].T.astype(np.int64) >= 0).all(axis=1)
+    for symbol, comp in rs.components:
+        theta, order, reps = ctx.highest_root_orbits(comp)
+        members = list(weyl.iter_bits(comp))
+        assert [i for i in members if dominant[i]] == [theta]
+        products = Counter((roots[members] @ rs.vectors[theta].astype(np.int64)).tolist())
+        for v, pairs in reps.items():
+            assert sum(w for _, w in pairs) == products[v]
+            assert all(comp >> x & 1 and int(roots[x] @ rs.vectors[theta]) == v for x, _ in pairs)
+        got = (order, [sorted((w for _, w in reps[v]), reverse=True) for v in (-1, 0, 1)])
+        assert got == PINNED_STABILISER_ORBITS.get(symbol, got), symbol
 
 
 @settings(max_examples=15, deadline=None)
