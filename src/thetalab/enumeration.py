@@ -6,8 +6,10 @@ by direct counting.  It depends only on the GL_g(Z)-class of T, so each index
 is first replaced by its class representative (`class_representative`: a
 reduced matrix without zero rows, in a normal form under slot permutations
 and sign changes); counts, caches and profiles work on representatives, and
-a profile counts each class once.  Three engines cover the shapes of the
-representatives:
+a profile counts each class once, reading them from one table per (genus,
+bound) that reduces one index per signed-permutation orbit (`index_classes`;
+trace <= 8: 395 indices, 44 orbits, 26 classes at degree 3, and 2262, 70, 40
+at degree 4).  Three engines cover the shapes of the representatives:
 
 * an exact Fincke-Pohst walk for shells and for genus-1 counts (glued lattices
   instead get exact coset-decomposition counts, which agree and are fast),
@@ -48,7 +50,8 @@ import os
 import zlib
 from dataclasses import dataclass
 from math import isqrt
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from . import cosets, weyl
 from .exactnum import is_positive_semidefinite
@@ -750,34 +753,46 @@ def _count_general(lat: "Lattice", t: GramTarget) -> int:
 
 def candidate_targets(genus: int, trace_bound: int) -> list[GramTarget]:
     """All even positive semidefinite integer matrices with trace <= bound, canonical order."""
-    return list(_candidate_targets(genus, trace_bound))
+    return list(index_classes(genus, trace_bound))
 
 
 @functools.cache
-def _candidate_targets(genus: int, trace_bound: int) -> tuple[GramTarget, ...]:
-    pairs = list(itertools.combinations(range(genus), 2))
-    out = []
-    for diag in itertools.product(range(0, trace_bound + 1, 2), repeat=genus):
+def index_classes(genus: int, trace_bound: int) -> Mapping[GramTarget, GramTarget]:
+    """{T: class_representative(T)} for every even PSD T with trace <= bound,
+    canonical order; one read-only table per (genus, bound).
+
+    Signed permutations P keep the trace, semidefiniteness and class of
+    P T P^T, and each orbit has a member with a non-decreasing diagonal and
+    T_0j >= 0.  Only those are enumerated; each new one is tested and reduced
+    once, and its representative goes to every image (P and -P act alike)."""
+    cells = [(i, j) for i in range(genus) for j in range(i, genus)]
+    maps = [[(cells.index(tuple(sorted((p[i], p[j])))), s[i] * s[j]) for i, j in cells]
+            for p in itertools.permutations(range(genus)) for s in itertools.product((1,), *[(1, -1)] * (genus - 1))]
+    reps: dict[tuple[int, ...], GramTarget | None] = {}  # upper triangle -> representative, None if not PSD
+    for diag in itertools.combinations_with_replacement(range(0, trace_bound + 1, 2), genus):
         if sum(diag) > trace_bound:
             continue
-        bounds = [isqrt(diag[i] * diag[j]) for i, j in pairs]
-        for off in itertools.product(*(range(-b, b + 1) for b in bounds)):
-            rows = [[diag[i] if i == j else 0 for j in range(genus)] for i in range(genus)]
-            for (i, j), v in zip(pairs, off):
-                rows[i][j] = rows[j][i] = v
-            if is_positive_semidefinite(rows):
-                out.append(GramTarget.from_rows(rows))
-    out.sort(key=GramTarget.sort_key)
-    return tuple(out)
+        ranges = []
+        for i, j in cells:
+            r = isqrt(diag[i] * diag[j])
+            ranges.append(range(r, r + 1) if i == j else range(-r if i else 0, r + 1))
+        for upper in itertools.product(*ranges):
+            if upper not in reps:
+                t = GramTarget.from_upper(genus, upper)
+                rep = class_representative(t) if is_positive_semidefinite(t.entries) else None
+                for m in maps:
+                    reps[tuple(upper[k] * s for k, s in m)] = rep
+    on_diag = [k for k, (i, j) in enumerate(cells) if i == j]
+    order = sorted((sum(u[k] for k in on_diag), u) for u, rep in reps.items() if rep is not None)
+    return MappingProxyType({GramTarget.from_upper(genus, u): reps[u] for _, u in order})
 
 
-def class_counts(lat: "Lattice", targets: Iterable[GramTarget]) -> dict[GramTarget, int]:
-    """r_L(T) for each T of `targets`, in their order, with one count per class
-    representative (which is what is passed to `representation_count`)."""
+def class_counts(lat: "Lattice", classes: Mapping[GramTarget, GramTarget]) -> dict[GramTarget, int]:
+    """r_L(T) for each T of `classes` ({T: its class representative}, as from
+    `index_classes`), in their order, with one count per representative."""
     values: dict[GramTarget, int] = {}
     out = {}
-    for t in targets:
-        rep = class_representative(t)
+    for t, rep in classes.items():
         if rep not in values:
             values[rep] = representation_count(lat, rep)
         out[t] = values[rep]
@@ -789,5 +804,5 @@ def representation_profile(lat: "Lattice", genus: int, trace_bound: int) -> dict
     omitted); one count per class representative."""
     if genus == 0:
         return {GramTarget.zero(0): 1}
-    counts = class_counts(lat, candidate_targets(genus, trace_bound))
+    counts = class_counts(lat, index_classes(genus, trace_bound))
     return {t: c for t, c in counts.items() if c}

@@ -45,16 +45,12 @@ def scaled_gram(rows: Sequence[Sequence[int]], d: int) -> tuple[tuple[int, ...],
 def det_exact(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square list of integer rows, by Bareiss
     fraction-free elimination."""
-    if any(len(r) != len(rows) for r in rows):
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    return _bareiss_det([list(r) for r in rows])
-
-
-def _bareiss_det(a: list[list[int]]) -> int:
-    """Determinant of a square list of integer rows, which it overwrites."""
-    n = len(a)
     if n == 0:
         return 1
+    a = [list(r) for r in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -111,15 +107,27 @@ def is_positive_definite(rows: Sequence[Sequence[int]]) -> bool:
 
 
 def is_positive_semidefinite(rows: Sequence[Sequence[int]]) -> bool:
-    """Exact PSD test of a square list of integer rows via all principal
-    minors (fine for the small g used here)."""
+    """Exact PSD test of a square list of integer rows, in O(n^3).
+
+    Symmetric fraction-free elimination on positive diagonal pivots: with
+    p = A_kk > 0, A is PSD exactly when the Schur complement of A_kk is, and
+    so when p times it is (Bareiss: the step divides exactly by the previous
+    pivot, which is positive).  A matrix with no positive diagonal entry is
+    PSD exactly when it is zero."""
     n = len(rows)
     if any(len(r) != n for r in rows) or any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
         return False
-    for mask in range(1, 1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        if _bareiss_det([[rows[i][j] for j in idx] for i in idx]) < 0:
-            return False
+    a = [list(r) for r in rows]
+    prev = 1
+    while a:
+        diag = [r[i] for i, r in enumerate(a)]
+        k = max(range(len(a)), key=diag.__getitem__)
+        p = diag[k]
+        if p <= 0:
+            return not any(map(any, a))
+        rest = [i for i in range(len(a)) if i != k]
+        a = [[(p * a[i][j] - a[i][k] * a[k][j]) // prev for j in rest] for i in rest]
+        prev = p
     return True
 
 

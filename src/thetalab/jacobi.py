@@ -60,9 +60,9 @@ def jacobi_coefficient(lat: "Lattice", genus: int, index: int, trace_bound: int,
     two_n = 2 * index
     entries: dict[tuple[GramTarget, tuple[int, ...]], int] = {}
     if shell_count(lat, two_n):
-        targets = [t for t in enumeration.candidate_targets(genus + 1, trace_bound + two_n)
-                   if t.entries[genus][genus] == two_n]
-        for t, c in enumeration.class_counts(lat, targets).items():
+        classes = {t: rep for t, rep in enumeration.index_classes(genus + 1, trace_bound + two_n).items()
+                   if t.entries[genus][genus] == two_n}
+        for t, c in enumeration.class_counts(lat, classes).items():
             if c:
                 s = GramTarget(tuple(row[:genus] for row in t.entries[:genus]))
                 entries[(s, t.entries[genus][:genus])] = c
@@ -171,15 +171,24 @@ def heat_coefficient_check(
     """Exact identity r2 * S_ij * r_L(S) = c * sum_l l_i l_j N(S, l) for i <= j.
     `jobs` is ignored; it stays only because bench/workloads.py passes it."""
     s.check_valid()
-    r2 = shell_count(lat, 2)
     if jacobi is None:
         jacobi = jacobi_coefficient(lat, genus, 1, s.trace)
-    r_s = representation_count(lat, s)
-    for i in range(genus):
-        for j in range(i, genus):
-            moment = jacobi.second_moment(s, i, j)
-            lhs = r2 * s.entries[i][j] * r_s
-            if lhs * c.denominator != c.numerator * moment:
+    return _heat_identity(shell_count(lat, 2), s, representation_count(lat, s), c, jacobi)
+
+
+def heat_profile_check(lat: "Lattice", genus: int, trace_bound: int, c: Fraction,
+                       jacobi: JacobiCoefficient) -> dict[GramTarget, bool]:
+    """The heat identity at every S with trace <= bound and r_L(S) != 0, in
+    canonical order, one count per class (where r_L(S) = 0, N(S, l) = 0 too)."""
+    r2 = shell_count(lat, 2)
+    counts = enumeration.class_counts(lat, enumeration.index_classes(genus, trace_bound))
+    return {s: _heat_identity(r2, s, r_s, c, jacobi) for s, r_s in counts.items() if r_s}
+
+
+def _heat_identity(r2: int, s: GramTarget, r_s: int, c: Fraction, jacobi: JacobiCoefficient) -> bool:
+    for i in range(s.genus):
+        for j in range(i, s.genus):
+            if r2 * s.entries[i][j] * r_s * c.denominator != c.numerator * jacobi.second_moment(s, i, j):
                 return False
     return True
 
@@ -199,7 +208,6 @@ def pair_difference_f1_check(left: "Lattice", right: "Lattice", genus: int, trac
     c = rep_left.constant
     for lat in (left, right):
         jac = jacobi_coefficient(lat, genus, 1, trace_bound)
-        for s in enumeration.candidate_targets(genus, trace_bound):
-            if not heat_coefficient_check(lat, genus, s, c, jacobi=jac):
-                return False
+        if not all(heat_profile_check(lat, genus, trace_bound, c, jac).values()):
+            return False
     return True

@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, Sequence
 from .enumeration import (
     GramTarget,
     RepresentationDomainError,
-    candidate_targets,
     class_representative,
+    index_classes,
     representation_count,
     representation_profile,
 )
@@ -104,19 +104,27 @@ def series_product(f: Series, g: Series) -> Series:
     if f.genus != g.genus:
         raise SeriesError("product needs equal genus")
     bound = min(f.trace_bound, g.trace_bound)
+    # The nonzero coefficients of g by trace, so each T1 meets only the T2
+    # with trace(T1) + trace(T2) <= bound.
+    by_trace: dict[int, list[tuple[GramTarget, int]]] = {}
+    for t2, c2 in g.coeffs.items():
+        if c2:
+            by_trace.setdefault(t2.trace, []).append((t2, c2))
     coeffs: dict[GramTarget, int] = {}
     for t1, c1 in f.coeffs.items():
         if t1.trace > bound or c1 == 0:
             continue
-        for t2, c2 in g.coeffs.items():
-            if t1.trace + t2.trace > bound or c2 == 0:
+        room = bound - t1.trace
+        for trace, terms in by_trace.items():
+            if trace > room:
                 continue
-            rows = tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(t1.entries, t2.entries)
-            )
-            t = GramTarget(rows)
-            coeffs[t] = coeffs.get(t, 0) + c1 * c2
+            for t2, c2 in terms:
+                rows = tuple(
+                    tuple(a + b for a, b in zip(r1, r2))
+                    for r1, r2 in zip(t1.entries, t2.entries)
+                )
+                t = GramTarget(rows)
+                coeffs[t] = coeffs.get(t, 0) + c1 * c2
     coeffs = {t: c for t, c in coeffs.items() if c}
     return Series(
         genus=f.genus,
@@ -244,14 +252,14 @@ def distinguishing_report(
         raise SeriesError("distinguishing_report needs equal ranks")
     for genus in range(1, g_max + 1):
         if genus <= 3:
-            targets = candidate_targets(genus, trace_bound)
+            classes = index_classes(genus, trace_bound)
         elif genus == 4:
-            targets = [t for t in CURATED_GENUS4 if t.trace <= trace_bound]
+            classes = {t: class_representative(t) for t in CURATED_GENUS4 if t.trace <= trace_bound}
         else:
             break
-        for t in targets:
-            a = representation_count(left, t)
-            b = representation_count(right, t)
+        for t, rep in classes.items():
+            a = representation_count(left, rep)
+            b = representation_count(right, rep)
             if a != b:
                 return DistinguishReport(True, genus, t, a, b)
     return DistinguishReport(False, None, None, None, None)

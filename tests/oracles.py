@@ -8,7 +8,7 @@ import numpy as np
 
 from thetalab import enumeration
 from thetalab.enumeration import GramTarget, candidate_targets
-from thetalab.exactnum import NotPositiveDefiniteError, rank_int
+from thetalab.exactnum import NotPositiveDefiniteError, det_exact, rank_int
 from thetalab.rootdata import classify_component
 from thetalab.theta import Series
 
@@ -336,3 +336,69 @@ def root_tuple_count(lat, t):
     if g == 1:
         return 2 * len(half)
     return 2 * sum(level(1, [masks[t[0][k]][i] for k in range(1, g)]) for i in half)
+
+
+def psd_by_minors(rows):
+    """Exact PSD test of a square symmetric integer matrix: every one of its
+    2^n - 1 principal minors is nonnegative."""
+    n = len(rows)
+    if any(len(r) != n for r in rows) or any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+        return False
+    for mask in range(1, 1 << n):
+        idx = [i for i in range(n) if mask >> i & 1]
+        if det_exact([[rows[i][j] for j in idx] for i in idx]) < 0:
+            return False
+    return True
+
+
+def index_classes_by_product(genus, trace_bound):
+    """{T: class_representative(T)} for every even PSD T with trace <= bound,
+    in canonical order: the full product over every diagonal and off-diagonal
+    choice, filtered by `psd_by_minors`, each T reduced on its own."""
+    pairs = list(itertools.combinations(range(genus), 2))
+    out = []
+    for diag in itertools.product(range(0, trace_bound + 1, 2), repeat=genus):
+        if sum(diag) > trace_bound:
+            continue
+        bounds = [isqrt(diag[i] * diag[j]) for i, j in pairs]
+        for off in itertools.product(*(range(-b, b + 1) for b in bounds)):
+            rows = [[diag[i] if i == j else 0 for j in range(genus)] for i in range(genus)]
+            for (i, j), v in zip(pairs, off):
+                rows[i][j] = rows[j][i] = v
+            if psd_by_minors(rows):
+                out.append(GramTarget.from_rows(rows))
+    out.sort(key=GramTarget.sort_key)
+    return {t: enumeration.class_representative(t) for t in out}
+
+
+def signed_permutation_orbits(targets):
+    """The orbits of T -> P T P^T on a set of indices closed under it, P a
+    permutation matrix times a diagonal sign matrix, each generated whole."""
+    left = set(targets)
+    orbits = []
+    while left:
+        t = left.pop()
+        g = t.genus
+        orbit = {
+            GramTarget(tuple(tuple(s[a] * s[b] * t.entries[p[a]][p[b]] for b in range(g)) for a in range(g)))
+            for p in itertools.permutations(range(g))
+            for s in itertools.product((1, -1), repeat=g)
+        }
+        assert orbit - {t} <= left, "not closed under signed permutations"
+        left -= orbit
+        orbits.append(orbit)
+    return orbits
+
+
+def series_product_pairwise(f, g):
+    """The product of two truncations by the pairwise loop: every pair of
+    nonzero coefficients with trace(T1) <= bound and trace(T1) + trace(T2) <= bound."""
+    bound = min(f.trace_bound, g.trace_bound)
+    coeffs = {}
+    for t1, c1 in f.coeffs.items():
+        for t2, c2 in g.coeffs.items():
+            if c1 and c2 and t1.trace <= bound and t1.trace + t2.trace <= bound:
+                t = GramTarget(tuple(tuple(map(sum, zip(r1, r2))) for r1, r2 in zip(t1.entries, t2.entries)))
+                coeffs[t] = coeffs.get(t, 0) + c1 * c2
+    return Series(genus=f.genus, trace_bound=bound, weight=f.weight + g.weight,
+                  coeffs={t: c for t, c in coeffs.items() if c}, provenance="pairwise")

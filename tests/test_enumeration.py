@@ -33,6 +33,7 @@ from thetalab.rootdata import ade_gram
 
 from oracles import (
     e8_ambient_counts,
+    index_classes_by_product,
     ldl_box_counts,
     ldl_box_vectors,
     pairwise_dots,
@@ -40,6 +41,7 @@ from oracles import (
     root_tuple_count,
     shell_pair_histogram,
     shells_in_basis,
+    signed_permutation_orbits,
     span_rank_types,
     tuple_gram_counts,
 )
@@ -292,6 +294,31 @@ def test_cold_genus1_count_is_one_lookup(tmp_path, monkeypatch):
             after = en.cache_stats()
             deltas.append({k: after[k] - before[k] for k in after if after[k] != before[k]})
         assert deltas == [{"misses": 1, **({"writes": 1} if writes else {})}, {"memory_hits": 1}]
+
+
+@pytest.mark.parametrize("genus", [0, 1, 2, 3])
+def test_index_table_matches_product_oracle(genus):
+    # Keys, their order and every representative, at each bound up to 8; a
+    # negative bound gives no index, genus 0 the empty matrix.
+    for bound in range(-2, 9):
+        expect = index_classes_by_product(genus, bound)
+        assert list(en.index_classes(genus, bound).items()) == list(expect.items()), bound
+        assert candidate_targets(genus, bound) == list(expect)
+    assert candidate_targets(0, 4) == [GramTarget.zero(0)]
+    assert candidate_targets(0, -1) == [] == candidate_targets(2, -2)
+
+
+def test_index_table_sizes():
+    # (indices, signed-permutation orbits, classes); every orbit has one
+    # representative, and (4, 8) equals the product oracle too.
+    sizes = {}
+    for genus, bound in ((2, 8), (3, 6), (3, 8), (4, 8)):
+        table = en.index_classes(genus, bound)
+        orbits = signed_permutation_orbits(table)
+        assert all(len({table[t] for t in orbit}) == 1 for orbit in orbits)
+        sizes[genus, bound] = (len(table), len(orbits), len(set(table.values())))
+    assert sizes == {(2, 8): (47, 20, 14), (3, 6): (104, 18, 13), (3, 8): (395, 44, 26), (4, 8): (2262, 70, 40)}
+    assert list(en.index_classes(4, 8).items()) == list(index_classes_by_product(4, 8).items())
 
 
 def test_candidate_targets_g1():

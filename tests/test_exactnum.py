@@ -16,7 +16,7 @@ from thetalab.exactnum import (
     scaled_gram,
 )
 
-from oracles import fraction_ldl, fraction_rank, in_z_span
+from oracles import fraction_ldl, fraction_rank, in_z_span, psd_by_minors
 
 
 def cofactor_det(rows):
@@ -154,6 +154,27 @@ def test_psd_checks():
     assert not is_positive_definite([[2, 2], [2, 2]])
     assert is_positive_semidefinite([[2, 2], [2, 2]])
     assert not is_positive_semidefinite([[0, 1], [1, 0]])
+
+
+def _gram_of_vectors(n, k, sign):
+    """sign * V V^T for n random vectors V in Z^k: PSD of rank <= k (singular
+    when k < n), or negative semidefinite."""
+    vectors = st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k), min_size=n, max_size=n)
+    return vectors.map(lambda v: [[sign * sum(a * b for a, b in zip(x, y)) for y in v] for x in v])
+
+
+_SYMMETRIC = st.integers(1, 5).flatmap(lambda n: st.one_of(
+    st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n).map(_symmetric),
+    st.integers(0, n - 1).flatmap(lambda k: _gram_of_vectors(n, k, 1)),
+    st.integers(n, n + 2).flatmap(lambda k: _gram_of_vectors(n, k, 1)),
+    st.integers(1, n).flatmap(lambda k: _gram_of_vectors(n, k, -1)),
+))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SYMMETRIC)
+def test_psd_matches_principal_minors(rows):
+    assert is_positive_semidefinite(rows) == psd_by_minors(rows)
 
 
 def _d8_plus_rows():

@@ -22,7 +22,7 @@ from thetalab.theta import (
     weight12_product_coefficient,
 )
 
-from oracles import constant_one
+from oracles import constant_one, series_product_pairwise
 
 
 def flat(tr):
@@ -106,6 +106,24 @@ def test_product_commutative_associative():
     c = theta_truncated(builtin("E8"), 1, 6)
     assert series_product(a, b) == series_product(b, a)
     assert series_product(series_product(a, b), c) == series_product(a, series_product(b, c))
+
+
+def test_product_matches_pairwise_loop():
+    # The product cases above, and one of degree 3 with a difference (whose
+    # zero coefficients are skipped) as a factor.
+    e8 = builtin("E8")
+    a1, a2 = root_lattice("A", 1), root_lattice("A", 2)
+    pairs = [(theta_truncated(e8, 1, 6), constant_one(1, 6)), (constant_one(1, 6), theta_truncated(e8, 1, 6)),
+             (theta_truncated(e8, 1, 8), theta_truncated(e8, 1, 8)), (theta_truncated(e8, 2, 4), theta_truncated(e8, 2, 4)),
+             (theta_truncated(a1, 1, 6), theta_truncated(a2, 1, 6)), (theta_truncated(a1, 2, 4), theta_truncated(e8, 2, 4))]
+    diff = series_difference(theta_truncated(root_lattice("D", 4), 3, 6), theta_truncated(root_lattice("A", 4), 3, 6))
+    pairs.append((theta_truncated(a2, 3, 6), diff))
+    for f, g in pairs:
+        prod = series_product(f, g)
+        expect = series_product_pairwise(f, g)
+        assert prod.coeffs == expect.coeffs
+        assert (prod.trace_bound, prod.weight) == (expect.trace_bound, expect.weight)
+    assert len(prod.coeffs) > 50
 
 
 def test_restrict_constant():
