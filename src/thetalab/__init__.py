@@ -32,7 +32,6 @@ from .lattices import (
     RootSystemReport,
     ValidationReport,
     direct_sum,
-    extremality_check,
     from_gram,
     glue,
     minimum_norm,

@@ -2,10 +2,20 @@
 
 A glued lattice is the disjoint union, over its glue words, of products of
 component cosets, so its shell sizes are convolutions of per-component coset
-counts.  A_n and D_n coset counts come from small integer dynamic programs
-over ambient coordinates; E6/E7/E8 cosets are counted on the shells of the
-dual lattice (tiny), each shell labelled by one integer product with the
-class labels of the dual basis.  Everything is exact integer counting.
+norm tables.  `coset_tables(kind, rank, bound)` gives every class of one root
+lattice at once (Conway and Sloane, *Sphere Packings, Lattices and Groups*,
+ch. 4, for the models used):
+
+* A_n: class c is the projection of {z in Z^{n+1} : sum(z) = r} for any
+  r = c mod n+1, with norm sum(z^2) - r^2/(n+1).  One dynamic program over
+  (running sum, running sum of squares) serves every class, each read at its
+  representative r of least absolute value.
+* D_n: one program over Z^n gives classes 0 and 2 (even and odd sums), one
+  over (Z + 1/2)^n gives classes 1 and 3.
+* E_n through a sublattice of index 3, 2 and 3: E8 = A8[3], E7 = A7[4] and
+  E6 = A2^3[111], so each E_n coset is a union of A_n coset products.
+
+Everything is exact integer counting.
 """
 
 from __future__ import annotations
@@ -14,142 +24,109 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .exactnum import det_exact
-from .fincke_pohst import shells_upto
-from .lazy import lazy_module
-from .rootdata import ade_gram, disc_order, dual_class_labels, _inverse_gram
+from .rootdata import disc_order
 
-np = lazy_module("numpy")
+NormTable = tuple[tuple[Fraction, int], ...]
 
-NormTable = dict[Fraction, int]
+# Glue classes of the A_n sublattice (A8, A7, A2^3) that make up each class
+# of E_n, indexed by the E_n class.  E6's two nontrivial classes are
+# exchanged by x -> -x, so their tables are equal whichever is labelled 1.
+_E_SUBLATTICE = {
+    8: (8, (((0,), (3,), (6,)),)),
+    7: (7, (((0,), (4,)), ((2,), (6,)))),
+    6: (2, (
+        ((0, 0, 0), (1, 1, 1), (2, 2, 2)),
+        ((0, 1, 2), (1, 2, 0), (2, 0, 1)),
+        ((0, 2, 1), (1, 0, 2), (2, 1, 0)),
+    )),
+}
 
 
-def _a_coset_counts(rank: int, cls: int, bound: Fraction) -> NormTable:
-    """Counts of vectors in (cls * omega_1 + A_rank) by norm <= bound.
-
-    The coset is the image of {z in Z^{n+1} : sum(z) = cls} under subtracting
-    the mean, with norm sum(z^2) - cls^2/(n+1).
-    """
-    n1 = rank + 1
-    shift = Fraction(cls * cls, n1)
-    smax = int(bound + shift)  # floor
-    if smax < 0:
-        return {}
-    zmax = isqrt(smax)
-    # DP over coordinates; state = (running sum, running sum of squares).
+def _sum_square_counts(length: int, values: range, qmax: int, reach: int) -> dict[tuple[int, int], int]:
+    """Number of tuples in values^length by (sum, sum of squares <= qmax),
+    for the sums of absolute value <= reach."""
     states: dict[tuple[int, int], int] = {(0, 0): 1}
-    for coord in range(n1):
-        remaining = n1 - coord - 1
+    zmax = max(values, default=0)
+    for remaining in range(length - 1, -1, -1):
+        slack = reach + remaining * zmax  # a partial sum further out cannot come back
         new: dict[tuple[int, int], int] = {}
         for (s, q), cnt in states.items():
-            for z in range(-zmax, zmax + 1):
+            for z in values:
                 q2 = q + z * z
-                if q2 > smax:
-                    continue
-                s2 = s + z
-                # The final sum must hit cls exactly.
-                if abs(cls - s2) > remaining * zmax:
-                    continue
-                key = (s2, q2)
-                new[key] = new.get(key, 0) + cnt
-        states = new
-    out: NormTable = {}
-    for (s, q), cnt in states.items():
-        if s != cls:
-            continue
-        norm = q - shift
-        if 0 <= norm <= bound:
-            out[norm] = out.get(norm, 0) + cnt
-    return out
-
-
-def _d_coset_counts(rank: int, cls: int, bound: Fraction) -> NormTable:
-    """Counts for the four glue cosets of D_rank ([0] even sums, [2] odd sums,
-    [1]/[3] half-integer vectors split by the parity of sum(z - 1/2))."""
-    out: NormTable = {}
-    if cls in (0, 2):
-        smax = int(bound)
-        if smax < 0:
-            return {}
-        zmax = isqrt(smax)
-        want_parity = 0 if cls == 0 else 1
-        states: dict[tuple[int, int], int] = {(0, 0): 1}
-        for _ in range(rank):
-            new: dict[tuple[int, int], int] = {}
-            for (p, q), cnt in states.items():
-                for z in range(-zmax, zmax + 1):
-                    q2 = q + z * z
-                    if q2 > smax:
-                        continue
-                    key = ((p + z) & 1, q2)
+                if q2 <= qmax and -slack <= s + z <= slack:
+                    key = (s + z, q2)
                     new[key] = new.get(key, 0) + cnt
-            states = new
-        for (p, q), cnt in states.items():
-            if p == want_parity and q <= bound:
-                out[Fraction(q)] = out.get(Fraction(q), 0) + cnt
-        return out
-    # Half-integer cosets: z_i = t_i / 2 with t_i odd; norm = sum(t^2)/4.
-    tmax4 = int(bound * 4)
-    if tmax4 < 0:
-        return {}
-    tmax = isqrt(tmax4)
-    if tmax % 2 == 0:
-        tmax -= 1
-    want_parity = 0 if cls == 1 else 1  # parity of sum((t_i - 1)/2)
-    states = {(0, 0): 1}
-    for _ in range(rank):
-        new = {}
-        for (p, q), cnt in states.items():
-            for t in range(-tmax, tmax + 1, 2):
-                q2 = q + t * t
-                if q2 > tmax4:
-                    continue
-                key = ((p + (t - 1) // 2) & 1, q2)
-                new[key] = new.get(key, 0) + cnt
         states = new
-    for (p, q), cnt in states.items():
-        if p == want_parity:
-            norm = Fraction(q, 4)
+    return states
+
+
+def _add(table: dict[Fraction, int], norm: Fraction, cnt: int) -> None:
+    table[norm] = table.get(norm, 0) + cnt
+
+
+def _a_tables(rank: int, bound: int) -> list[dict[Fraction, int]]:
+    n1 = rank + 1
+    reps = [c if 2 * c <= n1 else c - n1 for c in range(n1)]
+    smax = bound + max(r * r for r in reps) // n1
+    zmax = isqrt(smax)
+    rmax = max(abs(r) for r in reps)
+    tables: list[dict[Fraction, int]] = [{} for _ in range(n1)]
+    for (s, q), cnt in _sum_square_counts(n1, range(-zmax, zmax + 1), smax, rmax).items():
+        if reps[s % n1] == s:
+            norm = q - Fraction(s * s, n1)
             if norm <= bound:
-                out[norm] = out.get(norm, 0) + cnt
-    return out
+                _add(tables[s % n1], norm, cnt)
+    return tables
 
 
-def _e_coset_counts(rank: int, cls: int, bound: Fraction) -> NormTable:
-    """Counts for E6/E7/E8 glue cosets by enumerating the dual lattice."""
-    g = ade_gram("E", rank)
-    det = det_exact(g)
-    ginv = _inverse_gram("E", rank)
-    # det * G^{-1} is the integer Gram of the dual basis, scaled by det.
-    dual_scaled = [[int(ginv[i][j] * det) for j in range(rank)] for i in range(rank)]
-    labels_np = np.array(dual_class_labels("E", rank), dtype=np.int64)
-    order = disc_order("E", rank)
-    out: NormTable = {}
-    if cls == 0:
-        out[Fraction(0)] = 1
-    b_scaled = int(bound * det)
-    for qscaled, vecs in shells_upto(dual_scaled, b_scaled).items():
-        # int32 coordinates times labels below the order (<= 3), over <= 8
-        # columns: exact in int64.
-        hit = int(np.count_nonzero(vecs.astype(np.int64) @ labels_np % order == cls))
-        if hit:
-            out[Fraction(qscaled, det)] = hit
-    return out
+def _d_tables(rank: int, bound: int) -> list[dict[Fraction, int]]:
+    """[0] even and [2] odd integer sums; [1]/[3] half-integer vectors 2z = t
+    (t odd) split by the parity of sum((t - 1)/2) = (sum(t) - rank)/2."""
+    tables: list[dict[Fraction, int]] = [{} for _ in range(4)]
+    zmax = isqrt(bound)
+    for (s, q), cnt in _sum_square_counts(rank, range(-zmax, zmax + 1), bound, rank * zmax).items():
+        _add(tables[2 * (s & 1)], Fraction(q), cnt)
+    tmax = isqrt(4 * bound) - 1 | 1  # largest odd t with t^2 <= 4 * bound
+    for (s, q), cnt in _sum_square_counts(rank, range(-tmax, tmax + 1, 2), 4 * bound, rank * tmax).items():
+        _add(tables[1 + 2 * (((s - rank) // 2) & 1)], Fraction(q, 4), cnt)
+    return tables
+
+
+def _e_tables(rank: int, bound: int) -> list[dict[Fraction, int]]:
+    sub_rank, classes = _E_SUBLATTICE[rank]
+    sub = coset_tables("A", sub_rank, bound)
+    tables: list[dict[Fraction, int]] = []
+    for words in classes:
+        table: dict[Fraction, int] = {}
+        for word in words:
+            for norm, cnt in _convolve([sub[c] for c in word], bound).items():
+                _add(table, norm, cnt)
+        tables.append(table)
+    return tables
 
 
 @lru_cache(maxsize=None)
-def component_coset_counts(kind: str, rank: int, cls: int, bound: Fraction) -> tuple[tuple[Fraction, int], ...]:
-    """Norm table (sorted items) for one glue coset of one root lattice."""
-    if not 0 <= cls < disc_order(kind, rank):
-        raise ValueError(f"class {cls} invalid for {kind}{rank}")
-    bound = Fraction(bound)
-    if kind == "A":
-        table = _a_coset_counts(rank, cls, bound)  # includes the zero vector for cls 0
-    elif kind == "D":
-        table = _d_coset_counts(rank, cls, bound)
-    else:
-        table = _e_coset_counts(rank, cls, bound)  # dual enumeration; zero added there
-    return tuple(sorted(table.items()))
+def coset_tables(kind: str, rank: int, bound: int) -> tuple[NormTable, ...]:
+    """Norm table (sorted items, norm <= bound, zero vector in class 0) of every
+    glue class of one root lattice, indexed by class."""
+    disc_order(kind, rank)  # validates the symbol
+    build = {"A": _a_tables, "D": _d_tables, "E": _e_tables}[kind]
+    return tuple(tuple(sorted(table.items())) for table in build(rank, bound))
+
+
+def _convolve(tables: list[NormTable], bound: int) -> dict[Fraction, int]:
+    """Norm table of the orthogonal sum of cosets with the given tables."""
+    conv: dict[Fraction, int] = {Fraction(0): 1}
+    for table in tables:
+        new: dict[Fraction, int] = {}
+        for acc_norm, acc_cnt in conv.items():
+            room = bound - acc_norm
+            for norm, cnt in table:
+                if norm > room:
+                    break
+                _add(new, acc_norm + norm, acc_cnt * cnt)
+        conv = new
+    return conv
 
 
 def glued_shell_counts(
@@ -162,26 +139,11 @@ def glued_shell_counts(
     `words` must be the full glue group; the cosets are disjoint, so the total
     is a sum over words of convolutions of per-component coset counts.
     """
-    total: dict[Fraction, int] = {}
-    b = Fraction(bound)
-    for word in words:
-        conv: dict[Fraction, int] = {Fraction(0): 1}
-        for (kind, rank), cls in zip(components, word):
-            table = component_coset_counts(kind, rank, cls, b)
-            new: dict[Fraction, int] = {}
-            for acc_norm, acc_cnt in conv.items():
-                room = b - acc_norm
-                for norm, cnt in table:
-                    if norm > room:
-                        break
-                    key = acc_norm + norm
-                    new[key] = new.get(key, 0) + acc_cnt * cnt
-            conv = new
-        for norm, cnt in conv.items():
-            total[norm] = total.get(norm, 0) + cnt
+    tables = [coset_tables(kind, rank, bound) for kind, rank in components]
     out: dict[int, int] = {}
-    for norm, cnt in total.items():
-        if norm.denominator != 1:
-            raise ValueError("glue cosets produced non-integral norms: not a lattice")
-        out[int(norm)] = out.get(int(norm), 0) + cnt
+    for word in words:
+        for norm, cnt in _convolve([t[cls] for t, cls in zip(tables, word)], bound).items():
+            if norm.denominator != 1:
+                raise ValueError("glue cosets produced non-integral norms: not a lattice")
+            out[int(norm)] = out.get(int(norm), 0) + cnt
     return out

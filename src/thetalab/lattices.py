@@ -241,17 +241,6 @@ def minimum_norm(lat: Lattice) -> int:
         bound *= 2
 
 
-def extremality_bound(rank: int) -> int:
-    """Upper bound for the minimal norm of an even unimodular lattice of this rank."""
-    return 2 * (rank // 24) + 2
-
-
-def extremality_check(lat: Lattice) -> dict:
-    bound = extremality_bound(lat.rank)
-    mu = minimum_norm(lat)
-    return {"bound": bound, "is_extremal": mu == bound, "min_norm": mu}
-
-
 def root_system(lat: Lattice) -> RootSystemReport:
     """Classify the norm-2 vectors into irreducible ADE components
     (`enumeration.root_components`)."""

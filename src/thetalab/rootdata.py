@@ -131,27 +131,6 @@ def _e_series_generator_index(kind: str, rank: int) -> int:
     raise AssertionError("unimodular lattice has no nontrivial classes")
 
 
-@lru_cache(maxsize=None)
-def dual_class_labels(kind: str, rank: int) -> tuple[int, ...]:
-    """Class index of each fundamental weight in the cyclic group generated by the
-    reference class (E6/E7 only; used when sorting dual vectors into cosets)."""
-    order = disc_order(kind, rank)
-    if order == 1:
-        return tuple(0 for _ in range(rank))
-    ginv = _inverse_gram(kind, rank)
-    i0 = _e_series_generator_index(kind, rank)
-    labels = []
-    for i in range(rank):
-        for k in range(order):
-            diff = [ginv[i][j] - k * ginv[i0][j] for j in range(rank)]
-            if all(x.denominator == 1 for x in diff):
-                labels.append(k)
-                break
-        else:
-            raise AssertionError("discriminant group is not cyclic as assumed")
-    return tuple(labels)
-
-
 def disc_rep_ambient(kind: str, rank: int, cls: int) -> tuple[Fraction, ...]:
     """A representative vector (ambient coordinates) of the cls-th glue class.
 

@@ -9,7 +9,8 @@ import numpy as np
 from thetalab import enumeration
 from thetalab.enumeration import GramTarget, candidate_targets
 from thetalab.exactnum import NotPositiveDefiniteError, det_exact, rank_int
-from thetalab.rootdata import classify_component
+from thetalab.fincke_pohst import shells_upto
+from thetalab.rootdata import ade_gram, classify_component
 from thetalab.theta import Series
 
 
@@ -17,20 +18,8 @@ def ldl_box_vectors(gram, bound):
     """Scan the coordinate box |x_i| <= sqrt(bound * (G^-1)_ii) and group every
     nonzero vector of norm <= bound by norm.  Independent of the enumeration engine."""
     n = len(gram)
-    ginv_diag = []
-    for i in range(n):
-        aug = [[Fraction(gram[r][c]) for c in range(n)] + [Fraction(1 if r == i else 0)] for r in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        ginv_diag.append(aug[i][n])
-    boxes = [int(isqrt(int(bound * d) + 1)) + 1 for d in ginv_diag]
+    ginv = fraction_inverse(gram)
+    boxes = [int(isqrt(int(bound * ginv[i][i]) + 1)) + 1 for i in range(n)]
     vectors = {}
     for x in itertools.product(*[range(-b, b + 1) for b in boxes]):
         if not any(x):
@@ -39,6 +28,22 @@ def ldl_box_vectors(gram, bound):
         if 0 < q <= bound:
             vectors.setdefault(q, []).append(x)
     return vectors
+
+
+def fraction_inverse(gram):
+    """G^-1 by Gauss-Jordan elimination on Fractions."""
+    n = len(gram)
+    aug = [[Fraction(gram[r][c]) for c in range(n)] + [Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
 
 
 def fraction_ldl(gram):
@@ -101,6 +106,121 @@ def e8_ambient_counts(bound):
             continue
         counts[q4 // 4] = counts.get(q4 // 4, 0) + 1
     return counts
+
+
+def a_coset_counts(rank, cls, bound):
+    """Norm table of the coset cls + A_rank for one integer cls (any
+    representative of its class): the projection of {z in Z^{n+1} :
+    sum(z) = cls}, with norm sum(z^2) - cls^2/(n+1), by a dynamic program
+    over the coordinates that carries one target sum."""
+    n1 = rank + 1
+    shift = Fraction(cls * cls, n1)
+    smax = int(bound + shift)  # floor
+    if smax < 0:
+        return {}
+    zmax = isqrt(smax)
+    states = {(0, 0): 1}
+    for coord in range(n1):
+        remaining = n1 - coord - 1
+        new = {}
+        for (s, q), cnt in states.items():
+            for z in range(-zmax, zmax + 1):
+                q2 = q + z * z
+                if q2 > smax:
+                    continue
+                s2 = s + z
+                # The final sum must hit cls exactly.
+                if abs(cls - s2) > remaining * zmax:
+                    continue
+                key = (s2, q2)
+                new[key] = new.get(key, 0) + cnt
+        states = new
+    out = {}
+    for (s, q), cnt in states.items():
+        if s != cls:
+            continue
+        norm = q - shift
+        if 0 <= norm <= bound:
+            out[norm] = out.get(norm, 0) + cnt
+    return out
+
+
+def d_coset_counts(rank, cls, bound):
+    """Norm table of one glue coset of D_rank ([0] even sums, [2] odd sums,
+    [1]/[3] half-integer vectors split by the parity of sum(z - 1/2)), by a
+    dynamic program over (parity, sum of squares) for that class alone."""
+    out = {}
+    if cls in (0, 2):
+        zmax = isqrt(bound)
+        want_parity = 0 if cls == 0 else 1
+        states = {(0, 0): 1}
+        for _ in range(rank):
+            new = {}
+            for (p, q), cnt in states.items():
+                for z in range(-zmax, zmax + 1):
+                    q2 = q + z * z
+                    if q2 <= bound:
+                        key = ((p + z) & 1, q2)
+                        new[key] = new.get(key, 0) + cnt
+            states = new
+        for (p, q), cnt in states.items():
+            if p == want_parity:
+                out[Fraction(q)] = out.get(Fraction(q), 0) + cnt
+        return out
+    # Half-integer cosets: z_i = t_i / 2 with t_i odd; norm = sum(t^2)/4.
+    tmax = isqrt(4 * bound)
+    if tmax % 2 == 0:
+        tmax -= 1
+    want_parity = 0 if cls == 1 else 1  # parity of sum((t_i - 1)/2)
+    states = {(0, 0): 1}
+    for _ in range(rank):
+        new = {}
+        for (p, q), cnt in states.items():
+            for t in range(-tmax, tmax + 1, 2):
+                q2 = q + t * t
+                if q2 <= 4 * bound:
+                    key = ((p + (t - 1) // 2) & 1, q2)
+                    new[key] = new.get(key, 0) + cnt
+        states = new
+    for (p, q), cnt in states.items():
+        if p == want_parity:
+            out[Fraction(q, 4)] = out.get(Fraction(q, 4), 0) + cnt
+    return out
+
+
+def e_coset_counts(rank, bound):
+    """Norm tables of every glue class of E_rank, by walking the shells of
+    the dual lattice E_rank* (Gram det * G^-1, scaled by det = |E*/E|) and
+    labelling each dual vector by its class.  The class of a dual vector is
+    the sum of its coordinates times the labels of the dual basis vectors,
+    each label k the multiple of a generating dual basis vector g that it is
+    congruent to (rows of G^-1 that differ by an integral row)."""
+    gram = [list(r) for r in ade_gram("E", rank)]
+    det = det_exact(gram)
+    ginv = fraction_inverse(gram)
+    gen = next((row for row in ginv if any(x.denominator != 1 for x in row)), ginv[0])
+    labels = [
+        next(k for k in range(det) if all((x - k * y).denominator == 1 for x, y in zip(row, gen)))
+        for row in ginv
+    ]
+    tables = [{} for _ in range(det)]
+    tables[0][Fraction(0)] = 1
+    dual_scaled = [[int(x * det) for x in row] for row in ginv]
+    for qscaled, vecs in shells_upto(dual_scaled, bound * det).items():
+        classes = vecs.astype(np.int64) @ np.array(labels, dtype=np.int64) % det
+        for cls, cnt in zip(*np.unique(classes, return_counts=True)):
+            tables[int(cls)][Fraction(qscaled, det)] = int(cnt)
+    return tables
+
+
+def tau(n):
+    """Ramanujan's tau(n): the q^n coefficient of q * prod_{m >= 1} (1 - q^m)^24."""
+    coeffs = [1] + [0] * (n - 1)  # prod (1 - q^m)^24 up to q^(n-1)
+    for m in range(1, n):
+        for _ in range(24):
+            for i in range(n - 1, m - 1, -1):
+                coeffs[i] -= coeffs[i - m]
+    return coeffs[n - 1]
 
 
 def solve_coordinates(basis, v):

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetalab.cosets import component_coset_counts, glued_shell_counts
+from thetalab.cosets import coset_tables, glued_shell_counts
 from thetalab.enumeration import shell_counts_upto
 from thetalab.fincke_pohst import counts_upto
 from thetalab.lattices import direct_sum, root_lattice
-from thetalab.niemeier import builtin
+from thetalab.niemeier import RANK24_NAMES, builtin
 from thetalab.rootdata import ade_gram, root_count
+
+from oracles import a_coset_counts, d_coset_counts, e_coset_counts, tau
 
 
 def brute_a_coset(rank, cls, bound):
@@ -56,24 +58,60 @@ def brute_d_coset(rank, cls, bound):
 
 @pytest.mark.parametrize("rank,cls", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 2), (4, 1), (4, 3)])
 def test_a_coset_counts_match_box_scan(rank, cls):
-    got = dict(component_coset_counts("A", rank, cls, Fraction(6)))
+    got = dict(coset_tables("A", rank, 6)[cls])
     assert got == brute_a_coset(rank, cls, Fraction(6))
 
 
 @pytest.mark.parametrize("rank,cls", [(3, 0), (3, 1), (3, 2), (3, 3), (4, 0), (4, 1), (4, 2), (4, 3)])
 def test_d_coset_counts_match_box_scan(rank, cls):
-    got = dict(component_coset_counts("D", rank, cls, Fraction(6)))
+    got = dict(coset_tables("D", rank, 6)[cls])
     assert got == brute_d_coset(rank, cls, Fraction(6))
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 5), ("D", 6), ("E", 6), ("E", 7), ("E", 8)])
 def test_class0_matches_direct_enumeration(kind, rank):
-    table = dict(component_coset_counts(kind, rank, 0, Fraction(8)))
+    table = dict(coset_tables(kind, rank, 8)[0])
     gram = [list(r) for r in ade_gram(kind, rank)]
     fp = {Fraction(k): v for k, v in counts_upto(gram, 8).items()}
     fp[Fraction(0)] = 1
     assert table == fp
     assert table[Fraction(2)] == root_count(kind, rank)
+
+
+@pytest.mark.parametrize(
+    "kind,rank", [("A", n) for n in range(1, 25)] + [("D", n) for n in range(4, 25)] + [("E", 6), ("E", 7), ("E", 8)]
+)
+def test_coset_tables_match_per_class_oracles(kind, rank):
+    # A_n: one dynamic program per class, read at the class label itself
+    # rather than at its representative of least absolute value; D_n: one
+    # program per class; E_n: the dual lattice walked and labelled.
+    for bound in (0, 2, 4, 8, 10, 12):
+        got = [dict(t) for t in coset_tables(kind, rank, bound)]
+        if kind == "A":
+            want = [a_coset_counts(rank, cls, bound) for cls in range(rank + 1)]
+        elif kind == "D":
+            want = [d_coset_counts(rank, cls, bound) for cls in range(4)]
+        else:
+            want = e_coset_counts(rank, bound)
+        assert got == want, bound
+
+
+def sigma11(n):
+    return sum(d**11 for d in range(1, n + 1) if n % d == 0)
+
+
+@pytest.mark.parametrize("name", RANK24_NAMES)
+def test_rank24_shell_counts_follow_the_degree1_law(name):
+    # theta = E12 + c * Delta with c fixed by the root count: every glue word
+    # of the built-in, to norm 12.
+    lat = builtin(name)
+    counts = shell_counts_upto(lat, 12)
+    r2 = sum(root_count(kind, rank) for kind, rank in lat.decomposition[0])
+    for norm in range(2, 13, 2):
+        n = norm // 2
+        law = Fraction(65520, 691) * (sigma11(n) - tau(n)) + r2 * tau(n)
+        assert counts[norm] == law, norm
+    assert counts[0] == 1 and all(q % 2 == 0 for q in counts)
 
 
 def test_d8_plus_equals_e8_shells():

@@ -11,8 +11,6 @@ from thetalab.lattices import (
     GlueSpec,
     LatticeError,
     direct_sum,
-    extremality_bound,
-    extremality_check,
     from_gram,
     glue,
     hyp_ratio_ok,
@@ -168,14 +166,6 @@ def test_minimum_norm():
     assert minimum_norm(from_gram("no-roots", [[4]])) == 4
     with pytest.raises(EmptyLatticeError):
         minimum_norm(lat.ZERO_LATTICE)
-
-
-def test_extremality():
-    assert extremality_check(builtin("E8")) == {"bound": 2, "is_extremal": True, "min_norm": 2}
-    chk = extremality_check(builtin("E8^3"))
-    assert chk["bound"] == 4 and not chk["is_extremal"]
-    assert extremality_bound(32) == 4
-    assert extremality_bound(48) == 6
 
 
 def test_root_system_e8():
