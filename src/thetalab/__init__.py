@@ -22,7 +22,6 @@ from .jacobi import (
     VenkovReport,
     heat_coefficient_check,
     jacobi_coefficient,
-    pair_difference_f1_check,
     venkov_constant,
 )
 from .lattices import (

@@ -26,11 +26,12 @@ at degree 4).  Three engines cover the shapes of the representatives:
   integer products (at genus 2, against one of each +-z pair).
 
 The root engine and the orbit counter share one root-system record per
-lattice (`_LatticeContext.root_system`), found once from the norm-2 shell:
-the roots, their inner-product masks, the simple roots, the components,
-each typed by its simple roots (`weyl.components`), and |W|.  A lattice
-without roots has W = 1; its orbits are then those of -1.  Everything runs
-in one process.
+lattice (`_LatticeContext.root_system`), found once from one root of each
++-pair of the norm-2 shell, as (-x, y) = -(x, y): the roots, their
+inner-product masks, the simple roots of the lexicographic positive system,
+the components, each typed by its simple roots (`weyl.components`), and |W|.
+A lattice without roots has W = 1; its orbits are then those of -1.
+Everything runs in one process.
 
 Every engine that stores shells gets them from `_LatticeContext`, which sizes
 them from the shell counts first and refuses more than
@@ -174,7 +175,7 @@ def _context(lat: "Lattice") -> "_LatticeContext":
 
 
 class _RootSystem(NamedTuple):
-    vectors: np.ndarray  # int32 rows, reduced-basis coordinates
+    vectors: np.ndarray  # int32 rows, reduced-basis coordinates: the positive roots, then their negatives
     masks: dict[int, list[int]]  # bit j of masks[d][i]: roots i and j have inner product d
     linked: list[int]  # bit j of linked[i]: roots i and j are not orthogonal
     simple: int  # bit mask of the simple roots
@@ -247,17 +248,30 @@ class _LatticeContext:
     def root_system(self) -> _RootSystem:
         """The roots, their inner products, and the simple roots, which type
         each irreducible component by its rank (`weyl.components`) and so
-        give the order of the Weyl group W."""
-        vectors = self.shell_array(2)
-        long = vectors.astype(np.int64)
+        give the order of the Weyl group W.
+
+        Roots come in +-pairs and (-x, y) = -(x, y), so everything is found
+        from one root of each pair: the h roots whose first nonzero
+        coordinate is positive, which are the positive roots of the
+        lexicographic order, followed by their negatives.  Root i + h is
+        -(root i), and only the h x h inner products are computed."""
+        half = _sign_half(self.shell_array(2))
+        h = len(half)
+        long = half.astype(np.int64)
         dots = long @ self._gram_red_np @ long.T
         assert dots.max(initial=0) <= 2 and dots.min(initial=0) >= -2
-        masks = {d: _bit_rows(dots == d) for d in range(-2, 3)}
-        linked = _bit_rows(dots != 0)
-        simple = weyl.simple_roots(vectors.tolist(), masks[1])
-        components = list(weyl.components(linked, simple, (1 << len(vectors)) - 1))
+        packed = {d: _bit_rows(dots == d) for d in range(-2, 3)}
+        masks = {}
+        for d in range(-2, 3):
+            a, b = packed[d], packed[-d]
+            masks[d] = [x | y << h for x, y in zip(a, b)] + [y | x << h for x, y in zip(a, b)]
+        everything = (1 << 2 * h) - 1
+        linked = [everything & ~m for m in masks[0]]
+        # Lexicographic order, coordinate 0 first, is compatible with addition.
+        simple = weyl.simple_roots(np.lexsort(half.T[::-1]).tolist(), masks[1])
+        components = list(weyl.components(linked, simple, everything))
         order = weyl.group_order(symbol for symbol, _ in components)
-        return _RootSystem(vectors, masks, linked, simple, components, order)
+        return _RootSystem(np.concatenate([half, -half]), masks, linked, simple, components, order)
 
     def orbits(self, norm: int) -> tuple[np.ndarray, np.ndarray]:
         """(rows, weights): the vectors of the norm shell in the closed
@@ -269,11 +283,13 @@ class _LatticeContext:
         if got is None:
             shell = self.shell_array(norm)
             rs = self.root_system
-            roots = rs.vectors.astype(np.int64)
             if rs.simple:
-                gs = self._gram_red_np @ roots[list(iter_bits(rs.simple))].T
+                gs = self._gram_red_np @ rs.vectors[list(iter_bits(rs.simple))].T.astype(np.int64)
                 rows = shell[_nonnegative_rows(shell, gs)]
-                orthogonal = _bit_rows(rows.astype(np.int64) @ self._gram_red_np @ roots.T == 0)
+                # y is orthogonal to -x exactly when it is orthogonal to x.
+                h = len(rs.vectors) // 2
+                on_half = _bit_rows(rows.astype(np.int64) @ self._gram_red_np @ rs.vectors[:h].T.astype(np.int64) == 0)
+                orthogonal = [m | m << h for m in on_half]
                 weights = np.array(weyl.orbit_sizes(orthogonal, rs.linked, rs.simple, rs.order), dtype=np.int64)
             else:
                 rows = _sign_half(shell)

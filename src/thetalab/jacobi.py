@@ -84,15 +84,17 @@ class VenkovReport:
 
 
 def _root_moment_matrix(lat: "Lattice") -> tuple[int, list[list[int]]]:
-    """(r2, M) with M = sum over roots y of (G y)(G y)^T, exactly."""
+    """(r2, M) with M = sum over roots y of (G y)(G y)^T, exactly: y and -y
+    give the same term, so M is twice the sum over one root of each pair."""
     ctx = enumeration._context(lat)
-    y = ctx.shell_array(2).astype(np.int64) @ np.array(ctx.transform, dtype=np.int64)  # original basis
-    r2 = len(y)
+    half = enumeration._sign_half(ctx.shell_array(2))
+    r2 = 2 * len(half)
     if r2 == 0:
         raise LatticeError("no roots: the moment identity is vacuous")
+    y = half.astype(np.int64) @ np.array(ctx.transform, dtype=np.int64)  # original basis
     gy = y @ np.array(lat.gram, dtype=np.int64)  # rows are (G y)^T
-    assert int(np.abs(gy).max()) ** 2 * r2 < 2**62
-    m = gy.T @ gy
+    assert int(np.abs(gy).max()) ** 2 * r2 < 2**62  # r2 / 2 terms, doubled
+    m = 2 * (gy.T @ gy)
     return r2, [[int(x) for x in row] for row in m]
 
 
@@ -101,51 +103,41 @@ def venkov_constant(lat: "Lattice", norm_bound: int = 8, per_vector_norm_cap: in
 
     Both sides are quadratic forms in v, so the identity for all v (any norm
     bound) is exactly the matrix equality r2 * G = c * M with M the root
-    second-moment matrix; that equality is what is checked.  Vectors with norm
-    up to per_vector_norm_cap are additionally re-verified by the direct sum
-    over roots: the roots themselves, and above norm 2 one dominant vector
-    per Weyl orbit.  `verified_vectors` counts the vectors so covered, each
+    second-moment matrix; that equality is what is checked, in integers,
+    with c read from the first nonzero entry of M.  Vectors with norm up to
+    per_vector_norm_cap are additionally re-verified by the direct sum over
+    roots: the roots themselves, and above norm 2 one dominant vector per
+    Weyl orbit.  `verified_vectors` counts the vectors so covered, each
     orbit by its size.
     """
     r2, m = _root_moment_matrix(lat)
     gram = lat.gram
     n = lat.rank
-    c = None
-    consistent = True
-    for i in range(n):
-        for j in range(n):
-            lhs = r2 * gram[i][j]
-            rhs = m[i][j]
-            if rhs == 0:
-                if lhs != 0:
-                    consistent = False
-                continue
-            ratio = Fraction(lhs, rhs)
-            if c is None:
-                c = ratio
-            elif ratio != c:
-                consistent = False
-    if c is None:
-        consistent = False
-        c = Fraction(0)
+    sides = [(r2 * gram[i][j], m[i][j]) for i in range(n) for j in range(n)]
+    lhs, rhs = next(((a, b) for a, b in sides if b), (0, 0))
+    c = Fraction(lhs, rhs or 1)
+    consistent = bool(rhs) and all(a * c.denominator == c.numerator * b for a, b in sides)
     verified = 0
     if consistent and per_vector_norm_cap > 0:
         # Both sides are invariant under the Weyl group W (it permutes the
         # roots), so above norm 2 one dominant vector per W-orbit checks its
         # whole orbit.  The norm-2 shell is the roots themselves: checking
-        # them all is one r2 x r2 product, cheaper than finding W.
+        # them all is one product over the roots, cheaper than finding W.
+        # v and -v, y and -y give the same squares, so both run over one
+        # root of each pair and the sum over y is doubled.
         # Q(y, v) is basis-free: reduced coordinates, int64.
         ctx = enumeration._context(lat)
-        gy = ctx.shell_array(2).astype(np.int64) @ ctx._gram_red_np
+        half = enumeration._sign_half(ctx.shell_array(2))
+        gy = half.astype(np.int64) @ ctx._gram_red_np
         for norm in sorted(ctx.shell_arrays_upto(min(norm_bound, per_vector_norm_cap))):
             if norm == 2:
-                rows, covered = ctx.shell_array(2), r2
+                rows, covered = half, r2
             else:
                 rows, weights = ctx.orbits(norm)
                 covered = int(weights.sum())
-            assert (int(np.abs(gy).max()) * int(np.abs(rows).max(initial=0)) * n) ** 2 * len(gy) < 2**62
+            assert (int(np.abs(gy).max()) * int(np.abs(rows).max(initial=0)) * n) ** 2 * r2 < 2**62
             dots = rows.astype(np.int64) @ gy.T
-            sums = np.einsum("ij,ij->i", dots, dots)
+            sums = 2 * np.einsum("ij,ij->i", dots, dots)
             # At most one sum satisfies the identity: checking the extremes checks all.
             for rhs_direct in (int(sums.min()), int(sums.max())):
                 consistent &= r2 * norm * c.denominator == c.numerator * rhs_direct
@@ -190,24 +182,4 @@ def _heat_identity(r2: int, s: GramTarget, r_s: int, c: Fraction, jacobi: Jacobi
         for j in range(i, s.genus):
             if r2 * s.entries[i][j] * r_s * c.denominator != c.numerator * jacobi.second_moment(s, i, j):
                 return False
-    return True
-
-
-def pair_difference_f1_check(left: "Lattice", right: "Lattice", genus: int, trace_bound: int) -> bool:
-    """Verify the chain used for same-root-count pairs: equal root numbers, one
-    shared constant c, and the first Fourier-Jacobi second moments of both
-    lattices pinned to their representation numbers by the heat identity."""
-    r2_left = shell_count(left, 2)
-    r2_right = shell_count(right, 2)
-    if r2_left != r2_right:
-        raise LatticeError(f"root counts differ: {r2_left} != {r2_right}")
-    rep_left = venkov_constant(left, per_vector_norm_cap=2)
-    rep_right = venkov_constant(right, per_vector_norm_cap=2)
-    if not (rep_left.consistent and rep_right.consistent and rep_left.constant == rep_right.constant):
-        return False
-    c = rep_left.constant
-    for lat in (left, right):
-        jac = jacobi_coefficient(lat, genus, 1, trace_bound)
-        if not all(heat_profile_check(lat, genus, trace_bound, c, jac).values()):
-            return False
     return True

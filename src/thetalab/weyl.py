@@ -54,19 +54,18 @@ def pieces(linked: Sequence[int], roots: int) -> Iterator[int]:
         yield piece
 
 
-def simple_roots(vectors: Sequence[Sequence[int]], ones: Sequence[int]) -> int:
-    """Bit mask of the simple roots, from the root coordinates and the masks
-    ones[i] of the roots with inner product 1 with root i.
+def simple_roots(positive: Sequence[int], ones: Sequence[int]) -> int:
+    """Bit mask of the simple roots, from the indices of the positive roots
+    in increasing order and the masks ones[i] of the roots with inner
+    product 1 with root i.
 
-    The positive roots are those positive under f(v) = sum_i v_i B^i with
-    B = 2 max|v_i| + 1, which vanishes on no nonzero root.  A positive root is
-    simple unless it is the sum of two positive roots, that is unless some
-    positive root of smaller f has inner product 1 with it."""
-    base = 2 * max((abs(c) for v in vectors for c in v), default=0) + 1
-    f = [sum(c * base**i for i, c in enumerate(v)) for v in vectors]
-    assert all(f), "functional vanishes on a root"
+    The order must be compatible with addition (as a lexicographic order on
+    the coordinates is), so a sum of two positive roots is larger than both.
+    A positive root x is simple unless it is such a sum, that is unless some
+    smaller positive root a has (a, x) = 1: then x - a is a root, positive
+    as x > a (Humphreys, Reflection Groups and Coxeter Groups, 1.3-1.5)."""
     simple = lower = 0
-    for _, i in sorted((v, i) for i, v in enumerate(f) if v > 0):
+    for i in positive:
         if not ones[i] & lower:
             simple |= 1 << i
         lower |= 1 << i

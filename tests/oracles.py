@@ -6,7 +6,7 @@ from math import isqrt
 
 import numpy as np
 
-from thetalab import enumeration
+from thetalab import enumeration, weyl
 from thetalab.enumeration import GramTarget, candidate_targets
 from thetalab.exactnum import NotPositiveDefiniteError, det_exact, rank_int
 from thetalab.fincke_pohst import shells_upto
@@ -279,6 +279,43 @@ def span_rank_types(vectors, masks):
         rank = rank_int(rows)
         out.append((classify_component(rank, len(rows)), rank))
     return out
+
+
+def simple_roots_by_functional(vectors, ones):
+    """Bit mask of the simple roots, from the root coordinates and the masks
+    ones[i] of the roots with inner product 1 with root i.
+
+    The positive roots are those positive under f(v) = sum_i v_i B^i with
+    B = 2 max|v_i| + 1, which vanishes on no nonzero root.  A positive root is
+    simple unless it is the sum of two positive roots, that is unless some
+    positive root of smaller f has inner product 1 with it."""
+    base = 2 * max((abs(c) for v in vectors for c in v), default=0) + 1
+    f = [sum(c * base**i for i, c in enumerate(v)) for v in vectors]
+    assert all(f), "functional vanishes on a root"
+    simple = lower = 0
+    for _, i in sorted((v, i) for i, v in enumerate(f) if v > 0):
+        if not ones[i] & lower:
+            simple |= 1 << i
+        lower |= 1 << i
+    return simple
+
+
+def whole_shell_root_record(roots, gram):
+    """(masks, linked, simple, components, |W|) of the roots `roots` (every
+    vector of the norm-2 shell, in any order) from the whole product over
+    them and `simple_roots_by_functional`; bit j of masks[d][i] is set when
+    roots i and j have inner product d."""
+    r = np.array(roots, dtype=np.int64).reshape(-1, len(gram))
+    dots = r @ np.array(gram, dtype=np.int64) @ r.T
+
+    def bit_rows(flags):
+        return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in flags]
+
+    masks = {d: bit_rows(dots == d) for d in range(-2, 3)}
+    linked = bit_rows(dots != 0)
+    simple = simple_roots_by_functional(r.tolist(), masks[1])
+    components = list(weyl.components(linked, simple, (1 << len(r)) - 1))
+    return masks, linked, simple, components, weyl.group_order(symbol for symbol, _ in components)
 
 
 def in_z_span(basis, v):

@@ -44,6 +44,7 @@ from oracles import (
     signed_permutation_orbits,
     span_rank_types,
     tuple_gram_counts,
+    whole_shell_root_record,
 )
 
 
@@ -778,6 +779,66 @@ def test_root_typing_matches_span_ranks_on_random_bases(drawn):
     lat = from_gram("changed", changed)
     _check_root_typing(lat)
     assert root_system(lat).components == _labels(f"{kind}{rank}" for kind, rank in comps)
+
+
+def _mask_matrix(rows, n):
+    """Bit masks over n roots as a boolean matrix, bit j of rows[i] at [i, j]."""
+    nbytes = (n + 7) // 8
+    return np.array(
+        [np.unpackbits(np.frombuffer(m.to_bytes(nbytes, "little"), dtype=np.uint8), bitorder="little")[:n]
+         for m in rows], dtype=bool).reshape(len(rows), n)
+
+
+def _check_pm_record(lat):
+    # The record built from one root of each +-pair against the one built
+    # from the whole norm-2 shell with the big-int functional of the oracle.
+    ctx = en._context(lat)
+    rs = ctx.root_system
+    shell = ctx.shell_array(2)
+    n, h = len(shell), len(rs.vectors) // 2
+    half = rs.vectors[:h]
+    assert len(rs.vectors) == n == 2 * h
+    assert (rs.vectors[h:] == -half).all()
+    lead = half[np.arange(h), (half != 0).argmax(axis=1)]
+    assert (lead > 0).all()
+    masks, linked, simple, components, order = whole_shell_root_record(shell.tolist(), ctx.gram_red)
+    # idx[i]: the record's index of the oracle's root i (the same root set).
+    where = {tuple(v): i for i, v in enumerate(rs.vectors.tolist())}
+    idx = [where[tuple(v)] for v in shell.tolist()]
+    assert sorted(idx) == list(range(n))
+    grid = np.ix_(idx, idx)
+    for d in range(-2, 3):
+        assert (_mask_matrix(rs.masks[d], n)[grid] == _mask_matrix(masks[d], n)).all(), d
+    assert (_mask_matrix(rs.linked, n)[grid] == _mask_matrix(linked, n)).all()
+
+    def mapped(mask):
+        return sum(1 << idx[i] for i in weyl.iter_bits(mask))
+
+    assert sorted((symbol, mapped(m)) for symbol, m in components) == sorted(rs.components)
+    assert sorted((mapped(m), (m & simple).bit_count()) for _, m in components) == sorted(
+        (m, (m & rs.simple).bit_count()) for _, m in rs.components
+    )
+    assert rs.simple < 1 << h  # simple roots are positive
+    assert rs.order == order
+
+
+@pytest.mark.parametrize(
+    "name",
+    BUILTIN_NAMES
+    + tuple(f"A{n}" for n in range(1, 10))
+    + tuple(f"D{n}" for n in range(4, 10))
+    + ("E6", "E7", "E8", "none"),
+)
+def test_pm_root_record_matches_whole_shell_oracle(name):
+    lat = from_gram("no-roots", [[4, 1], [1, 4]]) if name == "none" else _named_lattice(name)
+    _check_pm_record(lat)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ade_sums(kinds=tuple(k for k in ADE_UP_TO_8 if k[0] != "E"), max_rank=8, max_parts=4))
+def test_pm_root_record_matches_whole_shell_oracle_on_random_bases(drawn):
+    _, _, changed = drawn
+    _check_pm_record(from_gram("changed", changed))
 
 
 def _conjugate_steps(rows, perm, steps, trace_bound):

@@ -7,7 +7,6 @@ from thetalab.enumeration import GramTarget, RepresentationDomainError, shell_co
 from thetalab.jacobi import (
     heat_coefficient_check,
     jacobi_coefficient,
-    pair_difference_f1_check,
     venkov_constant,
 )
 from thetalab.lattices import LatticeError, from_gram
@@ -135,15 +134,6 @@ def test_heat_e8_cubed_g1():
 def test_heat_wrong_constant_fails():
     lat = builtin("E8^3")
     assert not heat_coefficient_check(lat, 1, S2, Fraction(48))
-
-
-def test_pair_f1_check_requires_equal_root_counts():
-    with pytest.raises(LatticeError):
-        pair_difference_f1_check(builtin("A5^4D4"), builtin("A9^2D6"), 1, 2)
-
-
-def test_pair_f1_check_small():
-    assert pair_difference_f1_check(builtin("A5^4D4"), builtin("D4^6"), 1, 2)
 
 
 @pytest.mark.parametrize("genus", [1, 2], ids=["genus1", "genus2"])
