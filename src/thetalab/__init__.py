@@ -46,7 +46,6 @@ from .theta import (
     GRAM_A4,
     Series,
     block_factorization_check,
-    distinguishing_report,
     export_series,
     k_identity_check,
     linear_independence_rank,

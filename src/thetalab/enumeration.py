@@ -5,11 +5,13 @@ r_L(T) = #{ordered tuples (x_1..x_g) in L^g with Q(x_i, x_j) = T_ij}, computed
 by direct counting.  It depends only on the GL_g(Z)-class of T, so each index
 is first replaced by its class representative (`class_representative`: a
 reduced matrix without zero rows, in a normal form under slot permutations
-and sign changes); counts, caches and profiles work on representatives, and
-a profile counts each class once, reading them from one table per (genus,
-bound) that reduces one index per signed-permutation orbit (`index_classes`;
-trace <= 8: 395 indices, 44 orbits, 26 classes at degree 3, and 2262, 70, 40
-at degree 4).  Three engines cover the shapes of the representatives:
+and sign changes); counts, caches and profiles work on representatives.
+One table per (genus, bound), `index_classes`, lists the indices, each class
+once and the position of each index's class; it reduces one index per
+signed-permutation orbit (trace <= 8: 395 indices, 44 orbits, 26 classes at
+degree 3, and 2262, 70, 40 at degree 4).  A profile (`class_counts`) counts
+each class once and expands the counts by position.  Three engines cover the
+shapes of the representatives:
 
 * an exact Fincke-Pohst walk for shells and for genus-1 counts (glued lattices
   instead get exact coset-decomposition counts, which agree and are fast),
@@ -36,7 +38,8 @@ Everything runs in one process.
 Every engine that stores shells gets them from `_LatticeContext`, which sizes
 them from the shell counts first and refuses more than
 `_SHELL_VECTORS_LIMIT` vectors.  The Fourier-Jacobi tables of `jacobi` are
-representation numbers one degree up and go through `class_counts` too.
+representation numbers one degree up and go through `class_counts` too, on
+a restriction of the degree-(g+1) table (`IndexTable.restrict`).
 
 All numpy arithmetic is integer-typed with proven no-overflow bounds, so the
 results are exact; nothing here uses floating point.
@@ -51,8 +54,7 @@ import os
 import zlib
 from dataclasses import dataclass
 from math import isqrt
-from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import cosets, weyl
 from .exactnum import is_positive_semidefinite
@@ -769,21 +771,49 @@ def _count_general(lat: "Lattice", t: GramTarget) -> int:
 
 def candidate_targets(genus: int, trace_bound: int) -> list[GramTarget]:
     """All even positive semidefinite integer matrices with trace <= bound, canonical order."""
-    return list(index_classes(genus, trace_bound))
+    return list(index_classes(genus, trace_bound).targets)
+
+
+class IndexTable(NamedTuple):
+    """Indices grouped by class: classes[position[k]] is the class
+    representative of targets[k]."""
+
+    targets: tuple[GramTarget, ...]  # canonical order
+    classes: tuple[GramTarget, ...]  # each class once, in order of first appearance
+    position: tuple[int, ...]
+
+    def restrict(self, keep: Callable[[GramTarget], bool]) -> "IndexTable":
+        """The targets that `keep` accepts, in the same order, with only the
+        classes they use."""
+        targets, position, slot = [], [], {}
+        for t, p in zip(self.targets, self.position):
+            if keep(t):
+                targets.append(t)
+                position.append(slot.setdefault(p, len(slot)))
+        return IndexTable(tuple(targets), tuple(self.classes[p] for p in slot), tuple(position))
 
 
 @functools.cache
-def index_classes(genus: int, trace_bound: int) -> Mapping[GramTarget, GramTarget]:
-    """{T: class_representative(T)} for every even PSD T with trace <= bound,
-    canonical order; one read-only table per (genus, bound).
+def index_classes(genus: int, trace_bound: int) -> IndexTable:
+    """Every even PSD T with trace <= bound, grouped by class; one table per
+    (genus, bound).
 
     Signed permutations P keep the trace, semidefiniteness and class of
     P T P^T, and each orbit has a member with a non-decreasing diagonal and
     T_0j >= 0.  Only those are enumerated; each new one is tested and reduced
-    once, and its representative goes to every image (P and -P act alike)."""
+    once, and its representative goes to every image (P and -P act alike).
+    An index is its upper triangle u here, and `square` rebuilds the matrix.
+    Each image is one itemgetter on u + (-u): the upper triangle of P T P^T
+    takes the cell (p_i, p_j) of T, negated where s_i s_j = -1."""
     cells = [(i, j) for i in range(genus) for j in range(i, genus)]
-    maps = [[(cells.index(tuple(sorted((p[i], p[j])))), s[i] * s[j]) for i, j in cells]
-            for p in itertools.permutations(range(genus)) for s in itertools.product((1,), *[(1, -1)] * (genus - 1))]
+    at = {c: k for k, c in enumerate(cells)}
+    square = [[at[min(i, j), max(i, j)] for j in range(genus)] for i in range(genus)]
+    n = len(cells)
+    # Below genus 2 the identity is the only image, and itemgetter needs two
+    # cells to give a tuple.
+    images = [operator.itemgetter(*(square[p[i]][p[j]] + n * (s[i] != s[j]) for i, j in cells))
+              for p in itertools.permutations(range(genus))
+              for s in itertools.product((1,), *[(1, -1)] * (genus - 1))] if genus > 1 else []
     reps: dict[tuple[int, ...], GramTarget | None] = {}  # upper triangle -> representative, None if not PSD
     for diag in itertools.combinations_with_replacement(range(0, trace_bound + 1, 2), genus):
         if sum(diag) > trace_bound:
@@ -794,31 +824,32 @@ def index_classes(genus: int, trace_bound: int) -> Mapping[GramTarget, GramTarge
             ranges.append(range(r, r + 1) if i == j else range(-r if i else 0, r + 1))
         for upper in itertools.product(*ranges):
             if upper not in reps:
-                t = GramTarget.from_upper(genus, upper)
-                rep = class_representative(t) if is_positive_semidefinite(t.entries) else None
-                for m in maps:
-                    reps[tuple(upper[k] * s for k, s in m)] = rep
-    on_diag = [k for k, (i, j) in enumerate(cells) if i == j]
+                rows = tuple(tuple(map(upper.__getitem__, r)) for r in square)
+                rep = class_representative(GramTarget(rows)) if is_positive_semidefinite(rows) else None
+                reps[upper] = rep
+                ext = upper + tuple(-x for x in upper)
+                for image in images:
+                    reps[image(ext)] = rep
+    on_diag = [at[i, i] for i in range(genus)]
     order = sorted((sum(u[k] for k in on_diag), u) for u, rep in reps.items() if rep is not None)
-    return MappingProxyType({GramTarget.from_upper(genus, u): reps[u] for _, u in order})
+    targets, position, slot = [], [], {}
+    for _, u in order:
+        targets.append(GramTarget(tuple(tuple(map(u.__getitem__, r)) for r in square)))
+        position.append(slot.setdefault(reps[u], len(slot)))
+    return IndexTable(tuple(targets), tuple(slot), tuple(position))
 
 
-def class_counts(lat: "Lattice", classes: Mapping[GramTarget, GramTarget]) -> dict[GramTarget, int]:
-    """r_L(T) for each T of `classes` ({T: its class representative}, as from
-    `index_classes`), in their order, with one count per representative."""
-    values: dict[GramTarget, int] = {}
-    out = {}
-    for t, rep in classes.items():
-        if rep not in values:
-            values[rep] = representation_count(lat, rep)
-        out[t] = values[rep]
-    return out
+def class_counts(lat: "Lattice", table: IndexTable) -> list[int]:
+    """r_L(T) for each T of table.targets, in order: one
+    `representation_count` per class, expanded by position."""
+    counts = [representation_count(lat, rep) for rep in table.classes]
+    return [counts[p] for p in table.position]
 
 
 def representation_profile(lat: "Lattice", genus: int, trace_bound: int) -> dict[GramTarget, int]:
     """r_L(T) for every representable even PSD T with trace <= bound (zeros
-    omitted); one count per class representative."""
+    omitted); one count per class."""
     if genus == 0:
         return {GramTarget.zero(0): 1}
-    counts = class_counts(lat, index_classes(genus, trace_bound))
-    return {t: c for t, c in counts.items() if c}
+    table = index_classes(genus, trace_bound)
+    return {t: c for t, c in zip(table.targets, class_counts(lat, table)) if c}

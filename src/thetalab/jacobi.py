@@ -18,6 +18,7 @@ W-invariant).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -47,25 +48,35 @@ class JacobiCoefficient:
         return sum(ell[i] * ell[j] * c for (t, ell), c in self.entries.items() if t == s)
 
 
+@functools.cache
+def _slots(genus: int, index: int, trace_bound: int) -> tuple[tuple, enumeration.IndexTable]:
+    """The (S, l) keys of the table and, in the same order, the degree-(g+1)
+    indices [[S, l], [l^T, 2n]] with trace(S) <= bound, with only the classes
+    they use; one list per (genus, bound, n), shared by every lattice."""
+    two_n = 2 * index
+    table = enumeration.index_classes(genus + 1, trace_bound + two_n).restrict(
+        lambda t: t.entries[genus][genus] == two_n)
+    keys = tuple((GramTarget(tuple(row[:genus] for row in t.entries[:genus])), t.entries[genus][:genus])
+                 for t in table.targets)
+    return keys, table
+
+
 def jacobi_coefficient(lat: "Lattice", genus: int, index: int, trace_bound: int, jobs: int = 1) -> JacobiCoefficient:
     """Exact joint counts for the index-n Fourier-Jacobi coefficient.
 
     N(S, l) counts the tuples (x_1..x_g, y) whose Gram matrix is the
     degree-(g+1) index T = [[S, l], [l^T, 2n]], so it is r_L(T); the table
-    holds r_L(T) for every candidate T with T_gg = 2n and trace(S) <= bound.
+    holds r_L(T) for every candidate T with T_gg = 2n and trace(S) <= bound,
+    zeros omitted.  The slots (S, l) and their classes are listed once per
+    (genus, bound, n), and each class is counted once by `class_counts`.
     `jobs` is ignored; it stays only because bench/workloads.py passes it.
     """
     if index < 1:
         raise ValueError("Fourier-Jacobi index must be >= 1")
-    two_n = 2 * index
     entries: dict[tuple[GramTarget, tuple[int, ...]], int] = {}
-    if shell_count(lat, two_n):
-        classes = {t: rep for t, rep in enumeration.index_classes(genus + 1, trace_bound + two_n).items()
-                   if t.entries[genus][genus] == two_n}
-        for t, c in enumeration.class_counts(lat, classes).items():
-            if c:
-                s = GramTarget(tuple(row[:genus] for row in t.entries[:genus]))
-                entries[(s, t.entries[genus][:genus])] = c
+    if shell_count(lat, 2 * index):
+        keys, table = _slots(genus, index, trace_bound)
+        entries = {key: c for key, c in zip(keys, enumeration.class_counts(lat, table)) if c}
     return JacobiCoefficient(genus=genus, index=index, trace_bound=trace_bound, entries=entries)
 
 
@@ -173,8 +184,9 @@ def heat_profile_check(lat: "Lattice", genus: int, trace_bound: int, c: Fraction
     """The heat identity at every S with trace <= bound and r_L(S) != 0, in
     canonical order, one count per class (where r_L(S) = 0, N(S, l) = 0 too)."""
     r2 = shell_count(lat, 2)
-    counts = enumeration.class_counts(lat, enumeration.index_classes(genus, trace_bound))
-    return {s: _heat_identity(r2, s, r_s, c, jacobi) for s, r_s in counts.items() if r_s}
+    table = enumeration.index_classes(genus, trace_bound)
+    counts = zip(table.targets, enumeration.class_counts(lat, table))
+    return {s: _heat_identity(r2, s, r_s, c, jacobi) for s, r_s in counts if r_s}
 
 
 def _heat_identity(r2: int, s: GramTarget, r_s: int, c: Fraction, jacobi: JacobiCoefficient) -> bool:

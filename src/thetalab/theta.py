@@ -18,7 +18,6 @@ from .enumeration import (
     GramTarget,
     RepresentationDomainError,
     class_representative,
-    index_classes,
     representation_count,
     representation_profile,
 )
@@ -226,43 +225,6 @@ CURATED_GENUS4: tuple[GramTarget, ...] = tuple(
 )
 
 GRAM_A4 = GramTarget.from_rows([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
-
-
-@dataclass(frozen=True)
-class DistinguishReport:
-    found: bool
-    genus: int | None
-    target: GramTarget | None
-    left_count: int | None
-    right_count: int | None
-
-
-def distinguishing_report(
-    left: "Lattice",
-    right: "Lattice",
-    g_max: int,
-    trace_bound: int,
-) -> DistinguishReport:
-    """First coefficient (canonical scan order) where the two series differ.
-
-    Degrees 1..3 scan every index with trace <= bound; degree 4 scans the
-    curated list (full degree-4 profiles are not attempted).
-    """
-    if left.rank != right.rank:
-        raise SeriesError("distinguishing_report needs equal ranks")
-    for genus in range(1, g_max + 1):
-        if genus <= 3:
-            classes = index_classes(genus, trace_bound)
-        elif genus == 4:
-            classes = {t: class_representative(t) for t in CURATED_GENUS4 if t.trace <= trace_bound}
-        else:
-            break
-        for t, rep in classes.items():
-            a = representation_count(left, rep)
-            b = representation_count(right, rep)
-            if a != b:
-                return DistinguishReport(True, genus, t, a, b)
-    return DistinguishReport(False, None, None, None, None)
 
 
 def linear_independence_rank(series: Sequence[Series]) -> int:

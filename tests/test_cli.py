@@ -345,6 +345,29 @@ def test_cache_hit_run_does_not_load_numpy(tmp_path):
     assert cold_numpy == "True" and warm_numpy == "False"
 
 
+# Runs the CLI in-process and reports whether numpy's own code has run: the
+# lazy loader registers `numpy` at import, but executes it, and so imports
+# `numpy._core`, only on first use.
+_NUMPY_EXECUTED_RUN = """
+import sys
+from thetalab import cli
+code = cli.run(sys.argv[1:])
+print(code, "numpy._core" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_warm_witt_genus3_never_executes_numpy(tmp_path):
+    # Executing numpy adds about 0.16 s to a run, which a warm rerun of the
+    # criterion-11 job cannot afford.
+    argv = ["witt", "--max-genus", "3", "--out", str(tmp_path / "witt.txt")]
+    env = {**os.environ, CACHE_ENV: str(tmp_path / "cache")}
+    runs = [subprocess.run([sys.executable, "-c", _NUMPY_EXECUTED_RUN, *argv], capture_output=True, text=True,
+                           env=env, timeout=600) for _ in range(2)]
+    (cold, cold_numpy), (warm, warm_numpy) = (proc.stderr.splitlines()[-1].split() for proc in runs)
+    assert cold == warm == str(EXIT_PASS)
+    assert cold_numpy == "True" and warm_numpy == "False"
+
+
 # Runs the CLI in a child of a child, so that the peak RSS read by getrusage
 # is that of the CLI process alone; its address space is capped at 4 GiB, so
 # a regression fails with a MemoryError instead of taking the host's memory.

@@ -297,13 +297,28 @@ def test_cold_genus1_count_is_one_lookup(tmp_path, monkeypatch):
         assert deltas == [{"misses": 1, **({"writes": 1} if writes else {})}, {"memory_hits": 1}]
 
 
+def _table_items(table):
+    """(T, its class representative) for every target, in order."""
+    return [(t, table.classes[p]) for t, p in zip(table.targets, table.position)]
+
+
+def _check_class_list(table):
+    # Each class is listed once, in order of first appearance, and every
+    # position resolves to the target's own representative.
+    assert len(set(table.classes)) == len(table.classes)
+    assert list(dict.fromkeys(table.position)) == list(range(len(table.classes)))
+    assert all(table.classes[p] == en.class_representative(t) for t, p in zip(table.targets, table.position))
+
+
 @pytest.mark.parametrize("genus", [0, 1, 2, 3])
 def test_index_table_matches_product_oracle(genus):
     # Keys, their order and every representative, at each bound up to 8; a
     # negative bound gives no index, genus 0 the empty matrix.
     for bound in range(-2, 9):
         expect = index_classes_by_product(genus, bound)
-        assert list(en.index_classes(genus, bound).items()) == list(expect.items()), bound
+        table = en.index_classes(genus, bound)
+        assert _table_items(table) == list(expect.items()), bound
+        _check_class_list(table)
         assert candidate_targets(genus, bound) == list(expect)
     assert candidate_targets(0, 4) == [GramTarget.zero(0)]
     assert candidate_targets(0, -1) == [] == candidate_targets(2, -2)
@@ -315,11 +330,13 @@ def test_index_table_sizes():
     sizes = {}
     for genus, bound in ((2, 8), (3, 6), (3, 8), (4, 8)):
         table = en.index_classes(genus, bound)
-        orbits = signed_permutation_orbits(table)
-        assert all(len({table[t] for t in orbit}) == 1 for orbit in orbits)
-        sizes[genus, bound] = (len(table), len(orbits), len(set(table.values())))
+        reps = dict(_table_items(table))
+        orbits = signed_permutation_orbits(table.targets)
+        assert all(len({reps[t] for t in orbit}) == 1 for orbit in orbits)
+        sizes[genus, bound] = (len(table.targets), len(orbits), len(set(reps.values())))
+        _check_class_list(table)
     assert sizes == {(2, 8): (47, 20, 14), (3, 6): (104, 18, 13), (3, 8): (395, 44, 26), (4, 8): (2262, 70, 40)}
-    assert list(en.index_classes(4, 8).items()) == list(index_classes_by_product(4, 8).items())
+    assert _table_items(en.index_classes(4, 8)) == list(index_classes_by_product(4, 8).items())
 
 
 def test_candidate_targets_g1():
@@ -946,3 +963,41 @@ def test_profile_runs_the_walker_once_per_class(monkeypatch):
     genus2 = {c.key() for c in classes if c.genus == 2 and {c.entries[0][0], c.entries[1][1]} != {2}}
     assert len(genus2) == 7
     assert sorted(calls) == sorted(genus3 + list(genus2))
+
+
+def _per_index_profile(lat, genus, bound):
+    """representation_count of every index on its own, zeros dropped."""
+    counts = {t: representation_count(lat, t) for t in candidate_targets(genus, bound)}
+    return {t: c for t, c in counts.items() if c}
+
+
+def _per_index_jacobi(lat, genus, index, bound):
+    """N(S, l) = r_L([[S, l], [l^T, 2n]]) index by index, zeros dropped."""
+    out = {}
+    for t in candidate_targets(genus + 1, bound + 2 * index):
+        if t.entries[genus][genus] == 2 * index and (c := representation_count(lat, t)):
+            out[GramTarget(tuple(row[:genus] for row in t.entries[:genus])), t.entries[genus][:genus]] = c
+    return out
+
+
+def _check_per_class_paths(lat, bound):
+    # One count per class, expanded by position, against one count per index:
+    # the same values in the same order.
+    for genus in (1, 2):
+        assert list(representation_profile(lat, genus, bound).items()) == list(
+            _per_index_profile(lat, genus, bound).items())
+        for index in (1, 2):
+            entries = jacobi_coefficient(lat, genus, index, bound).entries
+            assert list(entries.items()) == list(_per_index_jacobi(lat, genus, index, bound).items())
+
+
+@pytest.mark.parametrize("name", ["E8", "D4"])
+def test_per_class_paths_match_per_index_counts(name):
+    _check_per_class_paths(builtin(name) if name == "E8" else root_lattice("D", 4), 4)
+
+
+@settings(max_examples=8, deadline=None)
+@given(small_ade_lattices(max_rank=6))
+def test_per_class_paths_match_per_index_counts_on_random_bases(pair):
+    _, changed = pair
+    _check_per_class_paths(from_gram("changed", changed), 4)

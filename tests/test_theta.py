@@ -10,7 +10,6 @@ from thetalab.theta import (
     GRAM_A4,
     SeriesError,
     block_factorization_check,
-    distinguishing_report,
     export_series,
     k_identity_check,
     linear_independence_rank,
@@ -188,21 +187,6 @@ def test_linear_independence_equal_series():
     fa = theta_truncated(builtin("E8+E8"), 1, 8)
     fb = theta_truncated(builtin("D16+"), 1, 8)
     assert linear_independence_rank([fa, fb]) == 1
-
-
-def test_distinguishing_same_lattice():
-    rep = distinguishing_report(builtin("E8"), builtin("E8"), 2, 4)
-    assert not rep.found
-
-
-def test_distinguishing_rank16_pair_low_genus():
-    rep = distinguishing_report(builtin("E8+E8"), builtin("D16+"), 2, 4)
-    assert not rep.found
-
-
-def test_distinguishing_requires_equal_rank():
-    with pytest.raises(SeriesError):
-        distinguishing_report(builtin("E8"), builtin("D16+"), 1, 4)
 
 
 def test_k_identity_cannot_normalize_on_zero_target():
