@@ -10,8 +10,12 @@ One table per (genus, bound), `index_classes`, lists the indices, each class
 once and the position of each index's class; it reduces one index per
 signed-permutation orbit (trace <= 8: 395 indices, 44 orbits, 26 classes at
 degree 3, and 2262, 70, 40 at degree 4).  A profile (`class_counts`) counts
-each class once and expands the counts by position.  Three engines cover the
-shapes of the representatives:
+each class once and expands the counts by position.  The table lists the
+classes most demanding first (decreasing largest diagonal entry), so the
+first count of a profile walks the shell counts and shells that the others
+read: one Fincke-Pohst walk of each kind serves the whole profile, and the
+new counts reach the disk cache in one append.
+Three engines cover the shapes of the representatives:
 
 * an exact Fincke-Pohst walk for shells and for genus-1 counts (glued lattices
   instead get exact coset-decomposition counts, which agree and are fast),
@@ -47,6 +51,7 @@ results are exact; nothing here uses floating point.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import operator
@@ -128,6 +133,12 @@ class GramTarget:
         )
 
     def key(self) -> str:
+        return self._key
+
+    @functools.cached_property
+    def _key(self) -> str:
+        # Kept on the instance (not a dataclass field), so equality and the
+        # hash still read the entries alone.
         return f"{self.genus}|" + " ".join(str(x) for x in self.upper())
 
     def sort_key(self) -> tuple:
@@ -409,6 +420,10 @@ _CACHE_FORMAT = "v3"
 # None marks a key whose good lines disagree, so it is recomputed.
 _DISK_LOGS: dict[str, dict[str, int | None]] = {}
 
+# Log path -> the (key, value) entries held back by the open append batch;
+# None outside a batch.
+_BATCH: dict[str, list[tuple[str, int]]] | None = None
+
 
 def _cache_dir() -> str | None:
     return os.environ.get(CACHE_ENV) or None
@@ -487,14 +502,40 @@ def _cache_get(fp: str, key: str) -> int | None:
 
 
 def _cache_put(fp: str, key: str, value: int) -> None:
-    """Append the entry to the lattice's log in one write.  O_APPEND makes
-    concurrent appends land whole and in turn; a short write leaves a torn
-    tail, which the leading newline of the next record closes off."""
+    """Keep the entry in memory and append it to the lattice's log, at once
+    or, inside an append batch, when the batch closes."""
     _MEM_CACHE[(fp, key)] = value
     path = _disk_path(fp)
     if not path:
         return
-    record = ("\n" + _entry_line(key, value)).encode("ascii")
+    if _BATCH is not None:
+        _BATCH.setdefault(path, []).append((key, value))
+    else:
+        _append(path, [(key, value)])
+
+
+@contextlib.contextmanager
+def _append_batch():
+    """Hold back the log appends of `_cache_put` until the block ends, also
+    when it ends on an exception, then write each log's entries in one
+    append."""
+    global _BATCH
+    assert _BATCH is None, "append batches do not nest"
+    _BATCH = {}
+    try:
+        yield
+    finally:
+        batch, _BATCH = _BATCH, None
+        for path, entries in batch.items():
+            _append(path, entries)
+
+
+def _append(path: str, entries: list[tuple[str, int]]) -> None:
+    """Append the entries to one log in one write, each record a newline and
+    an entry line.  O_APPEND makes concurrent appends land whole and in turn;
+    a short write leaves a torn tail, which the leading newline of the next
+    record closes off, so only the record it cuts is lost."""
+    data = "".join("\n" + _entry_line(key, value) for key, value in entries).encode("ascii")
     flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
     try:
         try:
@@ -503,15 +544,17 @@ def _cache_put(fp: str, key: str, value: int) -> None:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             fd = os.open(path, flags, 0o644)
         try:
-            whole = os.write(fd, record) == len(record)
+            whole = os.write(fd, data) == len(data)
         finally:
             os.close(fd)
     except OSError:
         # The disk cache is optional: a failed write only costs a recomputation.
         return
     if whole:
-        _CACHE_STATS["writes"] += 1
-        _DISK_LOGS.get(path, {}).setdefault(key, value)
+        _CACHE_STATS["writes"] += len(entries)
+        log = _DISK_LOGS.get(path, {})
+        for key, value in entries:
+            log.setdefault(key, value)
 
 
 # ---------------------------------------------------------------------------
@@ -595,11 +638,16 @@ def class_representative(t: GramTarget) -> GramTarget:
     T is validated the first time it is seen (an invalid T raises every time).
     """
     t.check_valid()
-    rows = [list(r) for r in _signed_permutation_max(t.entries)]
+    return _reduce(t.entries)
+
+
+def _reduce(entries: tuple[tuple[int, ...], ...]) -> GramTarget:
+    """`class_representative` of the rows of a valid index, unchecked."""
+    rows = [list(r) for r in _signed_permutation_max(entries)]
     g = len(rows)
     # Each step lowers a diagonal entry by at least 2 (they stay even), so at
     # most trace / 2 steps run.
-    for _ in range(t.trace // 2 + 1):
+    for _ in range(sum(rows[i][i] for i in range(g)) // 2 + 1):
         pairs = itertools.permutations(range(g), 2)
         step = next(((i, j) for i, j in pairs if 2 * abs(rows[i][j]) > rows[i][i]), None)
         if step is None:
@@ -779,18 +827,31 @@ class IndexTable(NamedTuple):
     representative of targets[k]."""
 
     targets: tuple[GramTarget, ...]  # canonical order
-    classes: tuple[GramTarget, ...]  # each class once, in order of first appearance
+    classes: tuple[GramTarget, ...]  # each class once, most demanding first (`_grouped`)
     position: tuple[int, ...]
 
     def restrict(self, keep: Callable[[GramTarget], bool]) -> "IndexTable":
         """The targets that `keep` accepts, in the same order, with only the
         classes they use."""
-        targets, position, slot = [], [], {}
-        for t, p in zip(self.targets, self.position):
-            if keep(t):
-                targets.append(t)
-                position.append(slot.setdefault(p, len(slot)))
-        return IndexTable(tuple(targets), tuple(self.classes[p] for p in slot), tuple(position))
+        kept = [(t, p) for t, p in zip(self.targets, self.position) if keep(t)]
+        return _grouped([t for t, _ in kept], [self.classes[p] for _, p in kept])
+
+
+def _largest_diagonal(t: GramTarget) -> int:
+    return max((row[i] for i, row in enumerate(t.entries)), default=0)
+
+
+def _grouped(targets: list[GramTarget], reps: list[GramTarget]) -> IndexTable:
+    """The table of targets whose class representatives are reps.  Its
+    classes come in decreasing order of their largest diagonal entry, ties in
+    order of first appearance: the first count then walks the largest shell
+    that any class needs, and the others read what it left."""
+    slot: dict[GramTarget, int] = {}
+    first = [slot.setdefault(r, len(slot)) for r in reps]  # slots in order of first appearance
+    classes = sorted(slot, key=_largest_diagonal, reverse=True)
+    rank = {c: k for k, c in enumerate(classes)}
+    moved = [rank[c] for c in slot]
+    return IndexTable(tuple(targets), tuple(classes), tuple(moved[p] for p in first))
 
 
 @functools.cache
@@ -825,24 +886,27 @@ def index_classes(genus: int, trace_bound: int) -> IndexTable:
         for upper in itertools.product(*ranges):
             if upper not in reps:
                 rows = tuple(tuple(map(upper.__getitem__, r)) for r in square)
-                rep = class_representative(GramTarget(rows)) if is_positive_semidefinite(rows) else None
+                rep = _reduce(rows) if is_positive_semidefinite(rows) else None
                 reps[upper] = rep
                 ext = upper + tuple(-x for x in upper)
                 for image in images:
                     reps[image(ext)] = rep
     on_diag = [at[i, i] for i in range(genus)]
     order = sorted((sum(u[k] for k in on_diag), u) for u, rep in reps.items() if rep is not None)
-    targets, position, slot = [], [], {}
-    for _, u in order:
-        targets.append(GramTarget(tuple(tuple(map(u.__getitem__, r)) for r in square)))
-        position.append(slot.setdefault(reps[u], len(slot)))
-    return IndexTable(tuple(targets), tuple(slot), tuple(position))
+    targets = [GramTarget(tuple(tuple(map(u.__getitem__, r)) for r in square)) for _, u in order]
+    return _grouped(targets, [reps[u] for _, u in order])
 
 
 def class_counts(lat: "Lattice", table: IndexTable) -> list[int]:
     """r_L(T) for each T of table.targets, in order: one
-    `representation_count` per class, expanded by position."""
-    counts = [representation_count(lat, rep) for rep in table.classes]
+    `representation_count` per class, expanded by position.
+
+    The classes are counted in the table's order, most demanding first, so
+    the first count builds the shell counts and the shells that the rest
+    need.  The new cache entries go to the lattice's log in one append when
+    the counting ends, also when it stops on an exception."""
+    with _append_batch():
+        counts = [representation_count(lat, rep) for rep in table.classes]
     return [counts[p] for p in table.position]
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import multiprocessing
+import os
 import pathlib
 import random
 import shutil
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetalab import enumeration as en
-from thetalab import weyl
+from thetalab import jacobi, weyl
 from thetalab.enumeration import (
     GramTarget,
     RepresentationDomainError,
@@ -29,6 +30,7 @@ from thetalab.jacobi import jacobi_coefficient
 from thetalab.lattices import direct_sum, from_gram, root_lattice, root_system
 from thetalab.niemeier import BUILTIN_NAMES, builtin
 from thetalab.rootdata import ade_gram
+from thetalab.theta import theta_truncated
 
 
 from oracles import (
@@ -302,11 +304,17 @@ def _table_items(table):
     return [(t, table.classes[p]) for t, p in zip(table.targets, table.position)]
 
 
+def _largest_diagonal(t):
+    return max((t.entries[i][i] for i in range(t.genus)), default=0)
+
+
 def _check_class_list(table):
-    # Each class is listed once, in order of first appearance, and every
-    # position resolves to the target's own representative.
+    # Each class is listed once, in decreasing order of its largest diagonal
+    # entry with ties in order of first appearance, and every position
+    # resolves to the target's own representative.
     assert len(set(table.classes)) == len(table.classes)
-    assert list(dict.fromkeys(table.position)) == list(range(len(table.classes)))
+    first = list(dict.fromkeys(table.position))
+    assert sorted(first, key=lambda p: -_largest_diagonal(table.classes[p])) == list(range(len(table.classes)))
     assert all(table.classes[p] == en.class_representative(t) for t, p in zip(table.targets, table.position))
 
 
@@ -440,13 +448,22 @@ def test_cache_torn_tail_does_not_swallow_next_entry(tmp_path, monkeypatch):
 
 
 def _append_entries(fp, indices):
-    for i in indices:
-        en._cache_put(fp, f"1|{2 * i}", 7**i)
+    # Batches of 1 to 8 records, each batch one write.
+    indices = list(indices)
+    start = 0
+    for size in itertools.cycle(range(1, 9)):
+        if start >= len(indices):
+            return
+        with en._append_batch():
+            for i in indices[start : start + size]:
+                en._cache_put(fp, f"1|{2 * i}", 7**i)
+        start += size
 
 
 def test_cache_concurrent_appends_land_whole(tmp_path, monkeypatch):
-    # Two processes append to one log at once, with overlapping keys and
-    # lines of 10 to 440 bytes; every line must land whole.
+    # Two processes append to one log at once, with overlapping keys, lines
+    # of 10 to 440 bytes and batches of one to eight records; every line
+    # must land whole.
     monkeypatch.setenv(en.CACHE_ENV, str(tmp_path))
     _fresh_process_view()
     fork = multiprocessing.get_context("fork")
@@ -461,6 +478,84 @@ def test_cache_concurrent_appends_land_whole(tmp_path, monkeypatch):
     after = en.cache_stats()
     assert after["disk_hits"] - before["disk_hits"] == 500
     assert after["corrupt"] == before["corrupt"]
+
+
+def _log_keys(path):
+    return [line.partition(" = ")[0] for line in path.read_text().split("\n") if line]
+
+
+def _stat_deltas(before):
+    after = en.cache_stats()
+    return {k: after[k] - before[k] for k in after}
+
+
+def test_class_counts_append_one_batch_per_call(tmp_path, monkeypatch):
+    # A cold profile writes every class it counted to the lattice's log in one
+    # write, in the table's order; warm calls write nothing.
+    monkeypatch.setenv(en.CACHE_ENV, str(tmp_path))
+    e8 = builtin("E8")
+    table = en.index_classes(2, 6)
+    _fresh_process_view()
+    writes = []
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: writes.append(data) or write(fd, data))
+    counts = en.class_counts(e8, table)
+    path = pathlib.Path(en._disk_path(e8.fingerprint))
+    assert writes == [path.read_bytes()]
+    assert _log_keys(path) == [c.key() for c in table.classes]
+    assert en.class_counts(e8, table) == counts
+    _fresh_process_view()
+    before = en.cache_stats()
+    assert en.class_counts(e8, table) == counts
+    assert _stat_deltas(before) == {
+        "memory_hits": 0, "disk_hits": len(table.classes), "misses": 0, "writes": 0, "corrupt": 0}
+    assert len(writes) == 1
+
+
+def test_cache_torn_batch_loses_only_its_last_record(tmp_path, monkeypatch):
+    monkeypatch.setenv(en.CACHE_ENV, str(tmp_path))
+    e8 = builtin("E8")
+    table = en.index_classes(2, 6)
+    _fresh_process_view()
+    counts = en.class_counts(e8, table)
+    path = pathlib.Path(en._disk_path(e8.fingerprint))
+    torn = path.read_bytes()[:-5]  # cut inside the batch's last record
+    path.write_bytes(torn)
+    _fresh_process_view()
+    before = en.cache_stats()
+    assert en.class_counts(e8, table) == counts
+    n = len(table.classes)
+    assert _stat_deltas(before) == {"memory_hits": 0, "disk_hits": n - 1, "misses": 1, "writes": 1, "corrupt": 1}
+    last = table.classes[-1]
+    assert path.read_bytes() == torn + b"\n" + en._entry_line(last.key(), en._MEM_CACHE[e8.fingerprint, last.key()]).encode()
+
+
+def test_interrupted_batch_keeps_its_finished_counts(tmp_path, monkeypatch):
+    monkeypatch.setenv(en.CACHE_ENV, str(tmp_path))
+    e8 = builtin("E8")
+    table = en.index_classes(2, 6)
+    _fresh_process_view()
+    calls = []
+    rep_count = en._rep_count
+
+    def failing(lat, t):
+        calls.append(t)
+        if len(calls) == 3:
+            raise RuntimeError("interrupted")
+        return rep_count(lat, t)
+
+    monkeypatch.setattr(en, "_rep_count", failing)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        en.class_counts(e8, table)
+    assert en._BATCH is None
+    path = pathlib.Path(en._disk_path(e8.fingerprint))
+    assert _log_keys(path) == [c.key() for c in table.classes[:2]]
+    monkeypatch.setattr(en, "_rep_count", rep_count)
+    _fresh_process_view()
+    before = en.cache_stats()
+    en.class_counts(e8, table)
+    n = len(table.classes)
+    assert _stat_deltas(before) == {"memory_hits": 0, "disk_hits": 2, "misses": n - 2, "writes": n - 2, "corrupt": 0}
 
 
 def test_cache_recomputes_conflicting_entries(tmp_path, monkeypatch):
@@ -925,12 +1020,9 @@ def test_class_representative_properties(drawn):
             assert en.class_representative(GramTarget.from_rows(moved)) == rep
 
 
-def test_profile_runs_the_walker_once_per_class(monkeypatch):
-    # A2^3 under a random basis, as in the random-gram benchmark: its 395
-    # genus-3 indices of trace <= 8 fall into 26 classes, of which 7 of
-    # genus 3 and the 7 of genus 2 that are not all-2 need the counter.
-    # Counting every index, or every sign class, runs it far more often.
-    rng = random.Random(7)
+def _a2_cubed_under_random_basis(seed):
+    """(block-diagonal Gram of A2^3, the same lattice under a random unimodular basis)."""
+    rng = random.Random(seed)
     n = 6
     block = [[0] * n for _ in range(n)]
     for k in range(3):
@@ -943,6 +1035,15 @@ def test_profile_runs_the_walker_once_per_class(monkeypatch):
         u[i] = [a + m * b for a, b in zip(u[i], u[j])]
     changed = [[sum(u[i][a] * block[a][b] * u[j][b] for a in range(n) for b in range(n)) for j in range(n)]
                for i in range(n)]
+    return block, changed
+
+
+def test_profile_runs_the_walker_once_per_class(monkeypatch):
+    # A2^3 under a random basis, as in the random-gram benchmark: its 395
+    # genus-3 indices of trace <= 8 fall into 26 classes, of which 7 of
+    # genus 3 and the 7 of genus 2 that are not all-2 need the counter.
+    # Counting every index, or every sign class, runs it far more often.
+    block, changed = _a2_cubed_under_random_basis(7)
     lat = from_gram("A2^3#basis", changed)
     expect = representation_profile(from_gram("A2^3", block), 3, 8)
     for key in [k for k in en._MEM_CACHE if k[0] == lat.fingerprint]:
@@ -980,15 +1081,70 @@ def _per_index_jacobi(lat, genus, index, bound):
     return out
 
 
+def test_cold_profiles_walk_once_per_kind(monkeypatch):
+    # The first class of each table has its largest diagonal entry, so on a
+    # lattice without glue data, cold profiles at genus 1, 2 and 3 walk the
+    # shell counts once (to 8) and the stored shells once (to 6).
+    _, changed = _a2_cubed_under_random_basis(11)
+    lat = from_gram("A2^3#basis", changed)
+    monkeypatch.setattr(en, "_CONTEXTS", {})
+    monkeypatch.setattr(en, "_MEM_CACHE", {})
+    walks = Counter()
+
+    def counting(name, walk):
+        def counted(*args):
+            walks[name] += 1
+            return walk(*args)
+        return counted
+
+    for name in ("counts_upto", "shells_upto"):
+        monkeypatch.setattr(en, name, counting(name, getattr(en, name)))
+    series = [theta_truncated(lat, genus, 8) for genus in (1, 2, 3)]
+    assert walks == {"counts_upto": 1, "shells_upto": 1}
+    for s in series:
+        assert s.coeffs == _per_index_profile(lat, s.genus, 8)
+
+
+def test_refused_class_is_counted_before_any_shell_store(monkeypatch):
+    # On E8^3 the genus-2 class diag(2, 6) needs the refused norm-6 shells;
+    # it comes before the root and (2, 4) classes, so nothing is stored.
+    monkeypatch.setattr(en, "_CONTEXTS", {})
+    monkeypatch.setattr(en, "_MEM_CACHE", {})
+    stored = []
+    monkeypatch.setattr(en, "shells_upto", lambda *a: stored.append(a))
+    with pytest.raises(RepresentationDomainError, match="too large"):
+        representation_profile(builtin("E8^3"), 2, 8)
+    assert stored == []
+
+
 def _check_per_class_paths(lat, bound):
     # One count per class, expanded by position, against one count per index:
-    # the same values in the same order.
+    # the same values in the same order.  The per-class paths run first, on a
+    # cold lattice, and count the classes of each table in its order, most
+    # demanding first; the per-index loop then counts again in index order.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(en, "_CONTEXTS", {})
+        mp.setattr(en, "_MEM_CACHE", {})
+        counted = []
+        rep_count = en._rep_count
+        mp.setattr(en, "_rep_count", lambda lat_, t: counted.append(t) or rep_count(lat_, t))
+        tables, profiles, entries = [], {}, {}
+        for genus in (1, 2):
+            profiles[genus] = representation_profile(lat, genus, bound)
+            tables.append(en.index_classes(genus, bound))
+            for index in (1, 2):
+                entries[genus, index] = jacobi_coefficient(lat, genus, index, bound).entries
+                if shell_count(lat, 2 * index):
+                    tables.append(jacobi._slots(genus, index, bound)[1])
+    expect = []
+    for table in tables:
+        _check_class_list(table)
+        expect += [c for c in table.classes if c not in expect]
+    assert counted == expect
     for genus in (1, 2):
-        assert list(representation_profile(lat, genus, bound).items()) == list(
-            _per_index_profile(lat, genus, bound).items())
+        assert list(profiles[genus].items()) == list(_per_index_profile(lat, genus, bound).items())
         for index in (1, 2):
-            entries = jacobi_coefficient(lat, genus, index, bound).entries
-            assert list(entries.items()) == list(_per_index_jacobi(lat, genus, index, bound).items())
+            assert list(entries[genus, index].items()) == list(_per_index_jacobi(lat, genus, index, bound).items())
 
 
 @pytest.mark.parametrize("name", ["E8", "D4"])
