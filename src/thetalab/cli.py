@@ -366,20 +366,21 @@ def job_k_identity(args, lats):
 def job_independence(args, lats):
     if _option(args.genus, 4) <= 3:
         series = _series(args, lats)
-    else:  # degree 4, on the curated indices
+    else:  # degree 4, on the curated indices; each log gets its new counts in one append
         bound = _option(args.trace_bound, 8)
-        series = []
-        for lat in lats:
-            coeffs = {t: enumeration.representation_count(lat, t) for t in theta.CURATED_GENUS4 if t.trace <= bound}
-            series.append(
-                theta.Series(
-                    genus=4,
-                    trace_bound=bound,
-                    weight=Fraction(lat.rank, 2),
-                    coeffs={t: c for t, c in coeffs.items() if c},
-                    provenance=f"curated:{lat.name}",
-                )
+        targets = [t for t in theta.CURATED_GENUS4 if t.trace <= bound]
+        with enumeration._append_batch():
+            counts = [[enumeration.representation_count(lat, t) for t in targets] for lat in lats]
+        series = [
+            theta.Series(
+                genus=4,
+                trace_bound=bound,
+                weight=Fraction(lat.rank, 2),
+                coeffs={t: c for t, c in zip(targets, row) if c},
+                provenance=f"curated:{lat.name}",
             )
+            for lat, row in zip(lats, counts)
+        ]
     return "computed", [f"series: {len(series)}", f"rank: {theta.linear_independence_rank(series)}"]
 
 

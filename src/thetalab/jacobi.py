@@ -94,9 +94,10 @@ class VenkovReport:
     verified_vectors: int  # vectors covered by the direct sum (orbits by their sizes)
 
 
-def _root_moment_matrix(lat: "Lattice") -> tuple[int, list[list[int]]]:
-    """(r2, M) with M = sum over roots y of (G y)(G y)^T, exactly: y and -y
-    give the same term, so M is twice the sum over one root of each pair."""
+def _root_moment_matrix(lat: "Lattice") -> tuple[int, list[list[int]], "np.ndarray"]:
+    """(r2, M, half) with M = sum over roots y of (G y)(G y)^T, exactly: y and
+    -y give the same term, so M is twice the sum over `half`, one root of
+    each pair in reduced-basis coordinates."""
     ctx = enumeration._context(lat)
     half = enumeration._sign_half(ctx.shell_array(2))
     r2 = 2 * len(half)
@@ -106,7 +107,7 @@ def _root_moment_matrix(lat: "Lattice") -> tuple[int, list[list[int]]]:
     gy = y @ np.array(lat.gram, dtype=np.int64)  # rows are (G y)^T
     assert int(np.abs(gy).max()) ** 2 * r2 < 2**62  # r2 / 2 terms, doubled
     m = 2 * (gy.T @ gy)
-    return r2, [[int(x) for x in row] for row in m]
+    return r2, [[int(x) for x in row] for row in m], half
 
 
 def venkov_constant(lat: "Lattice", norm_bound: int = 8, per_vector_norm_cap: int = 4) -> VenkovReport:
@@ -115,19 +116,19 @@ def venkov_constant(lat: "Lattice", norm_bound: int = 8, per_vector_norm_cap: in
     Both sides are quadratic forms in v, so the identity for all v (any norm
     bound) is exactly the matrix equality r2 * G = c * M with M the root
     second-moment matrix; that equality is what is checked, in integers,
-    with c read from the first nonzero entry of M.  Vectors with norm up to
+    with c = num/den read from the first nonzero entry of M and every
+    comparison cross-multiplied.  Vectors with norm up to
     per_vector_norm_cap are additionally re-verified by the direct sum over
     roots: the roots themselves, and above norm 2 one dominant vector per
     Weyl orbit.  `verified_vectors` counts the vectors so covered, each
     orbit by its size.
     """
-    r2, m = _root_moment_matrix(lat)
+    r2, m, half = _root_moment_matrix(lat)
     gram = lat.gram
     n = lat.rank
     sides = [(r2 * gram[i][j], m[i][j]) for i in range(n) for j in range(n)]
-    lhs, rhs = next(((a, b) for a, b in sides if b), (0, 0))
-    c = Fraction(lhs, rhs or 1)
-    consistent = bool(rhs) and all(a * c.denominator == c.numerator * b for a, b in sides)
+    num, den = next(((a, b) for a, b in sides if b), (0, 0))
+    consistent = bool(den) and all(a * den == num * b for a, b in sides)
     verified = 0
     if consistent and per_vector_norm_cap > 0:
         # Both sides are invariant under the Weyl group W (it permutes the
@@ -138,7 +139,6 @@ def venkov_constant(lat: "Lattice", norm_bound: int = 8, per_vector_norm_cap: in
         # root of each pair and the sum over y is doubled.
         # Q(y, v) is basis-free: reduced coordinates, int64.
         ctx = enumeration._context(lat)
-        half = enumeration._sign_half(ctx.shell_array(2))
         gy = half.astype(np.int64) @ ctx._gram_red_np
         for norm in sorted(ctx.shell_arrays_upto(min(norm_bound, per_vector_norm_cap))):
             if norm == 2:
@@ -151,12 +151,12 @@ def venkov_constant(lat: "Lattice", norm_bound: int = 8, per_vector_norm_cap: in
             sums = 2 * np.einsum("ij,ij->i", dots, dots)
             # At most one sum satisfies the identity: checking the extremes checks all.
             for rhs_direct in (int(sums.min()), int(sums.max())):
-                consistent &= r2 * norm * c.denominator == c.numerator * rhs_direct
+                consistent &= r2 * norm * den == num * rhs_direct
             verified += covered
     return VenkovReport(
         lattice_id=lat.name,
         r2=r2,
-        constant=c,
+        constant=Fraction(num, den or 1),
         checked_norm_bound=norm_bound,
         consistent=consistent,
         verified_vectors=verified,

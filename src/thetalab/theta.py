@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 from .enumeration import (
     GramTarget,
     RepresentationDomainError,
+    _append_batch,
     class_representative,
     representation_count,
     representation_profile,
@@ -300,14 +301,16 @@ def k_identity_check(
 ) -> KIdentityReport:
     """Determine the constant k with theta(left,4) - theta(right,4) =
     k * theta(E8,4) * (theta(E8+E8,4) - theta(D16+,4)) on the given indices,
-    and verify the identity at each of them.
+    and verify the identity at each of them.  The new counts of every lattice
+    go to its cache log in one append.
     `jobs` is ignored; it stays only because bench/workloads.py passes it."""
     targets = tuple(t_set) if t_set is not None else CURATED_GENUS4
     rows = []
-    for t in targets:
-        lhs = representation_count(left, t) - representation_count(right, t)
-        rhs = weight12_product_coefficient(t)
-        rows.append((t, lhs, rhs))
+    with _append_batch():
+        for t in targets:
+            lhs = representation_count(left, t) - representation_count(right, t)
+            rhs = weight12_product_coefficient(t)
+            rows.append((t, lhs, rhs))
     norm_row = next(((t, lhs, rhs) for t, lhs, rhs in rows if rhs != 0), None)
     if norm_row is None:
         raise SeriesError("cannot normalize k: right side vanishes on every supplied index")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetalab.cosets import coset_tables, glued_shell_counts
+from thetalab.cosets import _sum_square_counts, coset_tables, glued_shell_counts
 from thetalab.enumeration import shell_counts_upto
 from thetalab.fincke_pohst import counts_upto
 from thetalab.lattices import direct_sum, root_lattice
@@ -14,6 +14,21 @@ from thetalab.niemeier import RANK24_NAMES, builtin
 from thetalab.rootdata import ade_gram, root_count
 
 from oracles import a_coset_counts, d_coset_counts, e_coset_counts, tau
+
+
+def scaled(table, scale):
+    """A norm table keyed by Fractions, each norm multiplied by scale and
+    checked to be an integer: the form `coset_tables` returns."""
+    out = {norm * scale: cnt for norm, cnt in table.items()}
+    assert all(norm.denominator == 1 for norm in out)
+    return {int(norm): cnt for norm, cnt in out.items()}
+
+
+def class_tables(kind, rank, bound):
+    """The norm tables of every class as dicts of scaled norms, and the scale."""
+    scale, tables = coset_tables(kind, rank, bound)
+    assert all(type(norm) is int and type(cnt) is int for t in tables for norm, cnt in t)
+    return scale, [dict(t) for t in tables]
 
 
 def brute_a_coset(rank, cls, bound):
@@ -58,24 +73,26 @@ def brute_d_coset(rank, cls, bound):
 
 @pytest.mark.parametrize("rank,cls", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 2), (4, 1), (4, 3)])
 def test_a_coset_counts_match_box_scan(rank, cls):
-    got = dict(coset_tables("A", rank, 6)[cls])
-    assert got == brute_a_coset(rank, cls, Fraction(6))
+    scale, got = class_tables("A", rank, 6)
+    assert scale == rank + 1
+    assert got[cls] == scaled(brute_a_coset(rank, cls, Fraction(6)), scale)
 
 
 @pytest.mark.parametrize("rank,cls", [(3, 0), (3, 1), (3, 2), (3, 3), (4, 0), (4, 1), (4, 2), (4, 3)])
 def test_d_coset_counts_match_box_scan(rank, cls):
-    got = dict(coset_tables("D", rank, 6)[cls])
-    assert got == brute_d_coset(rank, cls, Fraction(6))
+    scale, got = class_tables("D", rank, 6)
+    assert scale == 4
+    assert got[cls] == scaled(brute_d_coset(rank, cls, Fraction(6)), scale)
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 5), ("D", 6), ("E", 6), ("E", 7), ("E", 8)])
 def test_class0_matches_direct_enumeration(kind, rank):
-    table = dict(coset_tables(kind, rank, 8)[0])
+    scale, tables = class_tables(kind, rank, 8)
     gram = [list(r) for r in ade_gram(kind, rank)]
-    fp = {Fraction(k): v for k, v in counts_upto(gram, 8).items()}
-    fp[Fraction(0)] = 1
-    assert table == fp
-    assert table[Fraction(2)] == root_count(kind, rank)
+    fp = {scale * k: v for k, v in counts_upto(gram, 8).items()}
+    fp[0] = 1
+    assert tables[0] == fp
+    assert tables[0][2 * scale] == root_count(kind, rank)
 
 
 @pytest.mark.parametrize(
@@ -86,14 +103,14 @@ def test_coset_tables_match_per_class_oracles(kind, rank):
     # rather than at its representative of least absolute value; D_n: one
     # program per class; E_n: the dual lattice walked and labelled.
     for bound in (0, 2, 4, 8, 10, 12):
-        got = [dict(t) for t in coset_tables(kind, rank, bound)]
+        scale, got = class_tables(kind, rank, bound)
         if kind == "A":
             want = [a_coset_counts(rank, cls, bound) for cls in range(rank + 1)]
         elif kind == "D":
             want = [d_coset_counts(rank, cls, bound) for cls in range(4)]
         else:
             want = e_coset_counts(rank, bound)
-        assert got == want, bound
+        assert got == [scaled(t, scale) for t in want], bound
 
 
 def sigma11(n):
@@ -112,6 +129,35 @@ def test_rank24_shell_counts_follow_the_degree1_law(name):
         law = Fraction(65520, 691) * (sigma11(n) - tau(n)) + r2 * tau(n)
         assert counts[norm] == law, norm
     assert counts[0] == 1 and all(q % 2 == 0 for q in counts)
+
+
+def brute_sum_square_counts(length, values, qmax, reach):
+    out = {}
+    for z in itertools.product(values, repeat=length):
+        s, q = sum(z), sum(c * c for c in z)
+        if q <= qmax and abs(s) <= reach:
+            out[s, q] = out.get((s, q), 0) + 1
+    return out
+
+
+@pytest.mark.parametrize("length", range(7))
+@pytest.mark.parametrize(
+    "values", [range(0, 1), range(-1, 2), range(-2, 3), range(0, 3), range(1, 0, 2), range(-1, 2, 2), range(-3, 4, 2)]
+)
+def test_multiset_counts_match_the_product_over_values(length, values):
+    # Integer ranges (A_n, the integer D_n classes), odd-only ranges (the
+    # half-integer D_n classes, empty included) and clipped sums.
+    for qmax in range(12):
+        for reach in (0, 1, 3, length * 3):
+            want = brute_sum_square_counts(length, values, qmax, reach)
+            assert _sum_square_counts(length, values, qmax, reach) == want, (qmax, reach)
+
+
+def test_non_integral_glue_norms_are_refused():
+    # A1's class 1 has norms in Z + 1/2, so A1 glued by its whole
+    # discriminant group is not an integral lattice.
+    with pytest.raises(ValueError, match="non-integral"):
+        glued_shell_counts((("A", 1),), ((0,), (1,)), 4)
 
 
 def test_d8_plus_equals_e8_shells():

@@ -30,7 +30,7 @@ from thetalab.jacobi import jacobi_coefficient
 from thetalab.lattices import direct_sum, from_gram, root_lattice, root_system
 from thetalab.niemeier import BUILTIN_NAMES, builtin
 from thetalab.rootdata import ade_gram
-from thetalab.theta import theta_truncated
+from thetalab.theta import k_identity_check, theta_truncated
 
 
 from oracles import (
@@ -510,6 +510,26 @@ def test_class_counts_append_one_batch_per_call(tmp_path, monkeypatch):
     assert _stat_deltas(before) == {
         "memory_hits": 0, "disk_hits": len(table.classes), "misses": 0, "writes": 0, "corrupt": 0}
     assert len(writes) == 1
+
+
+def test_k_identity_appends_one_batch_per_log(tmp_path, monkeypatch):
+    # A cold k-identity check counts on five lattices (the pair, E8, E8+E8
+    # and D16+) and writes each lattice's new counts to its log in one write.
+    # Building the pair validates it, which counts its roots: that goes to
+    # another cache directory.
+    monkeypatch.setenv(en.CACHE_ENV, str(tmp_path / "build"))
+    left, right = builtin("A17E7"), builtin("D10E7^2")
+    monkeypatch.setenv(en.CACHE_ENV, str(tmp_path / "check"))
+    _fresh_process_view()
+    writes = []
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: writes.append(data) or write(fd, data))
+    report = k_identity_check(left, right)
+    logs = [p for p in (tmp_path / "check").rglob("*") if p.is_file()]
+    assert len(logs) == 5
+    assert sorted(writes) == sorted(p.read_bytes() for p in logs)
+    assert k_identity_check(left, right) == report
+    assert len(writes) == 5
 
 
 def test_cache_torn_batch_loses_only_its_last_record(tmp_path, monkeypatch):
