@@ -7,10 +7,12 @@ is first replaced by its class representative (`class_representative`: a
 reduced matrix without zero rows, in a normal form under slot permutations
 and sign changes); counts, caches and profiles work on representatives.
 One table per (genus, bound), `index_classes`, lists the indices, each class
-once and the position of each index's class; it reduces one index per
-signed-permutation orbit (trace <= 8: 395 indices, 44 orbits, 26 classes at
-degree 3, and 2262, 70, 40 at degree 4).  A profile (`class_counts`) counts
-each class once and expands the counts by position.  The table lists the
+once and the position of each index's class (trace <= 8: 395 indices, 44
+signed-permutation orbits, 26 classes at degree 3, and 2262, 70, 40 at
+degree 4).  The indices with a zero row come from the table one genus down;
+of the others it reduces one per signed-permutation orbit.  A profile
+(`class_counts`) looks each class up by its key, counts it if it is not
+cached, and expands the counts by position.  The table lists the
 classes most demanding first (decreasing largest diagonal entry), so the
 first count of a profile walks the shell counts and shells that the others
 read: one Fincke-Pohst walk of each kind serves the whole profile, and the
@@ -27,9 +29,10 @@ Three engines cover the shapes of the representatives:
   transitive on the roots); from genus 3 on it is the highest root, and the
   second runs over one root of each orbit of its stabiliser,
 * one orbit counter over stored shells for every other shape: its first slot
-  runs over one vector of each Weyl-group orbit (`weyl`), the middle slots
-  are walked, and the last two slots are one weighted histogram of blocked
-  integer products (at genus 2, against one of each +-z pair).
+  (from genus 3 on, the one with the largest diagonal entry) runs over one
+  vector of each Weyl-group orbit (`weyl`), the middle slots are walked, and
+  the last two slots are one weighted histogram of blocked integer products
+  (at genus 2, against one of each +-z pair).
 
 The root engine and the orbit counter share one root-system record per
 lattice (`_LatticeContext.root_system`), found once from one root of each
@@ -137,9 +140,21 @@ class GramTarget:
 
     @functools.cached_property
     def _key(self) -> str:
-        # Kept on the instance (not a dataclass field), so equality and the
-        # hash still read the entries alone.
+        # Kept on the instance (not a dataclass field), so equality still
+        # reads the entries alone.
         return f"{self.genus}|" + " ".join(str(x) for x in self.upper())
+
+    def __hash__(self) -> int:
+        # Hashed once and kept on the instance, as every dict and cache lookup
+        # hashes the target again; the value is the one the dataclass would
+        # compute, so set orders stay.  A plain attribute, not a
+        # cached_property, which would give every target a __dict__ of its own.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.entries,))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def sort_key(self) -> tuple:
         return (self.trace, self.upper())
@@ -440,8 +455,11 @@ _CACHE_STATS = {"memory_hits": 0, "disk_hits": 0, "misses": 0, "writes": 0, "cor
 
 def _disk_path(fp: str) -> str | None:
     root = _cache_dir()
-    if not root:
-        return None
+    return _log_path(root, fp) if root else None
+
+
+@functools.cache
+def _log_path(root: str, fp: str) -> str:
     return os.path.join(root, _CACHE_FORMAT, f"{fp[:24]}.log")
 
 
@@ -565,7 +583,11 @@ def representation_count(lat: "Lattice", target, jobs: int = 1) -> int:
     """Exact number of ordered g-tuples in L^g with the prescribed Gram matrix.
     `jobs` is ignored; it stays only because bench/workloads.py passes it."""
     t = target if isinstance(target, GramTarget) else GramTarget.from_rows(target)
-    rep = class_representative(t)
+    return _class_count(lat, class_representative(t))
+
+
+def _class_count(lat: "Lattice", rep: GramTarget) -> int:
+    """r_L(T) for a class representative T, from the cache or counted."""
     key = rep.key()
     cached = _cache_get(lat.fingerprint, key)
     if cached is not None:
@@ -643,14 +665,17 @@ def class_representative(t: GramTarget) -> GramTarget:
 
 def _reduce(entries: tuple[tuple[int, ...], ...]) -> GramTarget:
     """`class_representative` of the rows of a valid index, unchecked."""
-    rows = [list(r) for r in _signed_permutation_max(entries)]
+    normal = _signed_permutation_max(entries)
+    rows = [list(r) for r in normal]
     g = len(rows)
     # Each step lowers a diagonal entry by at least 2 (they stay even), so at
     # most trace / 2 steps run.
-    for _ in range(sum(rows[i][i] for i in range(g)) // 2 + 1):
+    for steps in range(sum(rows[i][i] for i in range(g)) // 2 + 1):
         pairs = itertools.permutations(range(g), 2)
         step = next(((i, j) for i, j in pairs if 2 * abs(rows[i][j]) > rows[i][i]), None)
         if step is None:
+            if not steps and all(normal[i][i] for i in range(g)):
+                return GramTarget(normal)  # already reduced, no zero row
             break
         i, j = step
         s = (2 * rows[i][j] + rows[i][i]) // (2 * rows[i][i])
@@ -762,16 +787,23 @@ def _count_general(lat: "Lattice", t: GramTarget) -> int:
     slots are one weighted histogram of Q(x, z) over the rows left for them.
     The histogram holds r_L for every value of T[g-2][g-1], so it is kept
     under T without that entry.  Work grows with the product of shell sizes,
-    so beyond genus 2 this is meant for small lattices or small bounds."""
+    so beyond genus 2 this is meant for small lattices or small bounds.
+
+    From genus 3 on the slots are taken in reverse, as r_L(P T P^T) = r_L(T)
+    for the reversing permutation P: a representative's diagonal is
+    non-decreasing, so the orbit slot gets the largest shell, which has the
+    fewest orbits for its size, and every later slot is filtered by it.  At
+    genus 2 the order stays, so the histograms of the large shells run
+    against the orbits of the small ones."""
     ctx = _context(lat)
     g = t.genus
-    rows = t.entries
+    rows = t.entries if g < 3 else tuple(row[::-1] for row in t.entries[::-1])
     diag = [rows[i][i] for i in range(g)]
     ctx.shell_arrays_upto(max(diag))
     shells = [ctx.shell_array(d) for d in diag]
     if any(len(s) == 0 for s in shells):
         return 0
-    upper = t.upper()
+    upper = tuple(rows[i][j] for i in range(g) for j in range(i, g))
     key = upper[:-2] + upper[-1:]
     hist = ctx._hists.get(key)
     if hist is None:
@@ -859,10 +891,14 @@ def index_classes(genus: int, trace_bound: int) -> IndexTable:
     """Every even PSD T with trace <= bound, grouped by class; one table per
     (genus, bound).
 
-    Signed permutations P keep the trace, semidefiniteness and class of
-    P T P^T, and each orbit has a member with a non-decreasing diagonal and
-    T_0j >= 0.  Only those are enumerated; each new one is tested and reduced
-    once, and its representative goes to every image (P and -P act alike).
+    A PSD T with a zero diagonal entry has a zero row, and deleting it leaves
+    an index of the table one genus down, of the same class.  So those T are
+    the lower table's indices, each with a zero row and column put in at
+    every slot, and keep their classes.  Of the rest, signed permutations P
+    keep the trace, semidefiniteness and class of P T P^T, and each orbit has
+    a member with a non-decreasing diagonal and T_0j >= 0.  Only those are
+    enumerated; each new one is tested and reduced once, and its
+    representative goes to every image (P and -P act alike).
     An index is its upper triangle u here, and `square` rebuilds the matrix.
     Each image is one itemgetter on u + (-u): the upper triangle of P T P^T
     takes the cell (p_i, p_j) of T, negated where s_i s_j = -1."""
@@ -870,13 +906,24 @@ def index_classes(genus: int, trace_bound: int) -> IndexTable:
     at = {c: k for k, c in enumerate(cells)}
     square = [[at[min(i, j), max(i, j)] for j in range(genus)] for i in range(genus)]
     n = len(cells)
+    reps: dict[tuple[int, ...], GramTarget | None] = {}  # upper triangle -> representative, None if not PSD
+    if genus:
+        lower = index_classes(genus - 1, trace_bound)
+        # The cell (i, j) with a zero row at slot k, as an index into the
+        # lower index's rows flattened, followed by a 0.
+        zero = (genus - 1) ** 2
+        shift = [[zero if k in (i, j) else (i - (i > k)) * (genus - 1) + j - (j > k) for i, j in cells]
+                 for k in range(genus)]
+        for t, p in zip(lower.targets, lower.position):
+            flat = sum(t.entries, ()) + (0,)
+            for cell in shift:
+                reps[tuple(map(flat.__getitem__, cell))] = lower.classes[p]
     # Below genus 2 the identity is the only image, and itemgetter needs two
     # cells to give a tuple.
     images = [operator.itemgetter(*(square[p[i]][p[j]] + n * (s[i] != s[j]) for i, j in cells))
               for p in itertools.permutations(range(genus))
               for s in itertools.product((1,), *[(1, -1)] * (genus - 1))] if genus > 1 else []
-    reps: dict[tuple[int, ...], GramTarget | None] = {}  # upper triangle -> representative, None if not PSD
-    for diag in itertools.combinations_with_replacement(range(0, trace_bound + 1, 2), genus):
+    for diag in itertools.combinations_with_replacement(range(2, trace_bound + 1, 2), genus):
         if sum(diag) > trace_bound:
             continue
         ranges = []
@@ -898,15 +945,16 @@ def index_classes(genus: int, trace_bound: int) -> IndexTable:
 
 
 def class_counts(lat: "Lattice", table: IndexTable) -> list[int]:
-    """r_L(T) for each T of table.targets, in order: one
-    `representation_count` per class, expanded by position.
+    """r_L(T) for each T of table.targets, in order: one count per class,
+    looked up by its key (the classes are representatives already), expanded
+    by position.
 
     The classes are counted in the table's order, most demanding first, so
     the first count builds the shell counts and the shells that the rest
     need.  The new cache entries go to the lattice's log in one append when
     the counting ends, also when it stops on an exception."""
     with _append_batch():
-        counts = [representation_count(lat, rep) for rep in table.classes]
+        counts = [_class_count(lat, rep) for rep in table.classes]
     return [counts[p] for p in table.position]
 
 

@@ -15,7 +15,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 from . import enumeration, rootdata
 from .exactnum import _hnf_int_rows, clear_denominators, det_exact, is_positive_definite, scaled_gram
@@ -78,17 +78,14 @@ class Lattice:
     def rank(self) -> int:
         return len(self.gram)
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
-        return _fingerprint(self.gram)
+        # Kept on the instance: every cache lookup reads it, and hashing the
+        # Gram tuple again would cost rank^2 steps each time.
+        return hashlib.sha256(repr(self.gram).encode()).hexdigest()[:32]
 
     def __repr__(self):
         return f"Lattice({self.name}, rank {self.rank})"
-
-
-@lru_cache(maxsize=None)
-def _fingerprint(gram: tuple[tuple[int, ...], ...]) -> str:
-    return hashlib.sha256(repr(gram).encode()).hexdigest()[:32]
 
 
 @dataclass(frozen=True)

@@ -311,18 +311,23 @@ def _largest_diagonal(t):
 def _check_class_list(table):
     # Each class is listed once, in decreasing order of its largest diagonal
     # entry with ties in order of first appearance, and every position
-    # resolves to the target's own representative.
+    # resolves to the target's own representative.  Every class is its own
+    # representative, which `class_counts` relies on when it looks the
+    # classes up by their keys.
     assert len(set(table.classes)) == len(table.classes)
     first = list(dict.fromkeys(table.position))
     assert sorted(first, key=lambda p: -_largest_diagonal(table.classes[p])) == list(range(len(table.classes)))
     assert all(table.classes[p] == en.class_representative(t) for t, p in zip(table.targets, table.position))
+    assert all(en.class_representative(c) == c for c in table.classes)
 
 
-@pytest.mark.parametrize("genus", [0, 1, 2, 3])
+@pytest.mark.parametrize("genus", [0, 1, 2, 3, 4, 5])
 def test_index_table_matches_product_oracle(genus):
-    # Keys, their order and every representative, at each bound up to 8; a
-    # negative bound gives no index, genus 0 the empty matrix.
-    for bound in range(-2, 9):
+    # Keys, their order and every representative, at each bound up to 8 (at
+    # genus 5 at bound 8 only, where every index has a zero row, so the whole
+    # table comes from the genus-4 one); a negative bound gives no index,
+    # genus 0 the empty matrix.
+    for bound in [8] if genus == 5 else range(-2, 9):
         expect = index_classes_by_product(genus, bound)
         table = en.index_classes(genus, bound)
         assert _table_items(table) == list(expect.items()), bound
@@ -345,6 +350,49 @@ def test_index_table_sizes():
         _check_class_list(table)
     assert sizes == {(2, 8): (47, 20, 14), (3, 6): (104, 18, 13), (3, 8): (395, 44, 26), (4, 8): (2262, 70, 40)}
     assert _table_items(en.index_classes(4, 8)) == list(index_classes_by_product(4, 8).items())
+
+
+def test_general_counts_agree_in_both_slot_orders(monkeypatch):
+    # From genus 3 on the counter walks a class's slots in reverse, so the
+    # orbit slot gets the largest shell.  The reversed index is walked in the
+    # class's own order, and r_L(P T P^T) = r_L(T): both orders give the
+    # same numbers, on every class of (4, 8) with unequal diagonal entries.
+    monkeypatch.setattr(en, "_CONTEXTS", {})
+    e8 = builtin("E8")
+    classes = [c for c in en.index_classes(4, 8).classes
+               if c.genus >= 3 and len({c.entries[i][i] for i in range(c.genus)}) > 1]
+    assert {tuple(row[i] for i, row in enumerate(c.entries)) for c in classes} == {(2, 2, 4)}
+    walked = set()
+    for c in classes:
+        flipped = GramTarget(tuple(row[::-1] for row in c.entries[::-1]))
+        assert en._count_general(e8, c) == en._count_general(e8, flipped) == representation_count(e8, c), c.key()
+        walked |= {t.upper()[:4] + t.upper()[5:] for t in (c, flipped)}
+    # Each class left one histogram per walked order, keyed by the walked
+    # index without its entry T[1][2].
+    assert walked <= set(en._context(e8)._hists)
+
+
+def test_warm_profile_reduces_nothing(tmp_path, monkeypatch):
+    # A warm profile on built tables looks each class up by its key: nothing
+    # is reduced again, the lattice's log is read once, and every class is
+    # found there once (a class that the genus-1 table holds is a memory hit
+    # in the genus-2 and genus-3 ones).
+    monkeypatch.setenv(en.CACHE_ENV, str(tmp_path))
+    lat = root_lattice("D", 4)
+    genus_bounds = [(1, 8), (2, 8), (3, 8)]
+    _fresh_process_view()
+    cold = [representation_profile(lat, g, b) for g, b in genus_bounds]
+    _fresh_process_view()
+    calls = Counter()
+    for name in ("_reduce", "class_representative", "_read_log"):
+        fn = getattr(en, name)
+        monkeypatch.setattr(en, name, lambda *args, _fn=fn, _name=name: calls.update([_name]) or _fn(*args))
+    before = en.cache_stats()
+    assert [representation_profile(lat, g, b) for g, b in genus_bounds] == cold
+    assert calls == {"_read_log": 1}
+    classes = [c for g, b in genus_bounds for c in en.index_classes(g, b).classes]
+    assert _stat_deltas(before) == {"memory_hits": len(classes) - len(set(classes)), "disk_hits": len(set(classes)),
+                                    "misses": 0, "writes": 0, "corrupt": 0}
 
 
 def test_candidate_targets_g1():
