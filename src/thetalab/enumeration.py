@@ -6,10 +6,13 @@ by direct counting.  It depends only on the GL_g(Z)-class of T, so each index
 is first replaced by its class representative (`class_representative`: a
 reduced matrix without zero rows, in a normal form under slot permutations
 and sign changes); counts, caches and profiles work on representatives.
-One table per (genus, bound), `index_classes`, lists the indices, each class
-once and the position of each index's class (trace <= 8: 395 indices, 44
-signed-permutation orbits, 26 classes at degree 3, and 2262, 70, 40 at
-degree 4).  The indices with a zero row come from the table one genus down;
+The representative is a normal form, not a complete invariant of the class:
+one class can have several (two for A3 at genus 3), each counted and cached
+under its own key, with equal counts.
+One table per (genus, bound), `index_classes`, lists the indices, each
+representative once and the position of each index's representative
+(trace <= 8: 395 indices, 44 signed-permutation orbits, 26 classes at
+degree 3, and 2262, 70, 40 at degree 4).  The indices with a zero row come from the table one genus down;
 of the others it reduces one per signed-permutation orbit.  A profile
 (`class_counts`) looks each class up by its key, counts it if it is not
 cached, and expands the counts by position.  The table lists the
@@ -221,7 +224,10 @@ class _LatticeContext:
         self.fingerprint = lat.fingerprint
         self.rank = lat.rank
         self.decomposition = lat.decomposition
-        self.gram_red, self.transform = lll_gram(lat.gram)
+        self.gram_red, self.transform, d, lam = lll_gram(lat.gram)
+        # The integral Gram-Schmidt data of gram_red, which LLL keeps up to
+        # date; every walk reads them.
+        self.gs = (d, lam)
         self._shells_np: dict[int, np.ndarray] = {}
         self._shells_bound = 0
         self._counts: dict[int, int] = {0: 1}
@@ -243,7 +249,7 @@ class _LatticeContext:
                 comps, words = self.decomposition
                 table = cosets.glued_shell_counts(tuple(comps), tuple(words), bound)
             else:
-                table = counts_upto(self.gram_red, bound)
+                table = counts_upto(self.gs, bound)
                 table[0] = 1
             self._counts = table
             self._counts_bound = bound
@@ -261,7 +267,7 @@ class _LatticeContext:
                 raise RepresentationDomainError(
                     f"shells to norm {bound} at rank {self.rank} too large: {size} vectors"
                 )
-            self._shells_np = shells_upto(self.gram_red, bound)
+            self._shells_np = shells_upto(self.gs, bound)
             self._shells_bound = bound
         return {q: a for q, a in self._shells_np.items() if q <= bound}
 
@@ -394,6 +400,13 @@ def _dot_histogram(gram: np.ndarray, x_arr: np.ndarray, y_arr: np.ndarray, weigh
 
 # ---------------------------------------------------------------------------
 # Public shell operations
+
+
+def gram_determinant(lat: "Lattice") -> int:
+    """det of the Gram matrix: d[n] of the reduced basis's Gram-Schmidt data,
+    as a unimodular change of basis keeps it.  Raises
+    NotPositiveDefiniteError unless the Gram matrix is positive definite."""
+    return _context(lat).gs[0][-1]
 
 
 def shell_counts_upto(lat: "Lattice", bound: int) -> dict[int, int]:
@@ -657,7 +670,11 @@ def class_representative(t: GramTarget) -> GramTarget:
     lowers T_jj, so the loop ends and the trace never grows.  The zero rows
     (slots forced to 0) are dropped and the result is put in normal form again,
     so every permutation and sign change of T has the same representative.
-    T is validated the first time it is seen (an invalid T raises every time).
+    Other indices of the class can have another: [[2, 1, 1], [1, 2, 0],
+    [1, 0, 2]] and [[2, 1, 1], [1, 2, 1], [1, 1, 2]] are both A3, and
+    [[2, 1, 1], [1, 2, -1], [1, -1, 2]] (det 0, x_0 = x_1 + x_2) keeps genus
+    3 though it counts r_L(A2).  T is validated the first time it is seen
+    (an invalid T raises every time).
     """
     t.check_valid()
     return _reduce(t.entries)

@@ -1,16 +1,17 @@
 """Exact integer linear algebra on matrices given as lists of int rows.
 
-Everything here works over arbitrary-precision integers; rational rows enter
-only through `clear_denominators`.  No floating point is used on any
-verified path.
+Everything here works over arbitrary-precision integers; rational data enter
+as integer rows at a known scale d (`scaled_gram` divides by d^2 exactly).
+No floating point is used on any verified path.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Sequence
+
+# (d, lam) of `integral_gram_schmidt`.
+GramSchmidt = tuple[list[int], list[list[int]]]
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -19,12 +20,6 @@ class NotPositiveDefiniteError(ValueError):
     def __init__(self, pivot_index: int):
         self.pivot_index = pivot_index
         super().__init__(f"not positive definite: non-positive pivot at index {pivot_index}")
-
-
-def clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """(d * rows as integer rows, d), with d the least common denominator of the entries."""
-    d = lcm(1, *(x.denominator for r in rows for x in r))
-    return [[int(x * d) for x in r] for r in rows], d
 
 
 def scaled_gram(rows: Sequence[Sequence[int]], d: int) -> tuple[tuple[int, ...], ...]:
@@ -71,7 +66,7 @@ def det_exact(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def integral_gram_schmidt(g: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+def integral_gram_schmidt(g: Sequence[Sequence[int]]) -> GramSchmidt:
     """Integral Gram-Schmidt data of an integer Gram matrix (Cohen, A Course in
     Computational Algebraic Number Theory, Alg. 2.6.7), without fractions.
 
@@ -96,14 +91,6 @@ def integral_gram_schmidt(g: Sequence[Sequence[int]]) -> tuple[list[int], list[l
             else:
                 d[i + 1] = x
     return d, lam
-
-
-def is_positive_definite(rows: Sequence[Sequence[int]]) -> bool:
-    try:
-        integral_gram_schmidt(rows)
-    except NotPositiveDefiniteError:
-        return False
-    return True
 
 
 def is_positive_semidefinite(rows: Sequence[Sequence[int]]) -> bool:

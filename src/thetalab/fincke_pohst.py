@@ -2,7 +2,9 @@
 
 The walk is Fincke-Pohst (Math. Comp. 44, 1985) on the integral Gram-Schmidt
 data of the Gram matrix (`exactnum.integral_gram_schmidt`): the leading
-minors D_i and lam[j][i] = D_{i+1} mu[j][i], with no common scale.  Level i
+minors D_i and lam[j][i] = D_{i+1} mu[j][i], with no common scale.  The
+walks take these data, not the Gram matrix: `lll_gram` returns them for the
+reduced basis it computes, so a lattice's Gram-Schmidt is done once.  Level i
 fixes x_i given x_{i+1..n-1}; with
 
     t_i = D_{i+1} x_i + sum_{j>i} lam[j][i] x_j,
@@ -27,39 +29,42 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterator
 
-from .exactnum import integral_gram_schmidt
+from .exactnum import GramSchmidt, integral_gram_schmidt
 from .lazy import lazy_module
 
 np = lazy_module("numpy")
 
 
-def lll_gram(gram: list[list[int]], delta: Fraction = Fraction(3, 4)) -> tuple[list[list[int]], list[list[int]]]:
+def lll_gram(
+    gram: list[list[int]], delta: Fraction = Fraction(3, 4)
+) -> tuple[list[list[int]], list[list[int]], list[int], list[list[int]]]:
     """Exact LLL reduction driven by the Gram matrix alone.
 
-    Returns (reduced_gram, u) with reduced_gram = u * gram * u^T and u unimodular.
-    The Gram-Schmidt data are kept in integers and updated in place at every
-    step (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.7):
+    Returns (reduced_gram, u, d, lam) with reduced_gram = u * gram * u^T, u
+    unimodular, and (d, lam) the integral Gram-Schmidt data of reduced_gram
+    (`exactnum.integral_gram_schmidt`), which the walks below take as they
+    are.  They are kept in integers and updated in place at every step
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.7):
     d[i] is the Gram determinant of the first i basis vectors and
-    lam[i][j] = d[j + 1] * mu[i][j].  Raises NotPositiveDefiniteError when a
-    leading minor is not positive.
+    lam[i][j] = d[j + 1] * mu[i][j].  A unimodular change of basis keeps the
+    determinant, so d[n] is det(gram).  Raises NotPositiveDefiniteError when
+    a leading minor of gram is not positive.
     """
     n = len(gram)
     g = [[int(x) for x in row] for row in gram]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if n <= 1:
-        return g, u
+    d, lam = integral_gram_schmidt(g)
     delta = Fraction(delta)
 
-    d, lam = integral_gram_schmidt(g)
-
     def row_sub(i, j, q):
-        # basis_i -= q * basis_j, applied to gram, transform and lam
-        for t in range(n):
-            u[i][t] -= q * u[j][t]
-        for t in range(n):
-            g[i][t] -= q * g[j][t]
-        for t in range(n):
-            g[t][i] -= q * g[t][j]
+        # basis_i -= q * basis_j, applied to transform, gram and lam; gram
+        # is symmetric, so its new row i is also its new column i.
+        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
+        row = [a - q * b for a, b in zip(g[i], g[j])]
+        row[i] -= q * row[j]
+        g[i] = row
+        for t, x in enumerate(row):
+            g[t][i] = x
         lam[i][j] -= q * d[j + 1]
         for t in range(j):
             lam[i][t] -= q * lam[j][t]
@@ -95,7 +100,7 @@ def lll_gram(gram: list[list[int]], delta: Fraction = Fraction(3, 4)) -> tuple[l
         else:
             row_swap(k)
             k = max(k - 1, 1)
-    return g, u
+    return g, u, d, lam
 
 
 # Most children one expansion step builds at once (rows of the frontier).
@@ -125,13 +130,14 @@ def _isqrt(a, powers):
     return x
 
 
-def _half_shell_chunks(gram: list[list[int]], bound: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _half_shell_chunks(gs: GramSchmidt, bound: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (coords, norms) chunks of every nonzero x with x G x^T <= bound
-    whose last nonzero coordinate is positive (one of each +-x pair)."""
-    n = len(gram)
+    whose last nonzero coordinate is positive (one of each +-x pair), from
+    gs = (d, lam), the integral Gram-Schmidt data of G."""
+    d, lam = gs
+    n = len(lam)
     if n == 0 or bound <= 0:
         return
-    d, lam = integral_gram_schmidt(gram)
     # Bounds, from the top level down: |t_i| <= root[i], |c_i| <= centre[i]
     # (c_i the sum over j > i), |x_i| <= coord[i].
     root, centre, coord = [0] * n, [0] * n, [0] * n
@@ -180,11 +186,12 @@ def _half_shell_chunks(gram: list[list[int]], bound: int) -> Iterator[tuple[np.n
     yield from expand(n - 1, np.zeros((1, 0), dtype=dtype), np.zeros(1, dtype=dtype))
 
 
-def shells_upto(gram: list[list[int]], bound: int) -> dict[int, np.ndarray]:
+def shells_upto(gs: GramSchmidt, bound: int) -> dict[int, np.ndarray]:
     """All nonzero vectors with norm <= bound, grouped by norm: one int32
-    array of rows (coordinates in the given basis) per norm."""
+    array of rows (coordinates in the basis of G) per norm, from gs = (d, lam),
+    the integral Gram-Schmidt data of the Gram matrix G."""
     parts: dict[int, list] = {}
-    for xs, norms in _half_shell_chunks(gram, bound):
+    for xs, norms in _half_shell_chunks(gs, bound):
         assert xs.size == 0 or int(abs(xs).max()) < 2**31
         xs = xs.astype(np.int32)
         order = np.argsort(norms, kind="stable")
@@ -194,10 +201,11 @@ def shells_upto(gram: list[list[int]], bound: int) -> dict[int, np.ndarray]:
     return {q: np.concatenate(ps) for q, ps in sorted(parts.items())}
 
 
-def counts_upto(gram: list[list[int]], bound: int) -> dict[int, int]:
-    """Counts of nonzero vectors by norm <= bound, without storing them."""
+def counts_upto(gs: GramSchmidt, bound: int) -> dict[int, int]:
+    """Counts of nonzero vectors by norm <= bound, without storing them, from
+    gs = (d, lam) as in `shells_upto`."""
     out: dict[int, int] = {}
-    for _, norms in _half_shell_chunks(gram, bound):
+    for _, norms in _half_shell_chunks(gs, bound):
         values, counts = np.unique(norms, return_counts=True)
         for q, c in zip(values.tolist(), counts.tolist()):
             out[q] = out.get(q, 0) + 2 * c

@@ -3,9 +3,11 @@
 A lattice is its integer Gram matrix; every invariant and every count
 depends on nothing else.  Root lattices, direct sums, D_n^+
 plus-constructions and glue-code lattices are all built here, the last two
-from rational rows in a Euclidean ambient space that are used once, in
-integers, to form the Gram matrix.  Each is checked exactly: evenness,
+from integer rows in a Euclidean ambient space at one common scale, used
+once to form the Gram matrix.  Each is checked exactly: evenness,
 determinant, positive definiteness, root counts and the root-system label.
+Determinant and definiteness are read off the Gram-Schmidt data that the
+basis reduction keeps (`enumeration.gram_determinant`).
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ import hashlib
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from . import enumeration, rootdata
-from .exactnum import _hnf_int_rows, clear_denominators, det_exact, is_positive_definite, scaled_gram
+from .exactnum import NotPositiveDefiniteError, _hnf_int_rows, det_exact, scaled_gram
 
 
 class LatticeError(ValueError):
@@ -154,49 +156,56 @@ def direct_sum(l1: Lattice, l2: Lattice) -> Lattice:
 ZERO_LATTICE = Lattice("0", (), ((), ((),)))
 
 
-def _from_ambient(name: str, rows, rank: int, decomposition) -> Lattice:
-    """The lattice generated by rational ambient rows, which must have this
-    rank and be even unimodular: one denominator d is cleared, the integer
-    rows are row-reduced, and the Gram matrix B B^T / d^2 is formed in ints."""
-    scaled, d = clear_denominators(rows)
-    basis = _hnf_int_rows(scaled)
-    try:
-        gram = scaled_gram(basis, d)
-    except ValueError:
-        raise LatticeError(f"{name}: the rows do not generate an integral lattice")
-    if len(basis) != rank:
-        raise LatticeError(f"{name}: the rows generate rank {len(basis)}, expected {rank}")
-    lat = Lattice(name, gram, decomposition)
-    _require_even_unimodular(lat)
-    return lat
-
-
 def plus_construction(n: int) -> Lattice:
     """D_n^+: D_n together with the all-halves glue vector; even unimodular iff 8 | n."""
     if n < 8 or n % 8 != 0:
         raise LatticeError(f"D_{n}^+ is not an even unimodular lattice (need n = 0 mod 8)")
-    rows = [*rootdata.simple_roots("D", n), [Fraction(1, 2)] * n]
-    return _from_ambient(f"D{n}+", rows, n, ((("D", n),), ((0,), (1,))))
+    return glue(GlueSpec((("D", n),), ((1,),)), name=f"D{n}+")
+
+
+def _glue_rows(comps, words) -> tuple[list[list[int]], int]:
+    """(rows, s): the simple roots of each component, then one row per glue
+    word, as integer ambient rows at the common scale s, the lcm of the
+    components' `rootdata.scale`."""
+    s = lcm(*(rootdata.scale(kind, rank) for kind, rank in comps))
+    dims = [rootdata.ambient_dim(kind, rank) for kind, rank in comps]
+    rows = []
+    classes = []  # per component, its class representatives at scale s
+    for c, (kind, rank) in enumerate(comps):
+        f = s // rootdata.scale(kind, rank)
+        before, after = [0] * sum(dims[:c]), [0] * sum(dims[c + 1 :])
+        rows += [before + [f * x for x in root] + after for root in rootdata.root_rows(kind, rank)]
+        classes.append([[f * x for x in rootdata.class_row(kind, rank, cls)]
+                        for cls in range(rootdata.disc_order(kind, rank))])
+    rows += [[x for reps, cls in zip(classes, word) for x in reps[cls]] for word in words]
+    return rows, s
 
 
 def glue(spec: GlueSpec, name: str | None = None) -> Lattice:
     """Union of glue-group cosets of the orthogonal sum of root lattices.
 
-    Fails unless the result is an integral even unimodular positive definite
+    The rows of `_glue_rows` for every word of the glue group (rows for the
+    generator words alone would give another basis) are row-reduced over Z
+    to a basis B, and the Gram matrix is B B^T / s^2 in integers.  Fails
+    unless the result is an integral even unimodular positive definite
     lattice (bad glue data is detected, not repaired).
     """
     comps = spec.components
     words = spec.word_group()
-    dims = [rootdata.ambient_dim(kind, rank) for kind, rank in comps]
-    rows = []
-    for c, (kind, rank) in enumerate(comps):
-        pad = (0,) * sum(dims[:c]), (0,) * sum(dims[c + 1 :])
-        rows += [pad[0] + root + pad[1] for root in rootdata.simple_roots(kind, rank)]
-    for word in words:
-        rows.append(sum((rootdata.disc_rep_ambient(kind, rank, cls) for (kind, rank), cls in zip(comps, word)), ()))
     if name is None:
         name = "".join(f"{kind}{rank}" for kind, rank in comps)
-    return _from_ambient(name, rows, sum(rank for _, rank in comps), (comps, words))
+    rows, s = _glue_rows(comps, words)
+    basis = _hnf_int_rows(rows)
+    try:
+        gram = scaled_gram(basis, s)
+    except ValueError:
+        raise LatticeError(f"{name}: the rows do not generate an integral lattice")
+    rank = sum(rank for _, rank in comps)
+    if len(basis) != rank:
+        raise LatticeError(f"{name}: the rows generate rank {len(basis)}, expected {rank}")
+    lat = Lattice(name, gram, (comps, words))
+    _require_even_unimodular(lat)
+    return lat
 
 
 def _require_even_unimodular(lat: Lattice) -> None:
@@ -209,17 +218,22 @@ def _require_even_unimodular(lat: Lattice) -> None:
 
 
 def validate(lat: Lattice) -> ValidationReport:
-    """Exact invariant checks; enumeration supplies min norm and root count."""
+    """Exact invariant checks.  On a positive definite Gram matrix the basis
+    reduction's Gram-Schmidt data give the determinant, and enumeration the
+    min norm and root count; otherwise the determinant is a Bareiss
+    elimination of the Gram matrix."""
     g = lat.gram
     even = all(r[i] % 2 == 0 for i, r in enumerate(g))
-    det = det_exact(g)
-    pd = is_positive_definite(g)
+    try:
+        det = enumeration.gram_determinant(lat)
+    except NotPositiveDefiniteError:
+        return ValidationReport(even=even, det=det_exact(g), positive_definite=False, min_norm=None, root_count=None)
     min_norm = None
     roots = None
-    if pd and g:
+    if g:
         min_norm = minimum_norm(lat)
         roots = enumeration.shell_count(lat, 2)
-    return ValidationReport(even=even, det=det, positive_definite=pd, min_norm=min_norm, root_count=roots)
+    return ValidationReport(even=even, det=det, positive_definite=True, min_norm=min_norm, root_count=roots)
 
 
 def minimum_norm(lat: Lattice) -> int:

@@ -3,15 +3,21 @@
 Simple roots are realized in Euclidean coordinates (A_n in R^{n+1}, D_n in R^n,
 E6/E7/E8 in R^8, Bourbaki numbering), so the Gram matrix of the rows is the
 usual Dynkin-diagram matrix with 2 on the diagonal and -1 for adjacent nodes.
+Roots and glue class representatives are given as integer rows at one
+scale per root system (`scale`), a common denominator of their coordinates:
+n + 1 for the weights of A_n, 2 for the spinor classes of D_n, and
+2 det(C) for E_n (2 for the half-integral root of E8; 6 and 4 for the E6
+and E7 weights, which come from the integer adjugate det(C) C^-1 of the
+Cartan matrix C).  No rational arithmetic is needed.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exactnum import clear_denominators, det_exact, scaled_gram
+from .exactnum import det_exact, scaled_gram
+
 
 def _check(kind: str, rank: int) -> None:
     if kind == "A" and rank >= 1:
@@ -32,49 +38,6 @@ def ambient_dim(kind: str, rank: int) -> int:
     return 8
 
 
-@lru_cache(maxsize=None)
-def simple_roots(kind: str, rank: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Simple roots as rows in the Euclidean ambient space."""
-    _check(kind, rank)
-    dim = ambient_dim(kind, rank)
-
-    def e(i: int) -> list[Fraction]:
-        v = [Fraction(0)] * dim
-        v[i] = Fraction(1)
-        return v
-
-    rows: list[list[Fraction]] = []
-    if kind == "A":
-        for i in range(rank):
-            v = e(i)
-            v[i + 1] = Fraction(-1)
-            rows.append(v)
-    elif kind == "D":
-        for i in range(rank - 1):
-            v = e(i)
-            v[i + 1] = Fraction(-1)
-            rows.append(v)
-        v = e(rank - 2)
-        v[rank - 1] = Fraction(1)
-        rows.append(v)
-    else:
-        # Bourbaki: a1 = (1/2)(e1+e8) - (1/2)(e2+...+e7), a2 = e1+e2, ak = e_{k-1}-e_{k-2}
-        a1 = [Fraction(1, 2), *([Fraction(-1, 2)] * 6), Fraction(1, 2)]
-        a2 = [Fraction(1), Fraction(1)] + [Fraction(0)] * 6
-        rows = [a1, a2]
-        for k in range(3, 9):
-            v = e(k - 2)
-            v[k - 3] = Fraction(-1)
-            rows.append(v)
-        rows = rows[:rank]
-    return tuple(tuple(r) for r in rows)
-
-
-@lru_cache(maxsize=None)
-def ade_gram(kind: str, rank: int) -> tuple[tuple[int, ...], ...]:
-    return scaled_gram(*clear_denominators(simple_roots(kind, rank)))
-
-
 def disc_order(kind: str, rank: int) -> int:
     _check(kind, rank)
     if kind == "A":
@@ -84,55 +47,64 @@ def disc_order(kind: str, rank: int) -> int:
     return {6: 3, 7: 2, 8: 1}[rank]
 
 
-@lru_cache(maxsize=None)
-def _inverse_gram(kind: str, rank: int) -> list[list[Fraction]]:
-    g = ade_gram(kind, rank)
-    n = len(g)
-    det = det_exact(g)
-    aug = [[Fraction(g[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    assert det != 0
-    return [row[n:] for row in aug]
+def scale(kind: str, rank: int) -> int:
+    """The scale s of `root_rows` and `class_row`: s times each simple root
+    and each class representative is an integer row."""
+    _check(kind, rank)
+    if kind == "A":
+        return rank + 1
+    if kind == "D":
+        return 2
+    return 2 * disc_order(kind, rank)
 
 
 @lru_cache(maxsize=None)
-def fundamental_weights(kind: str, rank: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Dual basis rows in ambient coordinates (i-th row pairs to 1 with root i)."""
-    ginv = _inverse_gram(kind, rank)
-    roots = simple_roots(kind, rank)
+def root_rows(kind: str, rank: int) -> tuple[tuple[int, ...], ...]:
+    """The simple roots in the ambient space, times `scale(kind, rank)`."""
     dim = ambient_dim(kind, rank)
-    out = []
-    for i in range(len(roots)):
-        w = [Fraction(0)] * dim
-        for j, rj in enumerate(roots):
-            c = ginv[i][j]
-            if c:
-                for t in range(dim):
-                    w[t] += c * rj[t]
-        out.append(tuple(w))
-    return tuple(out)
+    s = scale(kind, rank)
+
+    def e(i: int, j: int, sign: int) -> tuple[int, ...]:
+        # s (e_i + sign e_j)
+        v = [0] * dim
+        v[i], v[j] = s, sign * s
+        return tuple(v)
+
+    if kind == "A":
+        return tuple(e(i, i + 1, -1) for i in range(rank))
+    if kind == "D":
+        return tuple(e(i, i + 1, -1) for i in range(rank - 1)) + (e(rank - 2, rank - 1, 1),)
+    # Bourbaki: a1 = (1/2)(e1+e8) - (1/2)(e2+...+e7), a2 = e1+e2, ak = e_{k-1}-e_{k-2}
+    h = s // 2
+    return ((h, *[-h] * 6, h), e(0, 1, 1)) + tuple(e(k - 2, k - 3, -1) for k in range(3, rank + 1))
 
 
 @lru_cache(maxsize=None)
-def _e_series_generator_index(kind: str, rank: int) -> int:
-    """Index of a fundamental weight generating the (cyclic) discriminant group."""
-    ginv = _inverse_gram(kind, rank)
-    for i, row in enumerate(ginv):
-        if any(x.denominator != 1 for x in row):
-            return i
+def ade_gram(kind: str, rank: int) -> tuple[tuple[int, ...], ...]:
+    return scaled_gram(root_rows(kind, rank), scale(kind, rank))
+
+
+@lru_cache(maxsize=None)
+def _generator_row(kind: str, rank: int) -> tuple[int, ...]:
+    """Row i of the adjugate det(C) C^-1 of the Cartan matrix C, for the first
+    i whose fundamental weight omega_i = sum_j (C^-1)_ij alpha_j is not in the
+    root lattice: omega_i generates the cyclic discriminant group."""
+    c = ade_gram(kind, rank)
+    det = det_exact(c)
+    for i in range(rank):
+        # C is symmetric, so adj_ij = (-1)^(i+j) det(C without row i and column j).
+        row = tuple(
+            (-1) ** (i + j) * det_exact([r[:j] + r[j + 1 :] for k, r in enumerate(c) if k != i])
+            for j in range(rank)
+        )
+        if any(x % det for x in row):
+            return row
     raise AssertionError("unimodular lattice has no nontrivial classes")
 
 
-def disc_rep_ambient(kind: str, rank: int, cls: int) -> tuple[Fraction, ...]:
-    """A representative vector (ambient coordinates) of the cls-th glue class.
+def class_row(kind: str, rank: int, cls: int) -> tuple[int, ...]:
+    """A representative of the cls-th glue class in the ambient space, times
+    `scale(kind, rank)`.
 
     Class labels follow the usual conventions: A_n classes 0..n are multiples of
     the first fundamental weight; D_n uses [1] and [3] for the two half-integer
@@ -143,27 +115,19 @@ def disc_rep_ambient(kind: str, rank: int, cls: int) -> tuple[Fraction, ...]:
     if not 0 <= cls < order:
         raise ValueError(f"class {cls} out of range for {kind}{rank}")
     dim = ambient_dim(kind, rank)
-    zero = tuple(Fraction(0) for _ in range(dim))
     if cls == 0:
-        return zero
+        return (0,) * dim
     if kind == "A":
-        # cls * omega_1 = cls * (e_1 - (1/(n+1)) * ones)
-        n1 = rank + 1
-        base = [-Fraction(cls, n1)] * n1
-        base[0] += cls
-        return tuple(base)
+        # (n + 1) cls omega_1 = cls ((n + 1) e_1 - (1, ..., 1))
+        return (cls * rank, *[-cls] * rank)
     if kind == "D":
-        if cls == 1:
-            return tuple(Fraction(1, 2) for _ in range(rank))
         if cls == 2:
-            v = [Fraction(0)] * rank
-            v[0] = Fraction(1)
-            return tuple(v)
-        v = [Fraction(1, 2)] * rank
-        v[rank - 1] = Fraction(-1, 2)
-        return tuple(v)
-    w = fundamental_weights(kind, rank)[_e_series_generator_index(kind, rank)]
-    return tuple(cls * x for x in w)
+            return (2, *[0] * (rank - 1))
+        return (*[1] * (rank - 1), 1 if cls == 1 else -1)
+    # s omega_i = sum_j adj_ij (s alpha_j) / det(C), with det(C) = order.
+    adj = _generator_row(kind, rank)
+    roots = root_rows(kind, rank)
+    return tuple(cls * sum(a * r[t] for a, r in zip(adj, roots)) // order for t in range(dim))
 
 
 def class_add(kind: str, rank: int, a: int, b: int) -> int:

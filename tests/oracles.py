@@ -1,16 +1,24 @@
 """Independent brute-force oracles shared by the unit and acceptance suites."""
 
 import itertools
+import operator
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 
 from thetalab import enumeration, weyl
 from thetalab.enumeration import GramTarget, candidate_targets
-from thetalab.exactnum import NotPositiveDefiniteError, det_exact, rank_int
+from thetalab.exactnum import (
+    NotPositiveDefiniteError,
+    _hnf_int_rows,
+    det_exact,
+    integral_gram_schmidt,
+    rank_int,
+    scaled_gram,
+)
 from thetalab.fincke_pohst import shells_upto
-from thetalab.rootdata import ade_gram, classify_component
+from thetalab.rootdata import ade_gram, ambient_dim, classify_component
 from thetalab.theta import Series
 
 
@@ -206,11 +214,95 @@ def e_coset_counts(rank, bound):
     tables = [{} for _ in range(det)]
     tables[0][Fraction(0)] = 1
     dual_scaled = [[int(x * det) for x in row] for row in ginv]
-    for qscaled, vecs in shells_upto(dual_scaled, bound * det).items():
+    for qscaled, vecs in shells_upto(integral_gram_schmidt(dual_scaled), bound * det).items():
         classes = vecs.astype(np.int64) @ np.array(labels, dtype=np.int64) % det
         for cls, cnt in zip(*np.unique(classes, return_counts=True)):
             tables[int(cls)][Fraction(qscaled, det)] = int(cnt)
     return tables
+
+
+def fraction_simple_roots(kind, rank):
+    """Simple roots as Fraction rows in the Euclidean ambient space (A_n in
+    R^{n+1}, D_n in R^n, E_n in R^8, Bourbaki numbering)."""
+    dim = ambient_dim(kind, rank)
+
+    def e(i):
+        v = [Fraction(0)] * dim
+        v[i] = Fraction(1)
+        return v
+
+    rows = []
+    if kind == "A":
+        for i in range(rank):
+            v = e(i)
+            v[i + 1] = Fraction(-1)
+            rows.append(v)
+    elif kind == "D":
+        for i in range(rank - 1):
+            v = e(i)
+            v[i + 1] = Fraction(-1)
+            rows.append(v)
+        v = e(rank - 2)
+        v[rank - 1] = Fraction(1)
+        rows.append(v)
+    else:
+        # a1 = (1/2)(e1+e8) - (1/2)(e2+...+e7), a2 = e1+e2, ak = e_{k-1}-e_{k-2}
+        rows = [[Fraction(1, 2), *([Fraction(-1, 2)] * 6), Fraction(1, 2)], [Fraction(1)] * 2 + [Fraction(0)] * 6]
+        for k in range(3, 9):
+            v = e(k - 2)
+            v[k - 3] = Fraction(-1)
+            rows.append(v)
+        rows = rows[:rank]
+    return [tuple(r) for r in rows]
+
+
+def fraction_class_rep(kind, rank, cls):
+    """A representative of the cls-th glue class in Fraction ambient
+    coordinates: cls omega_1 for A_n; for D_n the spinor classes 1 and 3 and
+    the vector class 2; for E6/E7 cls times the first fundamental weight
+    omega_i = sum_j (C^-1)_ij alpha_j (C the Gram matrix of the Fraction roots)
+    that is not in the root lattice."""
+    dim = ambient_dim(kind, rank)
+    if cls == 0:
+        return (Fraction(0),) * dim
+    if kind == "A":
+        base = [-Fraction(cls, rank + 1)] * (rank + 1)
+        base[0] += cls
+        return tuple(base)
+    if kind == "D":
+        if cls == 2:
+            return (Fraction(1),) + (Fraction(0),) * (rank - 1)
+        return (Fraction(1, 2),) * (rank - 1) + (Fraction(1 if cls == 1 else -1, 2),)
+    roots = fraction_simple_roots(kind, rank)
+    ginv = fraction_inverse([[sum(map(operator.mul, a, b)) for b in roots] for a in roots])
+    row = next(r for r in ginv if any(x.denominator != 1 for x in r))
+    return tuple(cls * sum(c * r[t] for c, r in zip(row, roots)) for t in range(dim))
+
+
+def fraction_glue_rows(comps, words):
+    """The ambient rows of a glue lattice as Fractions: the simple roots of
+    each component, then for each word the sum of its class representatives."""
+    dims = [ambient_dim(kind, rank) for kind, rank in comps]
+    rows = []
+    for c, (kind, rank) in enumerate(comps):
+        pad = (Fraction(0),) * sum(dims[:c]), (Fraction(0),) * sum(dims[c + 1 :])
+        rows += [pad[0] + root + pad[1] for root in fraction_simple_roots(kind, rank)]
+    for word in words:
+        rows.append(sum((fraction_class_rep(kind, rank, cls) for (kind, rank), cls in zip(comps, word)), ()))
+    return rows
+
+
+def clear_denominators(rows):
+    """(d * rows as integer rows, d), with d the least common denominator of the entries."""
+    d = lcm(1, *(x.denominator for r in rows for x in r))
+    return [[int(x * d) for x in r] for r in rows], d
+
+
+def fraction_glue_gram(rows):
+    """The Gram matrix of the lattice that Fraction rows generate: one common
+    denominator d cleared, the integer rows row-reduced, B B^T / d^2."""
+    scaled, d = clear_denominators(rows)
+    return scaled_gram(_hnf_int_rows(scaled), d)
 
 
 def tau(n):

@@ -41,6 +41,17 @@ def test_validate_failing_gram(tmp_path, capsys):
     assert "det: 4" in out
 
 
+@pytest.mark.parametrize("gram,det", [([[2, 3], [3, 2]], -5), ([[2, 2], [2, 2]], 0)], ids=["indefinite", "singular"])
+def test_validate_non_definite_gram(tmp_path, capsys, gram, det):
+    spec = tmp_path / "x.json"
+    spec.write_text(json.dumps({"name": "x", "gram": gram}))
+    code = run(["validate", "--spec", str(spec)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_FAIL
+    assert f"det: {det}\npositive_definite: false\nmin_norm: None\n" in out
+    assert "Traceback" not in out + err
+
+
 def test_unknown_lattice_is_input_error(capsys):
     assert run(["validate", "--lattice", "Leech"]) == EXIT_INPUT
 

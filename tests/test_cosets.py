@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from thetalab.cosets import _sum_square_counts, coset_tables, glued_shell_counts
 from thetalab.enumeration import shell_counts_upto
+from thetalab.exactnum import integral_gram_schmidt
 from thetalab.fincke_pohst import counts_upto
 from thetalab.lattices import direct_sum, root_lattice
 from thetalab.niemeier import RANK24_NAMES, builtin
@@ -89,7 +90,7 @@ def test_d_coset_counts_match_box_scan(rank, cls):
 def test_class0_matches_direct_enumeration(kind, rank):
     scale, tables = class_tables(kind, rank, 8)
     gram = [list(r) for r in ade_gram(kind, rank)]
-    fp = {scale * k: v for k, v in counts_upto(gram, 8).items()}
+    fp = {scale * k: v for k, v in counts_upto(integral_gram_schmidt(gram), 8).items()}
     fp[0] = 1
     assert tables[0] == fp
     assert tables[0][2 * scale] == root_count(kind, rank)
@@ -169,7 +170,7 @@ def test_glued_counts_match_streaming_on_a_niemeier_lattice():
     lat = builtin("A5^4D4")
     dp = shell_counts_upto(lat, 4)
     gram = [list(r) for r in lat.gram]
-    fp = counts_upto(gram, 4)
+    fp = counts_upto(integral_gram_schmidt(gram), 4)
     fp[0] = 1
     assert dp == fp
 
@@ -178,7 +179,7 @@ def test_glued_counts_match_streaming_on_d16_plus():
     lat = builtin("D16+")
     dp = shell_counts_upto(lat, 6)
     gram = [list(r) for r in lat.gram]
-    fp = counts_upto(gram, 6)
+    fp = counts_upto(integral_gram_schmidt(gram), 6)
     fp[0] = 1
     assert dp == fp
 
@@ -212,6 +213,6 @@ def test_coset_counts_of_random_root_lattice_sums_match_streaming(parts):
     for kind, rank in parts[1:]:
         lat = direct_sum(lat, root_lattice(kind, rank))
     assert lat.decomposition is not None
-    fp = counts_upto([list(r) for r in lat.gram], 8)
+    fp = counts_upto(integral_gram_schmidt(lat.gram), 8)
     fp[0] = 1
     assert shell_counts_upto(lat, 8) == fp

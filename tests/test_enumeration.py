@@ -113,12 +113,13 @@ def test_shell_counts_invariant_under_basis_change(name, perm):
 def test_lll_gram_is_reduced_change_of_basis(a):
     n = len(a)
     g = [[sum(a[i][t] * a[j][t] for t in range(n)) + (i == j) for j in range(n)] for i in range(n)]
-    red, u = lll_gram(g)
+    red, u, d, lam = lll_gram(g)
     assert red == [[sum(u[i][s] * g[s][t] * u[j][t] for s in range(n) for t in range(n))
                     for j in range(n)] for i in range(n)]
     assert abs(det_exact(u)) == 1
-    # Gram-Schmidt data of red: bstar[k] = d[k+1]/d[k], mu[i][j] = lam[i][j]/d[j+1].
-    d, lam = integral_gram_schmidt(red)
+    # The Gram-Schmidt data of red, kept up to date by the reduction:
+    # bstar[k] = d[k+1]/d[k], mu[i][j] = lam[i][j]/d[j+1].
+    assert (d, lam) == integral_gram_schmidt(red)
     bstar = [Fraction(d[k + 1], d[k]) for k in range(n)]
     mu = [[Fraction(lam[i][j], d[j + 1]) for j in range(n)] for i in range(n)]
     assert all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(n) for j in range(i))
@@ -1086,6 +1087,20 @@ def test_class_representative_properties(drawn):
         for signs in itertools.product((1, -1), repeat=g):
             moved = [[signs[a] * signs[b] * t.entries[p[a]][p[b]] for b in range(g)] for a in range(g)]
             assert en.class_representative(GramTarget.from_rows(moved)) == rep
+
+
+def test_representatives_of_one_class_count_alike():
+    # The representative is a normal form, not a complete GL_3(Z) invariant:
+    # two Gram matrices of A3 keep their own keys, and the singular index with
+    # x_0 = x_1 + x_2 keeps a genus-3 key although it counts r_L(A2).
+    a3 = [GramTarget.from_upper(3, u) for u in ([2, 1, 1, 2, 0, 2], [2, 1, 1, 2, 1, 2])]
+    singular = GramTarget.from_upper(3, [2, 1, 1, 2, -1, 2])
+    keys = [en.class_representative(t).key() for t in (*a3, singular)]
+    assert keys == ["3|2 1 1 2 0 2", "3|2 1 1 2 1 2", "3|2 1 1 2 -1 2"]
+    for lat in (root_lattice("D", 4), builtin("E8")):
+        first, second = (representation_count(lat, t) for t in a3)
+        assert first == second > 0
+        assert representation_count(lat, singular) == representation_count(lat, [[2, -1], [-1, 2]]) > 0
 
 
 def _a2_cubed_under_random_basis(seed):

@@ -7,16 +7,14 @@ from hypothesis import strategies as st
 from thetalab.exactnum import (
     NotPositiveDefiniteError,
     _hnf_int_rows,
-    clear_denominators,
     det_exact,
     integral_gram_schmidt,
-    is_positive_definite,
     is_positive_semidefinite,
     rank_int,
     scaled_gram,
 )
 
-from oracles import fraction_ldl, fraction_rank, in_z_span, psd_by_minors
+from oracles import clear_denominators, fraction_ldl, fraction_rank, in_z_span, psd_by_minors
 
 
 def cofactor_det(rows):
@@ -150,8 +148,9 @@ def test_ldl_matches_fraction_elimination(rows):
 
 
 def test_psd_checks():
-    assert is_positive_definite([[2, 1], [1, 2]])
-    assert not is_positive_definite([[2, 2], [2, 2]])
+    assert integral_gram_schmidt([[2, 1], [1, 2]]) == ([1, 2, 3], [[0, 0], [1, 0]])
+    with pytest.raises(NotPositiveDefiniteError):
+        integral_gram_schmidt([[2, 2], [2, 2]])
     assert is_positive_semidefinite([[2, 2], [2, 2]])
     assert not is_positive_semidefinite([[0, 1], [1, 0]])
 

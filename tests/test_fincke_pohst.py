@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from thetalab import enumeration as en
 from thetalab import fincke_pohst as fp
 from thetalab.cosets import glued_shell_counts
+from thetalab.exactnum import integral_gram_schmidt
 from thetalab.fincke_pohst import counts_upto, shells_upto
 from thetalab.niemeier import BUILTIN_NAMES, builtin
 
@@ -34,8 +35,9 @@ def _sorted_row_keys(x):
 @pytest.mark.parametrize("name,bound", [(name, 4) for name in BUILTIN_NAMES] + [(name, 6) for name in RANK16])
 def test_builtin_shells_are_exact(name, bound):
     lat = builtin(name)
-    gram = en._context(lat).gram_red
-    shells = shells_upto(gram, bound)
+    ctx = en._context(lat)
+    gram = ctx.gram_red
+    shells = shells_upto(ctx.gs, bound)
     g = np.array(gram, dtype=np.int64)
     for q, rows in shells.items():
         assert rows.dtype == np.int32 and rows.shape[1] == lat.rank
@@ -48,7 +50,7 @@ def test_builtin_shells_are_exact(name, bound):
     comps, words = lat.decomposition
     want = glued_shell_counts(tuple(comps), tuple(words), bound)
     assert {0: 1, **{q: len(rows) for q, rows in shells.items()}} == want
-    assert {0: 1, **counts_upto(gram, bound)} == want
+    assert {0: 1, **counts_upto(ctx.gs, bound)} == want
 
 
 def _as_sets(shells):
@@ -71,8 +73,9 @@ def test_random_gram_shells_match_box_scan(a, bound):
     # A^T A + I: positive definite and, in general, far from reduced.
     gram = [[sum(a[k][i] * a[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]
     want = _box_sets(gram, bound)
-    assert _as_sets(shells_upto(gram, bound)) == want
-    assert counts_upto(gram, bound) == {q: len(v) for q, v in want.items()}
+    gs = integral_gram_schmidt(gram)
+    assert _as_sets(shells_upto(gs, bound)) == want
+    assert counts_upto(gs, bound) == {q: len(v) for q, v in want.items()}
 
 
 @pytest.mark.parametrize("newton_min", [0, 10**9], ids=["newton", "isqrt"])
@@ -89,8 +92,9 @@ def test_walk_beyond_int64_matches_box_scan(monkeypatch, newton_min, gram, bound
     # with either square root.
     monkeypatch.setattr(fp, "_NEWTON_MIN", newton_min)
     want = _box_sets(gram, bound)
-    assert want and _as_sets(shells_upto(gram, bound)) == want
-    assert counts_upto(gram, bound) == {q: len(v) for q, v in want.items()}
+    gs = integral_gram_schmidt(gram)
+    assert want and _as_sets(shells_upto(gs, bound)) == want
+    assert counts_upto(gs, bound) == {q: len(v) for q, v in want.items()}
 
 
 @pytest.mark.parametrize("newton_min", [0, 10**9], ids=["newton", "isqrt"])
@@ -98,7 +102,8 @@ def test_scaled_e8_walk_beyond_int64(monkeypatch, newton_min):
     # 2^40 E8 to norm 2^40 * 4: the same 2400 vectors as E8 to norm 4, on
     # Python-int arrays.
     monkeypatch.setattr(fp, "_NEWTON_MIN", newton_min)
-    gram = en._context(builtin("E8")).gram_red
+    ctx = en._context(builtin("E8"))
     scale = 2**40
-    want = {q * scale: rows for q, rows in _as_sets(shells_upto(gram, 4)).items()}
-    assert _as_sets(shells_upto([[scale * x for x in row] for row in gram], 4 * scale)) == want
+    want = {q * scale: rows for q, rows in _as_sets(shells_upto(ctx.gs, 4)).items()}
+    scaled = integral_gram_schmidt([[scale * x for x in row] for row in ctx.gram_red])
+    assert _as_sets(shells_upto(scaled, 4 * scale)) == want

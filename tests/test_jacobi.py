@@ -142,7 +142,7 @@ def test_oversized_table_is_refused_before_shells_are_built(monkeypatch, genus):
     # E8) and refused before any is walked.  Shrunk, the limit refuses the 240
     # roots that these tables need.  A fresh context and memory cache make
     # sure no earlier test has stored the shells or the counts.
-    def no_shells(gram, bound):
+    def no_shells(gs, bound):
         raise AssertionError("a shell was built before the size check")
 
     monkeypatch.setattr(en, "_SHELL_VECTORS_LIMIT", 100)

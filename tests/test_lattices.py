@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from thetalab import enumeration as en
 from thetalab import lattices as lat
-from thetalab.exactnum import det_exact
+from thetalab.exactnum import det_exact, integral_gram_schmidt
 from thetalab.lattices import (
     EmptyLatticeError,
     GlueSpec,
@@ -21,7 +22,10 @@ from thetalab.lattices import (
     stable_eq_hyp_predicate,
     validate,
 )
-from thetalab.niemeier import BUILTIN_NAMES, builtin
+from thetalab.niemeier import BUILTIN_NAMES, NIEMEIER_GLUE, builtin
+from thetalab.rootdata import ade_gram, root_count
+
+from oracles import fraction_glue_gram, fraction_glue_rows, fraction_simple_roots
 
 
 def test_a1_gram():
@@ -212,3 +216,90 @@ def test_hyp_ratio_arithmetic():
 def test_constructions_validate():
     for name in ("E8", "E8+E8", "D16+", "D6^4"):
         assert validate(builtin(name)).is_even_unimodular
+
+
+def test_validate_non_definite_gram():
+    # The determinant of a Gram matrix that is not positive definite comes
+    # from Bareiss elimination; nothing is enumerated.
+    for gram, det in (([[2, 3], [3, 2]], -5), ([[2, 2], [2, 2]], 0)):
+        rep = validate(from_gram("x", gram))
+        assert (rep.det, rep.positive_definite, rep.min_norm, rep.root_count) == (det, False, None, None)
+        assert rep.even and not rep.is_even_unimodular
+
+
+def _cyc(head, tail):
+    """head followed by each cyclic shift of tail."""
+    return tuple(head + tail[k:] + tail[:k] for k in range(len(tail)))
+
+
+# The other 13 Niemeier lattices with roots (Conway-Sloane, SPLAG ch. 16,
+# Table 16.1), with the D_n class labels of `rootdata` (1 and 3 spinor, 2
+# vector).  They are built through `glue` only, not registered.
+NIEMEIER_13 = {
+    "D24": GlueSpec((("D", 24),), ((1,),)),
+    "D12^2": GlueSpec((("D", 12),) * 2, ((1, 2), (2, 1))),
+    "A24": GlueSpec((("A", 24),), ((5,),)),
+    "A15D9": GlueSpec((("A", 15), ("D", 9)), ((2, 1),)),
+    "A12^2": GlueSpec((("A", 12),) * 2, ((1, 5),)),
+    "D8^3": GlueSpec((("D", 8),) * 3, _cyc((), (1, 2, 2))),
+    "A8^3": GlueSpec((("A", 8),) * 3, _cyc((), (1, 1, 4))),
+    "A7^2D5^2": GlueSpec((("A", 7),) * 2 + (("D", 5),) * 2, ((1, 1, 1, 2), (1, 7, 2, 1))),
+    "A6^4": GlueSpec((("A", 6),) * 4, _cyc((1,), (2, 1, 6))),
+    "A4^6": GlueSpec((("A", 4),) * 6, _cyc((1,), (0, 1, 4, 4, 1))),
+    "A3^8": GlueSpec((("A", 3),) * 8, _cyc((3,), (2, 0, 0, 1, 0, 1, 1))),
+    "A2^12": GlueSpec((("A", 2),) * 12, _cyc((2,), (1, 1, 2, 1, 1, 1, 2, 2, 2, 1, 2))),
+    "A1^24": GlueSpec((("A", 1),) * 24, _cyc((1,), (0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 1, 1, 1, 1))),
+}
+
+GLUE_SPECS = {**NIEMEIER_GLUE, "D16+": GlueSpec((("D", 16),), ((1,),)), **NIEMEIER_13}
+
+
+@pytest.mark.parametrize("name", list(GLUE_SPECS))
+def test_glue_rows_match_fraction_reference(name):
+    # The integer rows are the Fraction rows at one common scale, so the
+    # row-reduced basis and the Gram matrix are the same.
+    spec = GLUE_SPECS[name]
+    words = spec.word_group()
+    rows, scale = lat._glue_rows(spec.components, words)
+    ref = fraction_glue_rows(spec.components, words)
+    assert rows == [[scale * x for x in r] for r in ref]
+    built = builtin(name) if name in BUILTIN_NAMES else glue(spec, name)
+    assert built.gram == fraction_glue_gram(ref)
+    if name == "D16+":
+        # The plus construction's own rows: D16 and the all-halves vector.
+        assert built.gram == fraction_glue_gram([*fraction_simple_roots("D", 16), (Fraction(1, 2),) * 16])
+    rep = validate(built)
+    assert rep.is_even_unimodular
+    assert rep.root_count == sum(root_count(kind, rank) for kind, rank in spec.components)
+
+
+def _random_conjugate(seed):
+    """A sum of A_n/D_n root lattices of rank <= 8 under a random unimodular basis."""
+    rng = random.Random(seed)
+    comps = []
+    while sum(r for _, r in comps) < 4:
+        comps.append(rng.choice([("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4)]))
+    n = sum(r for _, r in comps)
+    g = [[0] * n for _ in range(n)]
+    off = 0
+    for kind, rank in comps:
+        for i, row in enumerate(ade_gram(kind, rank)):
+            g[off + i][off : off + rank] = row
+        off += rank
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        u[i] = [a + rng.choice((-2, -1, 1, 2)) * b for a, b in zip(u[i], u[j])]
+    return from_gram(f"conjugate{seed}", [[sum(u[i][a] * g[a][b] * u[j][b] for a in range(n) for b in range(n))
+                                          for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("lattice", [*BUILTIN_NAMES, *(f"seed{k}" for k in range(10))])
+def test_reduction_keeps_gram_schmidt_data_and_determinant(lattice):
+    # The Gram-Schmidt data that LLL leaves in the context are those of the
+    # reduced Gram matrix, which every walk reads, and d[n] is the
+    # determinant of the Gram matrix that `validate` reports.
+    L = builtin(lattice) if lattice in BUILTIN_NAMES else _random_conjugate(int(lattice[4:]))
+    ctx = en._context(L)
+    assert ctx.gs == integral_gram_schmidt(ctx.gram_red)
+    assert validate(L).det == det_exact(L.gram)
