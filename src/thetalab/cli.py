@@ -463,7 +463,7 @@ def run(argv=None) -> int:
     names, resolve = SOURCES[job.lattices]
     # Every option given besides the kind and the output path shapes the result.
     given = {opt: v for opt, v in vars(args).items() if v is not None and opt not in ("kind", "out")}
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         for opt, v in given.items():
             flag = "--" + opt.replace("_", "-")
@@ -491,7 +491,7 @@ def run(argv=None) -> int:
         sys.stdout.write(text)
     stats = enumeration.cache_stats()
     print(
-        f"[thetalab] {args.kind}: {time.time() - t0:.2f}s  cache "
+        f"[thetalab] {args.kind}: {time.perf_counter() - t0:.3f}s  cache "
         f"mem={stats['memory_hits']} disk={stats['disk_hits']} "
         f"miss={stats['misses']} writes={stats['writes']} corrupt={stats['corrupt']}",
         file=sys.stderr,

@@ -12,14 +12,16 @@ under its own key, with equal counts.
 One table per (genus, bound), `index_classes`, lists the indices, each
 representative once and the position of each index's representative
 (trace <= 8: 395 indices, 44 signed-permutation orbits, 26 classes at
-degree 3, and 2262, 70, 40 at degree 4).  The indices with a zero row come from the table one genus down;
-of the others it reduces one per signed-permutation orbit.  A profile
-(`class_counts`) looks each class up by its key, counts it if it is not
-cached, and expands the counts by position.  The table lists the
-classes most demanding first (decreasing largest diagonal entry), so the
-first count of a profile walks the shell counts and shells that the others
-read: one Fincke-Pohst walk of each kind serves the whole profile, and the
-new counts reach the disk cache in one append.
+degree 3, and 2262, 70, 40 at degree 4).  The indices with a zero row come
+from the table one genus down; of the others it reduces one per
+signed-permutation orbit.  A profile (`class_counts`) looks each class up by
+its key, counts it if it is not cached, and expands the counts by position.
+The table lists the classes most demanding first (decreasing largest stored
+shell, then orbit-slot entry: see the orbit counter below), so the first
+count of a profile walks the shell counts and shells that the others read,
+and its first orbit walk goes on to the largest orbit-slot entry of the
+table: one walk of each kind serves the whole profile, and the new counts
+reach the disk cache in one append.
 Three engines cover the shapes of the representatives:
 
 * an exact Fincke-Pohst walk for shells and for genus-1 counts (glued lattices
@@ -31,11 +33,22 @@ Three engines cover the shapes of the representatives:
   a bitset depth-first search with the first root fixed (the Weyl group is
   transitive on the roots); from genus 3 on it is the highest root, and the
   second runs over one root of each orbit of its stabiliser,
-* one orbit counter over stored shells for every other shape: its first slot
-  (from genus 3 on, the one with the largest diagonal entry) runs over one
-  vector of each Weyl-group orbit (`weyl`), the middle slots are walked, and
-  the last two slots are one weighted histogram of blocked integer products
-  (at genus 2, against one of each +-z pair).
+* one orbit counter for every other shape: its first slot, the one with the
+  largest diagonal entry, runs over one vector of each Weyl-group orbit
+  (`weyl`), the middle slots are walked over stored shells, and the last two
+  slots are one weighted histogram of blocked integer products (at genus 2,
+  against one of each +-z pair).  Only the slots after the first are stored.
+
+The orbits come from the weight lattice when the simple roots number the
+rank (every built-in lattice, and every sum of root lattices): a dominant y
+is determined by c_i = (y, alpha_i) >= 0 over the simple roots alpha_i, so a
+Fincke-Pohst walk on c, clipped at 0 on every level, under the form
+scale * C^-1 (C the Cartan matrix) visits every dominant weight of the
+weight lattice P(R) of the roots, and the integral ones are the dominant
+vectors of L (`_weight_lattice_walk`).  Its work grows with [P(R) : L]
+(1 for E8+E8, 2 for D16+) and no shell is stored.  When the roots do not
+span, the dominant vectors are filtered from the stored shell instead.
+Either way the orbit sizes must sum to the shell count.
 
 The root engine and the orbit counter share one root-system record per
 lattice (`_LatticeContext.root_system`), found once from one root of each
@@ -64,12 +77,12 @@ import operator
 import os
 import zlib
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import cosets, weyl
-from .exactnum import is_positive_semidefinite
-from .fincke_pohst import counts_upto, lll_gram, shells_upto
+from .exactnum import GramSchmidt, integral_gram_schmidt, is_positive_semidefinite, scaled_inverse
+from .fincke_pohst import by_norm, counts_upto, lll_gram, orthant_upto, shells_upto
 from .lazy import lazy_module
 from .weyl import iter_bits
 
@@ -214,6 +227,17 @@ class _RootSystem(NamedTuple):
     order: int  # |W|
 
 
+class _Chamber(NamedTuple):
+    """The weight-lattice walk: the dominant chamber in the coordinates
+    c_i = (y, alpha_i) over the simple roots alpha_i (rows of A), with
+    M = A G, c = M y^T and C = A G A^T = M G^-1 M^T the Cartan matrix."""
+
+    gs: GramSchmidt  # integral Gram-Schmidt data of K = scale * C^-1
+    scale: int  # the least integer that makes scale * C^-1 integral
+    inverse: np.ndarray  # R as Python ints: M R = det I, so y^T = R c / det
+    det: int
+
+
 def _bit_rows(flags: np.ndarray) -> list[int]:
     """Each row of a boolean matrix as an int, bit j for column j."""
     return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(flags, axis=1, bitorder="little")]
@@ -233,6 +257,8 @@ class _LatticeContext:
         self._counts: dict[int, int] = {0: 1}
         self._counts_bound = 0
         self._orbits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._dominant: dict[int, np.ndarray] = {}
+        self._dominant_bound = 0
         self._highest: dict[int, weyl.HighestRootOrbits] = {}
         self._hists: dict[tuple[int, ...], dict[int, int]] = {}
 
@@ -255,6 +281,12 @@ class _LatticeContext:
             self._counts_bound = bound
         return {q: c for q, c in self._counts.items() if q <= bound}
 
+    def count(self, norm: int) -> int:
+        """The number of vectors of the norm (1 at norm 0)."""
+        if norm > self._counts_bound:
+            self.counts_upto(norm)
+        return self._counts.get(norm, 0)
+
     def shell_arrays_upto(self, bound: int) -> dict[int, np.ndarray]:
         """Numpy arrays of reduced-basis coordinates for each norm <= bound.
 
@@ -274,7 +306,9 @@ class _LatticeContext:
     def shell_array(self, norm: int) -> np.ndarray:
         if norm == 0:
             return np.zeros((1, self.rank), dtype=np.int32)
-        return self.shell_arrays_upto(norm).get(norm, np.zeros((0, self.rank), dtype=np.int32))
+        if norm > self._shells_bound:
+            self.shell_arrays_upto(norm)
+        return self._shells_np.get(norm, np.zeros((0, self.rank), dtype=np.int32))
 
     # ---- roots and Weyl-group orbits ----------------------------------------
 
@@ -307,30 +341,68 @@ class _LatticeContext:
         order = weyl.group_order(symbol for symbol, _ in components)
         return _RootSystem(np.concatenate([half, -half]), masks, linked, simple, components, order)
 
-    def orbits(self, norm: int) -> tuple[np.ndarray, np.ndarray]:
+    def orbits(self, norm: int, reach: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """(rows, weights): the vectors of the norm shell in the closed
         dominant chamber, one per W-orbit, and the orbit sizes.  The weights
-        sum to the shell size.  Without roots W = 1, and the orbits are
+        sum to the shell count.  Without roots W = 1, and the orbits are
         those of -1 instead (it too preserves every lattice and every count
-        with a fixed first vector): one of each +-v pair, of weight 2."""
+        with a fixed first vector): one of each +-v pair, of weight 2.
+        A weight-lattice walk goes on to norm `reach`, so that later norms
+        up to it need no walk of their own."""
         got = self._orbits.get(norm)
         if got is None:
-            shell = self.shell_array(norm)
             rs = self.root_system
             if rs.simple:
-                gs = self._gram_red_np @ rs.vectors[list(iter_bits(rs.simple))].T.astype(np.int64)
-                rows = shell[_nonnegative_rows(shell, gs)]
+                rows = self._dominant_rows(norm, reach)
                 # y is orthogonal to -x exactly when it is orthogonal to x.
                 h = len(rs.vectors) // 2
                 on_half = _bit_rows(rows.astype(np.int64) @ self._gram_red_np @ rs.vectors[:h].T.astype(np.int64) == 0)
                 orthogonal = [m | m << h for m in on_half]
                 weights = np.array(weyl.orbit_sizes(orthogonal, rs.linked, rs.simple, rs.order), dtype=np.int64)
             else:
-                rows = _sign_half(shell)
+                rows = _sign_half(self.shell_array(norm))
                 weights = np.full(len(rows), 2, dtype=np.int64)
-            assert int(weights.sum()) == len(shell), f"orbit sizes do not sum to the norm-{norm} shell"
+            assert int(weights.sum()) == self.count(norm), f"orbit sizes do not sum to the norm-{norm} shell"
             got = self._orbits[norm] = (rows, weights)
         return got
+
+    def _dominant_rows(self, norm: int, reach: int) -> np.ndarray:
+        """The vectors of the norm shell in the closed dominant chamber: from
+        the weight lattice when the simple roots number the rank (one walk,
+        to max(norm, reach), serves every norm it covers), else filtered from
+        the stored shell."""
+        chamber = self._chamber
+        if chamber is None:
+            shell = self.shell_array(norm)
+            rs = self.root_system
+            gs = self._gram_red_np @ rs.vectors[list(iter_bits(rs.simple))].T.astype(np.int64)
+            return shell[_nonnegative_rows(shell, gs)]
+        if norm > self._dominant_bound:
+            self._dominant_bound = max(norm, reach)
+            self._dominant = _weight_lattice_walk(chamber, self._dominant_bound)
+        return self._dominant.get(norm, np.zeros((0, self.rank), dtype=np.int32))
+
+    @functools.cached_property
+    def _chamber(self) -> _Chamber | None:
+        """The data of the weight-lattice walk, or None when the simple roots
+        do not number the rank (then they do not span L (x) Q).
+
+        A dominant y has c = M y^T >= 0, y^T = M^-1 c, and norm c^T C^-1 c
+        with C^-1 = M^-T G M^-1 = R^T G R / det^2, from the one inverse
+        R = det M^-1 that also gives y.  The simple roots are taken
+        component by component, so C is block diagonal."""
+        rs = self.root_system
+        simple = [i for _, comp in rs.components for i in iter_bits(comp & rs.simple)]
+        if len(simple) != self.rank:
+            return None
+        a = rs.vectors[simple].astype(np.int64)
+        assert int(np.abs(a).max()) * int(np.abs(self._gram_red_np).max()) * self.rank < 2**63
+        det, r = scaled_inverse((a @ self._gram_red_np).tolist())
+        inverse = np.array(r, dtype=object)
+        squared = (inverse.T @ np.array(self.gram_red, dtype=object) @ inverse).tolist()  # det^2 C^-1
+        common = gcd(det * det, *(x for row in squared for x in row))
+        k = [[x // common for x in row] for row in squared]
+        return _Chamber(integral_gram_schmidt(k), det * det // common, inverse, det)
 
     def highest_root_orbits(self, comp: int) -> weyl.HighestRootOrbits:
         """`weyl.highest_root_orbits` of one irreducible root component, found once."""
@@ -339,6 +411,24 @@ class _LatticeContext:
             rs = self.root_system
             got = self._highest[comp] = weyl.highest_root_orbits(rs.masks, rs.linked, rs.simple, comp)
         return got
+
+
+def _weight_lattice_walk(chamber: _Chamber, bound: int) -> dict[int, np.ndarray]:
+    """Every nonzero lattice vector of norm <= bound in the closed dominant
+    chamber, as int32 rows grouped by norm.  The walk visits the nonzero
+    c >= 0 with c^T K c <= scale * bound, every dominant weight of the root
+    system's weight lattice P(R), which contains L; y^T = R c / det keeps the
+    integral ones.  Its work grows with the index [P(R) : L]."""
+    cs, norms = orthant_upto(chamber.gs, chamber.scale * bound)
+    r = chamber.inverse
+    # |entries of c R^T| <= max|c| max|R| rank; beyond int64, Python ints.
+    top = int(np.abs(cs).max(initial=0)) * int(np.abs(r).max(initial=0)) * len(r)
+    ys = cs @ r.T.astype(np.int64) if top < 2**63 else cs.astype(object) @ r.T
+    keep = (ys % chamber.det == 0).all(axis=1)
+    ys, norms = ys[keep] // chamber.det, norms[keep]
+    assert (norms % chamber.scale == 0).all(), "a lattice vector of fractional norm"
+    assert ys.size == 0 or int(np.abs(ys).max()) < 2**31
+    return by_norm(ys.astype(np.int32), norms // chamber.scale)
 
 
 def _int32_factor(arr: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, int]:
@@ -423,7 +513,7 @@ def shell_count(lat: "Lattice", norm: int) -> int:
     cached = _cache_get(lat.fingerprint, f"1|{norm}")
     if cached is not None:
         return cached
-    value = _context(lat).counts_upto(norm).get(norm, 0)
+    value = _context(lat).count(norm)
     _cache_put(lat.fingerprint, f"1|{norm}", value)
     return value
 
@@ -599,25 +689,26 @@ def representation_count(lat: "Lattice", target, jobs: int = 1) -> int:
     return _class_count(lat, class_representative(t))
 
 
-def _class_count(lat: "Lattice", rep: GramTarget) -> int:
-    """r_L(T) for a class representative T, from the cache or counted."""
+def _class_count(lat: "Lattice", rep: GramTarget, reach: int = 0) -> int:
+    """r_L(T) for a class representative T, from the cache or counted (an
+    orbit walk goes on to norm `reach`, see `_LatticeContext.orbits`)."""
     key = rep.key()
     cached = _cache_get(lat.fingerprint, key)
     if cached is not None:
         return cached
-    value = _rep_count(lat, rep)
+    value = _rep_count(lat, rep, reach)
     _cache_put(lat.fingerprint, key, value)
     return value
 
 
-def _rep_count(lat: "Lattice", t: GramTarget) -> int:
+def _rep_count(lat: "Lattice", t: GramTarget, reach: int = 0) -> int:
     """r_L(T) for a class representative T (reduced, no zero rows)."""
     g = t.genus
     if g < 2:
-        return _context(lat).counts_upto(t.trace).get(t.trace, 0)
+        return _context(lat).count(t.trace)
     if all(t.entries[i][i] == 2 for i in range(g)):
         return _count_root_tuples(lat, t)
-    return _count_general(lat, t)
+    return _count_general(lat, t, reach)
 
 
 # ---- classes of indices ------------------------------------------------------
@@ -797,42 +888,43 @@ def _count_root_tuples(lat: "Lattice", t: GramTarget) -> int:
 # ---- orbit counter (every other shape) --------------------------------------
 
 
-def _count_general(lat: "Lattice", t: GramTarget) -> int:
-    """r_L(T) for genus >= 2 from the stored shells.  Slot 0 runs over one
-    vector y of each W-orbit of its shell, weighted by the orbit size; fixing
-    a slot filters the candidates of every later slot; and the last two
-    slots are one weighted histogram of Q(x, z) over the rows left for them.
-    The histogram holds r_L for every value of T[g-2][g-1], so it is kept
-    under T without that entry.  Work grows with the product of shell sizes,
-    so beyond genus 2 this is meant for small lattices or small bounds.
+def _count_general(lat: "Lattice", t: GramTarget, reach: int = 0) -> int:
+    """r_L(T) for genus >= 2.  Slot 0 runs over one vector y of each W-orbit
+    of its shell (`_LatticeContext.orbits`), weighted by the orbit size;
+    fixing a slot filters the candidates of every later slot, which come
+    from the stored shells; and the last two slots are one weighted
+    histogram of Q(x, z) over the rows left for them.  The histogram holds
+    r_L for every value of T[g-2][g-1], so it is kept under T without that
+    entry.  Work grows with the product of shell sizes, so beyond genus 2
+    this is meant for small lattices or small bounds.
 
-    From genus 3 on the slots are taken in reverse, as r_L(P T P^T) = r_L(T)
-    for the reversing permutation P: a representative's diagonal is
-    non-decreasing, so the orbit slot gets the largest shell, which has the
-    fewest orbits for its size, and every later slot is filtered by it.  At
-    genus 2 the order stays, so the histograms of the large shells run
-    against the orbits of the small ones."""
+    The slots are taken in reverse, as r_L(P T P^T) = r_L(T) for the
+    reversing permutation P: a representative's diagonal is non-decreasing,
+    so the orbit slot gets the largest entry, which has the fewest orbits for
+    its shell's size and needs no store, and every later slot is filtered by
+    it.  Only the shells of slots 1..g-1 are stored; slot 0's shell count
+    says whether it is empty."""
     ctx = _context(lat)
     g = t.genus
-    rows = t.entries if g < 3 else tuple(row[::-1] for row in t.entries[::-1])
+    rows = tuple(row[::-1] for row in t.entries[::-1])
     diag = [rows[i][i] for i in range(g)]
-    ctx.shell_arrays_upto(max(diag))
-    shells = [ctx.shell_array(d) for d in diag]
-    if any(len(s) == 0 for s in shells):
+    ctx.shell_arrays_upto(max(diag[1:]))
+    shells = [ctx.shell_array(d) for d in diag[1:]]
+    if not ctx.count(diag[0]) or any(len(s) == 0 for s in shells):
         return 0
     upper = tuple(rows[i][j] for i in range(g) for j in range(i, g))
     key = upper[:-2] + upper[-1:]
     hist = ctx._hists.get(key)
     if hist is None:
         gm = ctx._gram_red_np
-        firsts, weights = ctx.orbits(diag[0])
+        firsts, weights = ctx.orbits(diag[0], reach)
         if g == 2:
             # z and -z have opposite products: multiply one of each pair.
-            half = _dot_histogram(gm, firsts, _sign_half(shells[1]), weights)
+            half = _dot_histogram(gm, firsts, _sign_half(shells[0]), weights)
             hist = {b: half.get(b, 0) + half.get(-b, 0) for b in half.keys() | {-b for b in half}}
         else:
             work = len(firsts)
-            for s in shells[1:]:
+            for s in shells:
                 work *= max(1, min(len(s), 64))
             if work > 5 * 10**7:
                 raise RepresentationDomainError(
@@ -857,7 +949,7 @@ def _count_general(lat: "Lattice", t: GramTarget) -> int:
                     hist[b] = hist.get(b, 0) + v
 
             for y, w in zip(firsts, weights.tolist()):
-                walk(0, y, w, shells[1:])
+                walk(0, y, w, shells)
         ctx._hists[key] = hist
     return hist.get(upper[-2], 0)
 
@@ -878,6 +970,7 @@ class IndexTable(NamedTuple):
     targets: tuple[GramTarget, ...]  # canonical order
     classes: tuple[GramTarget, ...]  # each class once, most demanding first (`_grouped`)
     position: tuple[int, ...]
+    reach: int  # the largest orbit-slot entry of a class of genus >= 2, else 0
 
     def restrict(self, keep: Callable[[GramTarget], bool]) -> "IndexTable":
         """The targets that `keep` accepts, in the same order, with only the
@@ -886,21 +979,29 @@ class IndexTable(NamedTuple):
         return _grouped([t for t, _ in kept], [self.classes[p] for _, p in kept])
 
 
-def _largest_diagonal(t: GramTarget) -> int:
-    return max((row[i] for i, row in enumerate(t.entries)), default=0)
+def _demand(t: GramTarget) -> tuple[int, int]:
+    """(the largest entry of the stored shells, the orbit slot's entry) of a
+    class representative, whose diagonal is non-decreasing: the orbit counter
+    stores the shells of every slot but the last (the largest), and a
+    genus-1 class stores none."""
+    diag = [row[i] for i, row in enumerate(t.entries)]
+    return (diag[-2] if len(diag) > 1 else 0, diag[-1] if diag else 0)
 
 
 def _grouped(targets: list[GramTarget], reps: list[GramTarget]) -> IndexTable:
     """The table of targets whose class representatives are reps.  Its
-    classes come in decreasing order of their largest diagonal entry, ties in
-    order of first appearance: the first count then walks the largest shell
-    that any class needs, and the others read what it left."""
+    classes come in decreasing order of the largest shell they store, then
+    of their orbit slot's entry, ties in order of first appearance: the first
+    count then stores the largest shell that any class needs, and the others
+    read what it left.  Its reach, the largest orbit-slot entry, lets the
+    first orbit walk serve every class too."""
     slot: dict[GramTarget, int] = {}
     first = [slot.setdefault(r, len(slot)) for r in reps]  # slots in order of first appearance
-    classes = sorted(slot, key=_largest_diagonal, reverse=True)
+    classes = sorted(slot, key=_demand, reverse=True)
     rank = {c: k for k, c in enumerate(classes)}
     moved = [rank[c] for c in slot]
-    return IndexTable(tuple(targets), tuple(classes), tuple(moved[p] for p in first))
+    reach = max((_demand(c)[1] for c in classes if c.genus > 1), default=0)
+    return IndexTable(tuple(targets), tuple(classes), tuple(moved[p] for p in first), reach)
 
 
 @functools.cache
@@ -968,10 +1069,11 @@ def class_counts(lat: "Lattice", table: IndexTable) -> list[int]:
 
     The classes are counted in the table's order, most demanding first, so
     the first count builds the shell counts and the shells that the rest
-    need.  The new cache entries go to the lattice's log in one append when
-    the counting ends, also when it stops on an exception."""
+    need, and the first orbit walk goes on to the table's reach.  The new
+    cache entries go to the lattice's log in one append when the counting
+    ends, also when it stops on an exception."""
     with _append_batch():
-        counts = [_class_count(lat, rep) for rep in table.classes]
+        counts = [_class_count(lat, rep, table.reach) for rep in table.classes]
     return [counts[p] for p in table.position]
 
 

@@ -66,6 +66,30 @@ def det_exact(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(d, R) with A R = d I for the square integer matrix A, d = +-det(A),
+    by fraction-free Gauss-Jordan elimination on [A | I]: every row but the
+    pivot row takes each step, so each division by the previous pivot is
+    exact (Bareiss), and the left block ends as d I.  R is +-adj(A).
+    Raises ValueError when A is singular."""
+    n = len(rows)
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                raise ValueError("singular matrix")
+            a[k], a[swap] = a[swap], a[k]
+        p, pivot_row = a[k][k], a[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+    return prev, [r[n:] for r in a]
+
+
 def integral_gram_schmidt(g: Sequence[Sequence[int]]) -> GramSchmidt:
     """Integral Gram-Schmidt data of an integer Gram matrix (Cohen, A Course in
     Computational Algebraic Number Theory, Alg. 2.6.7), without fractions.

@@ -114,26 +114,27 @@ _NEWTON_MIN = 512
 
 def _isqrt(a, powers):
     """Elementwise floor(sqrt(a)) of a nonnegative integer array: math.isqrt
-    per entry on small arrays, integer Newton steps on large ones.  `powers`
-    holds 1, 2, 4, ... past max(a), in the dtype of a; the Newton start
-    2^ceil(b/2), for an entry of b bits, is at least its square root."""
+    per entry on small arrays, integer Newton steps on large ones, whose
+    result is checked.  `powers` holds 1, 2, 4, ... past max(a), in the dtype
+    of a; the Newton start 2^ceil(b/2), for an entry of b bits, is at least
+    its square root."""
     if len(a) < _NEWTON_MIN:
-        x = np.array([isqrt(v) for v in a.tolist()], dtype=a.dtype)
-    else:
-        x = powers[(powers.searchsorted(a, side="right") + 1) // 2]
-        while True:
-            y = (x + a // np.maximum(x, 1)) // 2
-            if (y >= x).all():
-                break
-            x = np.minimum(x, y)
+        return np.array([isqrt(v) for v in a.tolist()], dtype=a.dtype)
+    x = powers[(powers.searchsorted(a, side="right") + 1) // 2]
+    while True:
+        y = (x + a // np.maximum(x, 1)) // 2
+        if (y >= x).all():
+            break
+        x = np.minimum(x, y)
     assert (x * x <= a).all() and ((x + 1) * (x + 1) > a).all()
     return x
 
 
-def _half_shell_chunks(gs: GramSchmidt, bound: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _half_shell_chunks(gs: GramSchmidt, bound: int, orthant: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (coords, norms) chunks of every nonzero x with x G x^T <= bound
     whose last nonzero coordinate is positive (one of each +-x pair), from
-    gs = (d, lam), the integral Gram-Schmidt data of G."""
+    gs = (d, lam), the integral Gram-Schmidt data of G; with `orthant`, of
+    every nonzero x with no negative coordinate instead."""
     d, lam = gs
     n = len(lam)
     if n == 0 or bound <= 0:
@@ -160,17 +161,22 @@ def _half_shell_chunks(gs: GramSchmidt, bound: int) -> Iterator[tuple[np.ndarray
         dn = d[i] * norm
         s = _isqrt(bound * d[i] * d[i + 1] - dn, powers)
         lo = -((s + c) // d[i + 1])
-        # N_{i+1} = 0 only on the zero prefix; x_i >= 0 there keeps one of each +-x.
-        lo = np.where(norm == 0, np.maximum(lo, 0), lo)
-        k = ((s - c) // d[i + 1] - lo + 1).astype(np.int64, copy=False)
+        # N_{i+1} = 0 only on the zero prefix; x_i >= 0 there keeps one of
+        # each +-x.  In the orthant every x_i >= 0, and a clipped interval
+        # can be empty.
+        lo = np.maximum(lo, 0) if orthant else np.where(norm == 0, np.maximum(lo, 0), lo)
+        k = np.maximum((s - c) // d[i + 1] - lo + 1, 0).astype(np.int64, copy=False)
         ends = k.cumsum()
+        # Child j of the whole level (children numbered across prefixes) has
+        # x_i = lo + j - (first child of its prefix) = shift[prefix] + j.
+        shift = lo - (ends - k)
         a = 0
         while a < len(k):
             base = int(ends[a - 1]) if a else 0
             b = max(int(ends.searchsorted(base + _CHUNK, side="right")), a + 1)
             kk = k[a:b]
             m = int(ends[b - 1]) - base
-            x = (lo[a:b] - (ends[a:b] - kk - base)).repeat(kk) + np.arange(m)
+            x = shift[a:b].repeat(kk) + np.arange(base, base + m)
             t = d[i + 1] * x + c[a:b].repeat(kk)
             child = (t * t + dn[a:b].repeat(kk)) // d[i + 1]
             xs_child = np.empty((m, n - i), dtype=dtype)
@@ -193,12 +199,30 @@ def shells_upto(gs: GramSchmidt, bound: int) -> dict[int, np.ndarray]:
     parts: dict[int, list] = {}
     for xs, norms in _half_shell_chunks(gs, bound):
         assert xs.size == 0 or int(abs(xs).max()) < 2**31
-        xs = xs.astype(np.int32)
-        order = np.argsort(norms, kind="stable")
-        values, starts = np.unique(norms[order], return_index=True)
-        for q, part in zip(values.tolist(), np.split(xs[order], starts[1:])):
+        for q, part in by_norm(xs.astype(np.int32), norms).items():
             parts.setdefault(q, []).extend((part, -part))
     return {q: np.concatenate(ps) for q, ps in sorted(parts.items())}
+
+
+def by_norm(xs: np.ndarray, norms: np.ndarray) -> dict[int, np.ndarray]:
+    """The rows of xs grouped by their norms, in increasing norm, each group
+    in the order of xs."""
+    order = np.argsort(norms, kind="stable")
+    values, starts = np.unique(norms[order], return_index=True)
+    return dict(zip(values.tolist(), np.split(xs[order], starts[1:])))
+
+
+def orthant_upto(gs: GramSchmidt, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """(coords, norms): every nonzero x with no negative coordinate and
+    x G x^T <= bound, as int64 rows and their norms, from gs = (d, lam) as in
+    `shells_upto`."""
+    chunks = list(_half_shell_chunks(gs, bound, orthant=True))
+    n = len(gs[1])
+    xs = np.concatenate([xs for xs, _ in chunks]) if chunks else np.zeros((0, n), dtype=np.int64)
+    norms = np.concatenate([q for _, q in chunks]) if chunks else np.zeros(0, dtype=np.int64)
+    # The norms are at most bound; a walk on Python ints converts exactly
+    # (astype raises, never wraps, on an entry beyond int64).
+    return xs.astype(np.int64), norms.astype(np.int64)
 
 
 def counts_upto(gs: GramSchmidt, bound: int) -> dict[int, int]:

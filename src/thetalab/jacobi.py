@@ -138,9 +138,13 @@ def venkov_constant(lat: "Lattice", norm_bound: int = 8, per_vector_norm_cap: in
         # v and -v, y and -y give the same squares, so both run over one
         # root of each pair and the sum over y is doubled.
         # Q(y, v) is basis-free: reduced coordinates, int64.
+        # The norms come from the shell counts, so no shell above norm 2 is
+        # stored.
         ctx = enumeration._context(lat)
         gy = half.astype(np.int64) @ ctx._gram_red_np
-        for norm in sorted(ctx.shell_arrays_upto(min(norm_bound, per_vector_norm_cap))):
+        for norm, count in sorted(ctx.counts_upto(min(norm_bound, per_vector_norm_cap)).items()):
+            if not norm or not count:
+                continue
             if norm == 2:
                 rows, covered = half, r2
             else:

@@ -48,20 +48,24 @@ class GlueSpec:
                     raise LatticeError(f"glue class {cls} invalid for {kind}{rank}")
 
     def word_group(self) -> tuple[tuple[int, ...], ...]:
-        """Closure of the generator words under componentwise class addition."""
-        zero = tuple(0 for _ in self.components)
-        group = {zero}
-        frontier = [zero]
-        while frontier:
-            base = frontier.pop()
-            for gen in self.glue_words:
-                s = tuple(
-                    rootdata.class_add(kind, rank, a, b)
-                    for (kind, rank), a, b in zip(self.components, base, gen)
-                )
-                if s not in group:
-                    group.add(s)
-                    frontier.append(s)
+        """Closure of the generator words under componentwise class addition,
+        one generator g at a time: while g is not in the group H so far, H
+        grows by the cosets H + g, H + 2g, ... up to the first multiple of g
+        that lies in H, each coset the previous one plus g.  So each word
+        costs one componentwise addition."""
+
+        def add(word, gen):
+            return tuple(rootdata.class_add(kind, rank, a, b) for (kind, rank), a, b in zip(self.components, word, gen))
+
+        group = [tuple(0 for _ in self.components)]
+        seen = set(group)
+        for gen in self.glue_words:
+            coset = group
+            # coset[0] is the latest multiple of gen, as group[0] is zero.
+            while add(coset[0], gen) not in seen:
+                coset = [add(w, gen) for w in coset]
+                group += coset
+                seen.update(coset)
         return tuple(sorted(group))
 
 

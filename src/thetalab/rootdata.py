@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .exactnum import det_exact, scaled_gram
+from .exactnum import scaled_gram, scaled_inverse
 
 
 def _check(kind: str, rank: int) -> None:
@@ -89,16 +89,12 @@ def _generator_row(kind: str, rank: int) -> tuple[int, ...]:
     """Row i of the adjugate det(C) C^-1 of the Cartan matrix C, for the first
     i whose fundamental weight omega_i = sum_j (C^-1)_ij alpha_j is not in the
     root lattice: omega_i generates the cyclic discriminant group."""
-    c = ade_gram(kind, rank)
-    det = det_exact(c)
-    for i in range(rank):
-        # C is symmetric, so adj_ij = (-1)^(i+j) det(C without row i and column j).
-        row = tuple(
-            (-1) ** (i + j) * det_exact([r[:j] + r[j + 1 :] for k, r in enumerate(c) if k != i])
-            for j in range(rank)
-        )
+    # The elimination's pivots are the leading minors of C, all positive, so
+    # no row is swapped: det is det(C) and adj is the adjugate itself.
+    det, adj = scaled_inverse(ade_gram(kind, rank))
+    for row in adj:
         if any(x % det for x in row):
-            return row
+            return tuple(row)
     raise AssertionError("unimodular lattice has no nontrivial classes")
 
 

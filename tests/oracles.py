@@ -18,7 +18,7 @@ from thetalab.exactnum import (
     scaled_gram,
 )
 from thetalab.fincke_pohst import shells_upto
-from thetalab.rootdata import ade_gram, ambient_dim, classify_component
+from thetalab.rootdata import ade_gram, ambient_dim, class_add, classify_component
 from thetalab.theta import Series
 
 
@@ -290,6 +290,21 @@ def fraction_glue_rows(comps, words):
     for word in words:
         rows.append(sum((fraction_class_rep(kind, rank, cls) for (kind, rank), cls in zip(comps, word)), ()))
     return rows
+
+
+def word_closure(spec):
+    """The glue code of a spec by breadth-first closure: every generator
+    added to every word found, until nothing new appears."""
+    group = {tuple(0 for _ in spec.components)}
+    frontier = list(group)
+    while frontier:
+        word = frontier.pop()
+        for gen in spec.glue_words:
+            s = tuple(class_add(kind, rank, a, b) for (kind, rank), a, b in zip(spec.components, word, gen))
+            if s not in group:
+                group.add(s)
+                frontier.append(s)
+    return tuple(sorted(group))
 
 
 def clear_denominators(rows):

@@ -395,11 +395,11 @@ print(proc.stderr, end="")
 
 
 def test_oversized_fourier_jacobi_shell_exits_3_quickly():
-    # The genus-2, trace-6 heat check on E8^3 reaches the degree-3 index
-    # diag(6, 0, 2), whose class diag(2, 6) pairs the ~1.7e7-vector norm-6
-    # shell with the 720 roots.  The shells are refused from the shell counts;
-    # building that shell first took over 7 GB and minutes.
-    argv = ["heat", "--lattice", "E8^3", "--genus", "2", "--trace-bound", "6"]
+    # The genus-2, trace-12 heat check on E8^3 reaches classes such as
+    # diag(2, 6, 6), whose slots after the orbit slot need the ~1.7e7-vector
+    # norm-6 shell.  The shells are refused from the shell counts; building
+    # that shell first took over 7 GB and minutes.
+    argv = ["heat", "--lattice", "E8^3", "--genus", "2", "--trace-bound", "12"]
     proc = subprocess.run([sys.executable, "-c", _MEASURED_RUN, *argv], capture_output=True, text=True, timeout=600)
     head, _, stderr = proc.stdout.partition("\n")
     code, seconds, max_rss_kb = head.split()
@@ -407,3 +407,13 @@ def test_oversized_fourier_jacobi_shell_exits_3_quickly():
     assert "too large" in stderr and "Traceback" not in stderr
     assert float(seconds) < 120
     assert int(max_rss_kb) < 1024 * 1024  # ru_maxrss is in KiB on Linux
+
+
+def test_heat_at_genus3_on_d4_6(capsys):
+    # The genus-3, trace-6 heat check on D4^6 reaches the classes
+    # [[2, b], [b, 6]], counted from the norm-6 orbits of the weight lattice
+    # against the stored roots: every S holds.
+    code, out = run_capture(capsys, ["heat", "--lattice", "D4^6", "--genus", "3", "--trace-bound", "6"])
+    assert code == EXIT_PASS
+    rows = [line for line in out.splitlines() if line.startswith("S [")]
+    assert len(rows) == 104 and all(line.endswith(": ok") for line in rows)

@@ -243,17 +243,18 @@ def test_profile_e8_g2_contains_both_signs():
 
 def test_parallel_determinism():
     # `jobs` is accepted and has no effect; both runs must equal the
-    # whole-shell histogram of E8's norm-6 and norm-8 shells.
+    # whole-shell histogram of E8's norm-6 and norm-8 shells.  The counter
+    # takes the slots in reverse, so the histogram is kept under (8, 6).
     e8 = builtin("E8")
     ctx = en._context(e8)
     t = GramTarget.from_rows([[6, 3], [3, 8]])
     assert en.class_representative(t) == t
     hists, counts = [], []
     for jobs in (1, 2):
-        ctx._hists.pop((6, 8), None)
+        ctx._hists.pop((8, 6), None)
         en._MEM_CACHE.pop((e8.fingerprint, t.key()), None)
         counts.append(representation_count(e8, t, jobs=jobs))
-        hists.append(ctx._hists[(6, 8)])
+        hists.append(ctx._hists[(8, 6)])
     assert hists[0] == hists[1] == shell_pair_histogram(ctx._gram_red_np, ctx.shell_array(6), ctx.shell_array(8))
     assert counts[0] == counts[1] == hists[0][3] > 0
 
@@ -305,19 +306,23 @@ def _table_items(table):
     return [(t, table.classes[p]) for t, p in zip(table.targets, table.position)]
 
 
-def _largest_diagonal(t):
-    return max((t.entries[i][i] for i in range(t.genus)), default=0)
+def _demand(t):
+    """(second largest, largest) diagonal entry; 0 for a missing one."""
+    diag = sorted(t.entries[i][i] for i in range(t.genus))
+    return ([0, 0] + diag)[-2:]
 
 
 def _check_class_list(table):
-    # Each class is listed once, in decreasing order of its largest diagonal
-    # entry with ties in order of first appearance, and every position
-    # resolves to the target's own representative.  Every class is its own
-    # representative, which `class_counts` relies on when it looks the
-    # classes up by their keys.
+    # Each class is listed once, in decreasing order of the largest shell it
+    # stores (its second largest diagonal entry: the orbit slot takes the
+    # largest) and then of its largest diagonal entry, with ties in order of
+    # first appearance, and every position resolves to the target's own
+    # representative.  Every class is its own representative, which
+    # `class_counts` relies on when it looks the classes up by their keys.
     assert len(set(table.classes)) == len(table.classes)
     first = list(dict.fromkeys(table.position))
-    assert sorted(first, key=lambda p: -_largest_diagonal(table.classes[p])) == list(range(len(table.classes)))
+    order = sorted(first, key=lambda p: [-x for x in _demand(table.classes[p])])
+    assert order == list(range(len(table.classes)))
     assert all(table.classes[p] == en.class_representative(t) for t, p in zip(table.targets, table.position))
     assert all(en.class_representative(c) == c for c in table.classes)
 
@@ -607,11 +612,11 @@ def test_interrupted_batch_keeps_its_finished_counts(tmp_path, monkeypatch):
     calls = []
     rep_count = en._rep_count
 
-    def failing(lat, t):
+    def failing(lat, t, reach):
         calls.append(t)
         if len(calls) == 3:
             raise RuntimeError("interrupted")
-        return rep_count(lat, t)
+        return rep_count(lat, t, reach)
 
     monkeypatch.setattr(en, "_rep_count", failing)
     with pytest.raises(RuntimeError, match="interrupted"):
@@ -831,9 +836,11 @@ def test_orbit_histograms_match_whole_shell_oracle_on_builtins(name):
         rows, weights = ctx.orbits(a)
         got = en._dot_histogram(ctx._gram_red_np, rows, ctx.shell_array(c), weights)
         assert got == shell_pair_histogram(ctx._gram_red_np, ctx.shell_array(a), ctx.shell_array(c)), (a, c)
-        ctx._hists.pop((a, c), None)
+        # The counter takes the slots in reverse: the histogram is kept under
+        # (c, a), from the orbits of the norm-c shell.
+        ctx._hists.pop((c, a), None)
         assert en._count_general(lat, GramTarget.diagonal([a, c])) == got.get(0, 0)
-        assert ctx._hists[(a, c)] == got
+        assert ctx._hists[(c, a)] == got
 
 
 def test_rootless_store_is_one_of_each_sign_pair():
@@ -850,10 +857,73 @@ def test_rootless_store_is_one_of_each_sign_pair():
         assert set(weights.tolist()) == {2} and 2 * len(rows) == len(shell)
         assert {r.tobytes() for r in np.concatenate([rows, -rows])} == {r.tobytes() for r in shell}
     for a, c in [(4, 4), (4, 10), (6, 8), (8, 10)]:
+        # The counter takes the slots in reverse: the histogram is kept
+        # under (c, a).
         want = shell_pair_histogram(ctx._gram_red_np, ctx.shell_array(a), ctx.shell_array(c))
-        ctx._hists.pop((a, c), None)
+        ctx._hists.pop((c, a), None)
         assert en._count_general(lat, GramTarget.diagonal([a, c])) == want.get(0, 0)
-        assert ctx._hists[(a, c)] == want, (a, c)
+        assert ctx._hists[(c, a)] == want, (a, c)
+
+
+def _orbit_set(rows, weights):
+    return sorted(zip((r.tobytes() for r in rows), weights.tolist()))
+
+
+def _check_weight_lattice_orbits(lat, norms):
+    # The orbits from the weight-lattice walk against the dominance filter
+    # over the stored shell (the path a lattice takes when its roots do not
+    # span): the same rows, each once, with the same weights.
+    ctx = en._context(lat)
+    assert ctx._chamber is not None
+    walked = {q: ctx.orbits(q) for q in norms}
+    ctx.shell_arrays_upto(max(norms))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(vars(ctx), "_chamber", None)
+        mp.setattr(ctx, "_orbits", {})
+        for q in norms:
+            rows, weights = walked[q]
+            assert len({r.tobytes() for r in rows}) == len(rows)
+            assert _orbit_set(rows, weights) == _orbit_set(*ctx.orbits(q)), q
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_weight_lattice_orbits_match_shell_filter_on_builtins(name):
+    lat = builtin(name)
+    _check_weight_lattice_orbits(lat, (2, 4, 6) if lat.rank <= 16 else (2, 4))
+
+
+@settings(max_examples=12, deadline=None)
+@given(small_ade_lattices(max_rank=8, max_parts=4))
+def test_weight_lattice_orbits_match_shell_filter_on_random_bases(pair):
+    _, changed = pair
+    _check_weight_lattice_orbits(from_gram("changed", changed), (2, 4, 6))
+
+
+def test_roots_that_do_not_span_take_the_store_path():
+    # A2 + [[4, 1], [1, 4]]: two simple roots at rank 4, so the orbits come
+    # from the stored shells, and the counts match the whole-shell histograms.
+    gram = [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 4, 1], [0, 0, 1, 4]]
+    lat = from_gram("A2+R2", gram)
+    ctx = en._context(lat)
+    assert ctx._chamber is None and ctx.root_system.simple.bit_count() == 2
+    ctx.shell_arrays_upto(8)
+    for a, c in [(2, 4), (4, 4), (2, 6), (4, 8), (6, 8)]:
+        want = shell_pair_histogram(ctx._gram_red_np, ctx.shell_array(a), ctx.shell_array(c))
+        ctx._hists.pop((c, a), None)
+        assert en._count_general(lat, GramTarget.diagonal([a, c])) == want.get(0, 0)
+        assert ctx._hists[(c, a)] == want, (a, c)
+
+
+@pytest.mark.parametrize("name,counts", [("D4^6", (1322176896, 530540928)), ("E8^3", (6636320640, 2696768640))])
+def test_rank24_classes_with_a_norm6_slot(monkeypatch, name, counts):
+    # r_L([[2, b], [b, 6]]) for b = 0, 1: the orbit slot takes the norm-6
+    # shell from the weight lattice, and only the roots are stored.  The
+    # values agree with a streamed histogram of the whole norm-6 shell.
+    monkeypatch.setattr(en, "_CONTEXTS", {})
+    monkeypatch.setattr(en, "_MEM_CACHE", {})
+    lat = builtin(name)
+    assert tuple(representation_count(lat, [[2, b], [b, 6]]) for b in (0, 1)) == counts
+    assert en._context(lat)._shells_bound == 2
 
 
 ROOT_INDICES_G23 = root_indices(2) + root_indices(3)
@@ -1134,9 +1204,9 @@ def test_profile_runs_the_walker_once_per_class(monkeypatch):
     calls = []
     walker = en._count_general
 
-    def counted(lat_, t):
+    def counted(lat_, t, reach):
         calls.append(t.key())
-        return walker(lat_, t)
+        return walker(lat_, t, reach)
 
     monkeypatch.setattr(en, "_count_general", counted)
     assert representation_profile(lat, 3, 8) == expect
@@ -1165,9 +1235,12 @@ def _per_index_jacobi(lat, genus, index, bound):
 
 
 def test_cold_profiles_walk_once_per_kind(monkeypatch):
-    # The first class of each table has its largest diagonal entry, so on a
-    # lattice without glue data, cold profiles at genus 1, 2 and 3 walk the
-    # shell counts once (to 8) and the stored shells once (to 6).
+    # The first class of each table stores the largest shell that any class
+    # of it stores, and its first orbit walk goes on to the table's largest
+    # orbit-slot entry, so on a lattice without glue data, cold profiles at
+    # genus 1, 2 and 3 walk the shell counts once (to 8), the stored shells
+    # once (to 4, for the classes [[4, b], [b, 4]]) and the weight lattice
+    # once (to 6, for [[2, b], [b, 6]]).
     _, changed = _a2_cubed_under_random_basis(11)
     lat = from_gram("A2^3#basis", changed)
     monkeypatch.setattr(en, "_CONTEXTS", {})
@@ -1176,27 +1249,29 @@ def test_cold_profiles_walk_once_per_kind(monkeypatch):
 
     def counting(name, walk):
         def counted(*args):
-            walks[name] += 1
+            walks[name, args[1]] += 1
             return walk(*args)
         return counted
 
-    for name in ("counts_upto", "shells_upto"):
+    for name in ("counts_upto", "shells_upto", "orthant_upto"):
         monkeypatch.setattr(en, name, counting(name, getattr(en, name)))
     series = [theta_truncated(lat, genus, 8) for genus in (1, 2, 3)]
-    assert walks == {"counts_upto": 1, "shells_upto": 1}
+    scale = en._context(lat)._chamber.scale
+    assert walks == {("counts_upto", 8): 1, ("shells_upto", 4): 1, ("orthant_upto", 6 * scale): 1}
     for s in series:
         assert s.coeffs == _per_index_profile(lat, s.genus, 8)
 
 
 def test_refused_class_is_counted_before_any_shell_store(monkeypatch):
-    # On E8^3 the genus-2 class diag(2, 6) needs the refused norm-6 shells;
-    # it comes before the root and (2, 4) classes, so nothing is stored.
+    # On E8^3 the genus-2 class diag(6, 6) stores the refused norm-6 shells
+    # for its second slot (the orbit slot, the first, stores nothing); it
+    # comes before every class that stores less, so nothing is stored.
     monkeypatch.setattr(en, "_CONTEXTS", {})
     monkeypatch.setattr(en, "_MEM_CACHE", {})
     stored = []
     monkeypatch.setattr(en, "shells_upto", lambda *a: stored.append(a))
     with pytest.raises(RepresentationDomainError, match="too large"):
-        representation_profile(builtin("E8^3"), 2, 8)
+        representation_profile(builtin("E8^3"), 2, 12)
     assert stored == []
 
 
@@ -1210,7 +1285,7 @@ def _check_per_class_paths(lat, bound):
         mp.setattr(en, "_MEM_CACHE", {})
         counted = []
         rep_count = en._rep_count
-        mp.setattr(en, "_rep_count", lambda lat_, t: counted.append(t) or rep_count(lat_, t))
+        mp.setattr(en, "_rep_count", lambda lat_, t, reach: counted.append(t) or rep_count(lat_, t, reach))
         tables, profiles, entries = [], {}, {}
         for genus in (1, 2):
             profiles[genus] = representation_profile(lat, genus, bound)

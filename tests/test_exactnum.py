@@ -12,6 +12,7 @@ from thetalab.exactnum import (
     is_positive_semidefinite,
     rank_int,
     scaled_gram,
+    scaled_inverse,
 )
 
 from oracles import clear_denominators, fraction_ldl, fraction_rank, in_z_span, psd_by_minors
@@ -224,3 +225,30 @@ def test_rank_int():
     lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=1, max_size=7)))
 def test_rank_int_matches_fraction_elimination(rows):
     assert rank_int(rows) == fraction_rank(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+def test_scaled_inverse(rows):
+    # A R = d I with d = +-det A, also when a zero pivot forces a row swap;
+    # a singular A raises.
+    n = len(rows)
+    det = det_exact(rows)
+    if det == 0:
+        with pytest.raises(ValueError):
+            scaled_inverse(rows)
+        return
+    d, r = scaled_inverse(rows)
+    assert abs(d) == abs(det)
+    assert [[sum(rows[i][k] * r[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == [
+        [d * (i == j) for j in range(n)] for i in range(n)
+    ]
+
+
+def test_scaled_inverse_swaps_rows():
+    d, r = scaled_inverse([[0, 1], [1, 0]])
+    assert (d, r) in ((1, [[0, 1], [1, 0]]), (-1, [[0, -1], [-1, 0]]))

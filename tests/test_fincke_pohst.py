@@ -10,7 +10,7 @@ from thetalab import enumeration as en
 from thetalab import fincke_pohst as fp
 from thetalab.cosets import glued_shell_counts
 from thetalab.exactnum import integral_gram_schmidt
-from thetalab.fincke_pohst import counts_upto, shells_upto
+from thetalab.fincke_pohst import counts_upto, orthant_upto, shells_upto
 from thetalab.niemeier import BUILTIN_NAMES, builtin
 
 from oracles import ldl_box_vectors
@@ -76,6 +76,25 @@ def test_random_gram_shells_match_box_scan(a, bound):
     gs = integral_gram_schmidt(gram)
     assert _as_sets(shells_upto(gs, bound)) == want
     assert counts_upto(gs, bound) == {q: len(v) for q, v in want.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+    ),
+    st.integers(0, 12),
+)
+def test_orthant_walk_matches_box_scan(a, bound):
+    # The walk clipped at 0 on every level: the box scan's vectors with no
+    # negative coordinate, each once, with its norm.
+    n = len(a)
+    gram = [[sum(a[k][i] * a[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]
+    want = {(v, q) for q, vecs in ldl_box_vectors(gram, bound).items() for v in vecs if min(v) >= 0}
+    xs, norms = orthant_upto(integral_gram_schmidt(gram), bound)
+    got = list(zip(map(tuple, xs.tolist()), norms.tolist()))
+    assert xs.dtype == norms.dtype == np.int64
+    assert len(got) == len(set(got)) and set(got) == want
 
 
 @pytest.mark.parametrize("newton_min", [0, 10**9], ids=["newton", "isqrt"])

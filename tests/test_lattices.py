@@ -23,9 +23,9 @@ from thetalab.lattices import (
     validate,
 )
 from thetalab.niemeier import BUILTIN_NAMES, NIEMEIER_GLUE, builtin
-from thetalab.rootdata import ade_gram, root_count
+from thetalab.rootdata import ade_gram, disc_order, root_count
 
-from oracles import fraction_glue_gram, fraction_glue_rows, fraction_simple_roots
+from oracles import fraction_glue_gram, fraction_glue_rows, fraction_simple_roots, word_closure
 
 
 def test_a1_gram():
@@ -154,6 +154,21 @@ def test_glue_rejects_bad_words():
 def test_glue_word_group_closure():
     spec = GlueSpec((("A", 9), ("A", 9), ("D", 6)), ((2, 4, 0), (5, 0, 1), (0, 5, 3)))
     assert len(spec.word_group()) == 20
+
+
+def test_word_group_matches_closure_oracle():
+    # The coset closure against the breadth-first one: every spec below, and
+    # random generators on random components (repeated and dependent
+    # generators included).
+    for spec in GLUE_SPECS.values():
+        assert spec.word_group() == word_closure(spec)
+    rng = random.Random(5)
+    kinds = [("A", 1), ("A", 2), ("A", 3), ("A", 5), ("D", 4), ("D", 5), ("D", 6), ("E", 6), ("E", 7)]
+    for _ in range(200):
+        comps = tuple(rng.choice(kinds) for _ in range(rng.randint(1, 4)))
+        words = [tuple(rng.randrange(disc_order(kind, rank)) for kind, rank in comps) for _ in range(rng.randint(0, 4))]
+        spec = GlueSpec(comps, tuple(words + words[:1]))
+        assert spec.word_group() == word_closure(spec)
 
 
 def test_validate_flags_non_unimodular():
