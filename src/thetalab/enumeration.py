@@ -5,23 +5,22 @@ r_L(T) = #{ordered tuples (x_1..x_g) in L^g with Q(x_i, x_j) = T_ij}, computed
 by direct counting.  It depends only on the GL_g(Z)-class of T, so each index
 is first replaced by its class representative (`class_representative`: a
 reduced matrix without zero rows, in a normal form under slot permutations
-and sign changes); counts, caches and profiles work on representatives.
-The representative is a normal form, not a complete invariant of the class:
-one class can have several (two for A3 at genus 3), each counted and cached
-under its own key, with equal counts.
+and sign changes, not a complete invariant of the class); counts, caches and
+profiles work on representatives.
 One table per (genus, bound), `index_classes`, lists the indices, each
 representative once and the position of each index's representative
 (trace <= 8: 395 indices, 44 signed-permutation orbits, 26 classes at
 degree 3, and 2262, 70, 40 at degree 4).  The indices with a zero row come
-from the table one genus down; of the others it reduces one per
-signed-permutation orbit.  A profile (`class_counts`) looks each class up by
-its key, counts it if it is not cached, and expands the counts by position.
-The table lists the classes most demanding first (decreasing largest stored
-shell, then orbit-slot entry: see the orbit counter below), so the first
-count of a profile walks the shell counts and shells that the others read,
-and its first orbit walk goes on to the largest orbit-slot entry of the
-table: one walk of each kind serves the whole profile, and the new counts
-reach the disk cache in one append.
+from the table one genus down; of the others it reduces one per orbit, met
+in normal form, whose search tries only the permutations that maximise row
+0 of the off-diagonal entries (signs cannot change it).  Each process
+builds its tables anew: (1, 8) to (3, 8) and the genus-2 Jacobi slots of
+trace <= 6 take 4 to 5.5 ms in a fresh fork on a 2-core host.
+A profile (`class_counts`) looks each class up by its key, counts it if it
+is not cached, and expands the counts by position.  The classes come most
+demanding first (see the orbit counter below), so one walk of each kind
+serves the whole profile, and the new counts reach the disk cache in one
+append.
 Three engines cover the shapes of the representatives:
 
 * an exact Fincke-Pohst walk for shells and for genus-1 counts (glued lattices
@@ -78,7 +77,7 @@ import os
 import zlib
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from . import cosets, weyl
 from .exactnum import GramSchmidt, integral_gram_schmidt, is_positive_semidefinite, scaled_inverse
@@ -144,7 +143,7 @@ class GramTarget:
 
     @property
     def trace(self) -> int:
-        return sum(self.entries[i][i] for i in range(self.genus))
+        return sum(map(operator.getitem, self.entries, range(self.genus)))
 
     def upper(self) -> tuple[int, ...]:
         return tuple(
@@ -160,36 +159,35 @@ class GramTarget:
         # reads the entries alone.
         return f"{self.genus}|" + " ".join(str(x) for x in self.upper())
 
+    _hash = None  # not a field; the first hash sets the instance's own
+
     def __hash__(self) -> int:
         # Hashed once and kept on the instance, as every dict and cache lookup
         # hashes the target again; the value is the one the dataclass would
-        # compute, so set orders stay.  A plain attribute, not a
-        # cached_property, which would give every target a __dict__ of its own.
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.entries,))
-            object.__setattr__(self, "_hash", h)
-            return h
+        # compute, so set orders stay.
+        h = self._hash
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.entries,))
+        return h
 
     def sort_key(self) -> tuple:
         return (self.trace, self.upper())
 
     def check_valid(self) -> None:
-        g = self.genus
+        rows, g = self.entries, self.genus
+        if any(len(r) != g for r in rows):
+            raise RepresentationDomainError("index matrix is not square")
         for i in range(g):
-            if len(self.entries[i]) != g:
-                raise RepresentationDomainError("index matrix is not square")
-            if self.entries[i][i] < 0 or self.entries[i][i] % 2:
+            if rows[i][i] < 0 or rows[i][i] % 2:
                 raise RepresentationDomainError("diagonal entries must be even and nonnegative")
-            for j in range(g):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise RepresentationDomainError("index matrix must be symmetric")
-        if g and not is_positive_semidefinite(self.entries):
+            if any(rows[i][j] != rows[j][i] for j in range(g)):
+                raise RepresentationDomainError("index matrix must be symmetric")
+        if g and not is_positive_semidefinite(rows):
             raise RepresentationDomainError("index matrix must be positive semidefinite")
 
     def principal_submatrix(self, keep: Sequence[int]) -> "GramTarget":
-        return GramTarget.from_rows([[self.entries[i][j] for j in keep] for i in keep])
+        rows = self.entries
+        return GramTarget(tuple(tuple([rows[i][j] for j in keep]) for i in keep))
 
     def __str__(self):
         return self.key()
@@ -719,35 +717,55 @@ def _signed_permutation_max(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[in
     """One matrix per orbit of T under permutations and sign changes of its
     slots: over the permutations that leave the diagonal non-decreasing and
     all sign changes, the one whose upper off-diagonal entries (row-major) are
-    lexicographically largest."""
+    lexicographically largest.  Row 0 is |T[p0][p_k]| whatever the signs
+    (slot k is first met at (0, k), its sign free), so only permutations that
+    can maximise it are tried: p0 of least diagonal, the rest by diagonal and
+    |T[p0][j]| decreasing, ties in every order.  The best signs make each
+    nonzero entry in turn positive unless those chosen fix it (comp[k] labels
+    the slots fixed relative to slot k); a permutation stops below the best."""
     g = len(rows)
-    order = sorted(range(g), key=lambda i: rows[i][i])
-    groups = [list(grp) for _, grp in itertools.groupby(order, key=lambda i: rows[i][i])]
+    diag = [rows[i][i] for i in range(g)]
     pairs = list(itertools.combinations(range(g), 2))
-    best = None
-    for parts in itertools.product(*(itertools.permutations(grp) for grp in groups)):
-        perm = [i for part in parts for i in part]
-        # Best signs for this permutation: each nonzero entry in turn is made
-        # positive unless the signs chosen so far fix it.  comp[k] labels the
-        # slots whose signs are fixed relative to slot k.
-        sign = [1] * g
-        comp = list(range(g))
-        off = []
-        for a, b in pairs:
-            v = rows[perm[a]][perm[b]]
-            if v and comp[a] != comp[b]:
-                old = comp[b]
-                flip = sign[a] * sign[b] * v < 0
-                for k in range(g):
-                    if comp[k] == old:
-                        comp[k] = comp[a]
-                        if flip:
-                            sign[k] = -sign[k]
-            off.append(sign[a] * sign[b] * v)
-        if best is None or off > best[0]:
-            best = (off, perm, sign)
+    best = ([], [], [])
+    for p0 in range(g):
+        if diag[p0] > min(diag):
+            continue
+        rank = lambda j: (diag[j], -abs(rows[p0][j]))  # noqa: E731
+        ties = [list(grp) for _, grp in itertools.groupby(sorted(set(range(g)) - {p0}, key=rank), key=rank)]
+        for parts in itertools.product(*map(itertools.permutations, ties)):
+            perm = [p0] + [i for part in parts for i in part]
+            sign = [1] * g
+            comp = list(range(g))
+            off = []
+            ahead = not best[1]
+            for a, b in pairs:
+                v = rows[perm[a]][perm[b]]
+                if v and comp[a] != comp[b]:
+                    old = comp[b]
+                    flip = sign[a] * sign[b] * v < 0
+                    for k in range(g):
+                        if comp[k] == old:
+                            comp[k] = comp[a]
+                            if flip:
+                                sign[k] = -sign[k]
+                x = sign[a] * sign[b] * v
+                if not ahead:
+                    if x < best[0][len(off)]:
+                        break
+                    ahead = x > best[0][len(off)]
+                off.append(x)
+            else:
+                if ahead:
+                    best = (off, perm, sign)
     _, perm, sign = best
     return tuple(tuple(sign[a] * sign[b] * rows[perm[a]][perm[b]] for b in range(g)) for a in range(g))
+
+
+def _nonzero_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The normal form of a PSD index without its zero rows (those of its zero
+    diagonal entries)."""
+    keep = [i for i in range(len(rows)) if rows[i][i]]
+    return _signed_permutation_max(tuple(tuple(rows[i][j] for j in keep) for i in keep))
 
 
 @functools.cache
@@ -761,38 +779,34 @@ def class_representative(t: GramTarget) -> GramTarget:
     lowers T_jj, so the loop ends and the trace never grows.  The zero rows
     (slots forced to 0) are dropped and the result is put in normal form again,
     so every permutation and sign change of T has the same representative.
-    Other indices of the class can have another: [[2, 1, 1], [1, 2, 0],
-    [1, 0, 2]] and [[2, 1, 1], [1, 2, 1], [1, 1, 2]] are both A3, and
-    [[2, 1, 1], [1, 2, -1], [1, -1, 2]] (det 0, x_0 = x_1 + x_2) keeps genus
-    3 though it counts r_L(A2).  T is validated the first time it is seen
-    (an invalid T raises every time).
-    """
+    Other indices of the class can have another: 3|2 1 1 2 0 2 and
+    3|2 1 1 2 1 2 are both A3, and 3|2 1 1 2 -1 2 (det 0, x_0 = x_1 + x_2)
+    keeps genus 3 though it counts r_L(A2).  T is validated the first time
+    it is seen (an invalid T raises every time)."""
     t.check_valid()
-    return _reduce(t.entries)
+    return _reduce(_nonzero_normal_form(t.entries))
 
 
-def _reduce(entries: tuple[tuple[int, ...], ...]) -> GramTarget:
-    """`class_representative` of the rows of a valid index, unchecked."""
-    normal = _signed_permutation_max(entries)
+def _reduce(normal: tuple[tuple[int, ...], ...]) -> GramTarget:
+    """`class_representative` of a valid index in normal form, without zero
+    rows, unchecked."""
+    g = len(normal)
     rows = [list(r) for r in normal]
-    g = len(rows)
+    pairs = list(itertools.permutations(range(g), 2))
     # Each step lowers a diagonal entry by at least 2 (they stay even), so at
     # most trace / 2 steps run.
-    for steps in range(sum(rows[i][i] for i in range(g)) // 2 + 1):
-        pairs = itertools.permutations(range(g), 2)
-        step = next(((i, j) for i, j in pairs if 2 * abs(rows[i][j]) > rows[i][i]), None)
-        if step is None:
-            if not steps and all(normal[i][i] for i in range(g)):
-                return GramTarget(normal)  # already reduced, no zero row
+    for steps in range(sum(r[i] for i, r in enumerate(rows)) // 2 + 1):
+        for i, j in pairs:
+            if 2 * abs(rows[i][j]) > rows[i][i]:
+                break
+        else:
             break
-        i, j = step
         s = (2 * rows[i][j] + rows[i][i]) // (2 * rows[i][i])
         for k in range(g):
             rows[j][k] -= s * rows[i][k]
         for k in range(g):
             rows[k][j] -= s * rows[k][i]
-    keep = [i for i in range(g) if rows[i][i]]
-    return GramTarget(_signed_permutation_max(tuple(tuple(rows[i][j] for j in keep) for i in keep)))
+    return GramTarget(_nonzero_normal_form(rows) if steps else normal)
 
 
 # ---- root-tuple engine (all diagonal entries 2) ----------------------------
@@ -972,11 +986,12 @@ class IndexTable(NamedTuple):
     position: tuple[int, ...]
     reach: int  # the largest orbit-slot entry of a class of genus >= 2, else 0
 
-    def restrict(self, keep: Callable[[GramTarget], bool]) -> "IndexTable":
-        """The targets that `keep` accepts, in the same order, with only the
-        classes they use."""
-        kept = [(t, p) for t, p in zip(self.targets, self.position) if keep(t)]
-        return _grouped([t for t, _ in kept], [self.classes[p] for _, p in kept])
+    def restrict(self, keep: Iterable[bool]) -> "IndexTable":
+        """The targets where `keep` (one flag per target) is true, in the same
+        order, with only the classes they use."""
+        keep = list(keep)
+        return _grouped(list(itertools.compress(self.targets, keep)),
+                        list(itertools.compress(self.position, keep)), self.classes)
 
 
 def _demand(t: GramTarget) -> tuple[int, int]:
@@ -984,24 +999,31 @@ def _demand(t: GramTarget) -> tuple[int, int]:
     class representative, whose diagonal is non-decreasing: the orbit counter
     stores the shells of every slot but the last (the largest), and a
     genus-1 class stores none."""
-    diag = [row[i] for i, row in enumerate(t.entries)]
-    return (diag[-2] if len(diag) > 1 else 0, diag[-1] if diag else 0)
+    rows = t.entries
+    return (rows[-2][-2] if len(rows) > 1 else 0, rows[-1][-1] if rows else 0)
 
 
-def _grouped(targets: list[GramTarget], reps: list[GramTarget]) -> IndexTable:
-    """The table of targets whose class representatives are reps.  Its
-    classes come in decreasing order of the largest shell they store, then
-    of their orbit slot's entry, ties in order of first appearance: the first
-    count then stores the largest shell that any class needs, and the others
-    read what it left.  Its reach, the largest orbit-slot entry, lets the
-    first orbit walk serve every class too."""
+def _grouped(targets: list[GramTarget], sources: list[int], found: Sequence[GramTarget]) -> IndexTable:
+    """The table of targets with representatives found[sources[k]], equal ones
+    merged into the first to appear.  Its classes come by decreasing
+    `_demand`, ties in order of first appearance: the first count then stores
+    the largest shell that any class needs, and its orbit walk goes on to
+    the table's reach, the largest orbit-slot entry."""
     slot: dict[GramTarget, int] = {}
-    first = [slot.setdefault(r, len(slot)) for r in reps]  # slots in order of first appearance
+    first = dict.fromkeys(sources)
+    for k in first:
+        first[k] = slot.setdefault(found[k], len(slot))
     classes = sorted(slot, key=_demand, reverse=True)
     rank = {c: k for k, c in enumerate(classes)}
     moved = [rank[c] for c in slot]
+    position = tuple(map(moved.__getitem__, map(first.__getitem__, sources)))
     reach = max((_demand(c)[1] for c in classes if c.genus > 1), default=0)
-    return IndexTable(tuple(targets), tuple(classes), tuple(moved[p] for p in first), reach)
+    return IndexTable(tuple(targets), tuple(classes), position, reach)
+
+
+def _picker(cells: list[int]) -> Callable[[tuple], tuple]:
+    """The entries at `cells` of a tuple, as a tuple."""
+    return operator.itemgetter(*cells) if len(cells) > 1 else lambda u: (u[cells[0]],)
 
 
 @functools.cache
@@ -1015,66 +1037,60 @@ def index_classes(genus: int, trace_bound: int) -> IndexTable:
     every slot, and keep their classes.  Of the rest, signed permutations P
     keep the trace, semidefiniteness and class of P T P^T, and each orbit has
     a member with a non-decreasing diagonal and T_0j >= 0.  Only those are
-    enumerated; each new one is tested and reduced once, and its
-    representative goes to every image (P and -P act alike).
-    An index is its upper triangle u here, and `square` rebuilds the matrix.
-    Each image is one itemgetter on u + (-u): the upper triangle of P T P^T
-    takes the cell (p_i, p_j) of T, negated where s_i s_j = -1."""
+    enumerated, in decreasing order, so the first of an orbit met is its
+    normal form; it is tested and reduced, and its representative goes to
+    every image (P and -P act alike).  An index is its key (trace,) + u,
+    u its upper triangle.  All images are one itemgetter on key + (-key):
+    P T P^T takes the cell (p_i, p_j) of T, negated where s_i s_j = -1."""
     cells = [(i, j) for i in range(genus) for j in range(i, genus)]
-    at = {c: k for k, c in enumerate(cells)}
+    at = {c: k for k, c in enumerate(cells, start=1)}
     square = [[at[min(i, j), max(i, j)] for j in range(genus)] for i in range(genus)]
-    n = len(cells)
-    reps: dict[tuple[int, ...], GramTarget | None] = {}  # upper triangle -> representative, None if not PSD
+    row_of = [_picker(r) for r in square]
+    n = len(cells) + 1
+    source: dict[tuple[int, ...], int | None] = {}  # key -> its representative in found, None if not PSD
+    found: list[GramTarget] = []
     if genus:
         lower = index_classes(genus - 1, trace_bound)
-        # The cell (i, j) with a zero row at slot k, as an index into the
-        # lower index's rows flattened, followed by a 0.
-        zero = (genus - 1) ** 2
-        shift = [[zero if k in (i, j) else (i - (i > k)) * (genus - 1) + j - (j > k) for i, j in cells]
-                 for k in range(genus)]
-        for t, p in zip(lower.targets, lower.position):
-            flat = sum(t.entries, ()) + (0,)
-            for cell in shift:
-                reps[tuple(map(flat.__getitem__, cell))] = lower.classes[p]
-    # Below genus 2 the identity is the only image, and itemgetter needs two
-    # cells to give a tuple.
-    images = [operator.itemgetter(*(square[p[i]][p[j]] + n * (s[i] != s[j]) for i, j in cells))
-              for p in itertools.permutations(range(genus))
-              for s in itertools.product((1,), *[(1, -1)] * (genus - 1))] if genus > 1 else []
+        found += lower.classes
+        # A lower index as its trace, rows and a 0, and each cell of a key
+        # with a zero row at slot k as an index into that.
+        m = genus - 1
+        flat = [(t.trace,) + sum(t.entries, ()) + (0,) for t in lower.targets]
+        for k in range(genus):
+            shift = _picker([0] + [m * m + 1 if k in (i, j) else (i - (i > k)) * m + j - (j > k) + 1 for i, j in cells])
+            source.update(zip(map(shift, flat), lower.position))
+    images = _picker([k for p in itertools.permutations(range(genus))
+                      for s in itertools.product((1,), *[(1, -1)] * (genus - 1))
+                      for k in [0] + [square[p[i]][p[j]] + n * (s[i] != s[j]) for i, j in cells]])
     for diag in itertools.combinations_with_replacement(range(2, trace_bound + 1, 2), genus):
         if sum(diag) > trace_bound:
             continue
-        ranges = []
+        ranges = [[sum(diag)]]
         for i, j in cells:
             r = isqrt(diag[i] * diag[j])
-            ranges.append(range(r, r + 1) if i == j else range(-r if i else 0, r + 1))
-        for upper in itertools.product(*ranges):
-            if upper not in reps:
-                rows = tuple(tuple(map(upper.__getitem__, r)) for r in square)
-                rep = _reduce(rows) if is_positive_semidefinite(rows) else None
-                reps[upper] = rep
-                ext = upper + tuple(-x for x in upper)
-                for image in images:
-                    reps[image(ext)] = rep
-    on_diag = [at[i, i] for i in range(genus)]
-    order = sorted((sum(u[k] for k in on_diag), u) for u, rep in reps.items() if rep is not None)
-    targets = [GramTarget(tuple(tuple(map(u.__getitem__, r)) for r in square)) for _, u in order]
-    return _grouped(targets, [reps[u] for _, u in order])
+            ranges.append(range(r, r - 1 if i == j else -1 if i == 0 else -r - 1, -1))
+        for key in itertools.product(*ranges):
+            if key not in source:
+                rows = tuple([get(key) for get in row_of])
+                rep = None
+                # Below genus 3 an index in these ranges is PSD (T_01^2 <= T_00 T_11).
+                if genus < 3 or is_positive_semidefinite(rows):
+                    rep = len(found)
+                    found.append(_reduce(rows))
+                source.update(dict.fromkeys(zip(*[iter(images(key + tuple(map(operator.neg, key))))] * n), rep))
+    keys = sorted(key for key, rep in source.items() if rep is not None)
+    entries = zip(*[map(get, keys) for get in row_of]) if genus else [()] * len(keys)
+    return _grouped(list(map(GramTarget, entries)), list(map(source.__getitem__, keys)), found)
 
 
 def class_counts(lat: "Lattice", table: IndexTable) -> list[int]:
     """r_L(T) for each T of table.targets, in order: one count per class,
-    looked up by its key (the classes are representatives already), expanded
-    by position.
-
-    The classes are counted in the table's order, most demanding first, so
-    the first count builds the shell counts and the shells that the rest
-    need, and the first orbit walk goes on to the table's reach.  The new
-    cache entries go to the lattice's log in one append when the counting
-    ends, also when it stops on an exception."""
+    looked up by its key, in the table's order (`_grouped`), and expanded by
+    position.  The new cache entries go to the lattice's log in one append
+    when the counting ends, also when it stops on an exception."""
     with _append_batch():
         counts = [_class_count(lat, rep, table.reach) for rep in table.classes]
-    return [counts[p] for p in table.position]
+    return list(map(counts.__getitem__, table.position))
 
 
 def representation_profile(lat: "Lattice", genus: int, trace_bound: int) -> dict[GramTarget, int]:

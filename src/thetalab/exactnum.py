@@ -7,7 +7,7 @@ No floating point is used on any verified path.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import eq, getitem, mul
 from typing import Sequence
 
 # (d, lam) of `integral_gram_schmidt`.
@@ -126,18 +126,21 @@ def is_positive_semidefinite(rows: Sequence[Sequence[int]]) -> bool:
     pivot, which is positive).  A matrix with no positive diagonal entry is
     PSD exactly when it is zero."""
     n = len(rows)
-    if any(len(r) != n for r in rows) or any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+    if any(len(r) != n for r in rows) or not all(map(eq, zip(*rows), map(tuple, rows))):
         return False
     a = [list(r) for r in rows]
     prev = 1
     while a:
-        diag = [r[i] for i, r in enumerate(a)]
-        k = max(range(len(a)), key=diag.__getitem__)
-        p = diag[k]
+        diag = list(map(getitem, a, range(len(a))))
+        p = max(diag)
         if p <= 0:
             return not any(map(any, a))
-        rest = [i for i in range(len(a)) if i != k]
-        a = [[(p * a[i][j] - a[i][k] * a[k][j]) // prev for j in rest] for i in rest]
+        k = diag.index(p)
+        pivot = a.pop(k)
+        del pivot[k]
+        for r in a:
+            c = r.pop(k)
+            r[:] = [(p * x - c * y) // prev for x, y in zip(r, pivot)]
         prev = p
     return True
 

@@ -19,6 +19,7 @@ W-invariant).
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -43,22 +44,30 @@ class JacobiCoefficient:
     trace_bound: int
     entries: dict[tuple[GramTarget, tuple[int, ...]], int]
 
-    def second_moment(self, s: GramTarget, i: int, j: int) -> int:
-        """Exact sum over l of l_i * l_j * N(S, l)."""
-        return sum(ell[i] * ell[j] * c for (t, ell), c in self.entries.items() if t == s)
+    @functools.cached_property
+    def moments(self) -> dict[GramTarget, list[int]]:
+        """The sums over l of l_i l_j N(S, l), i <= j row-major, of each S:
+        one pass over the entries."""
+        out: dict[GramTarget, list[int]] = {}
+        for (s, ell), c in self.entries.items():
+            terms = [x * y * c for i, x in enumerate(ell) for y in ell[i:]]
+            out[s] = list(map(operator.add, out[s], terms)) if s in out else terms
+        return out
 
 
 @functools.cache
 def _slots(genus: int, index: int, trace_bound: int) -> tuple[tuple, enumeration.IndexTable]:
-    """The (S, l) keys of the table and, in the same order, the degree-(g+1)
-    indices [[S, l], [l^T, 2n]] with trace(S) <= bound, with only the classes
-    they use; one list per (genus, bound, n), shared by every lattice."""
+    """The (S, l) keys of the table, one GramTarget per S, and in the same
+    order the degree-(g+1) indices [[S, l], [l^T, 2n]] with trace(S) <= bound,
+    with only the classes they use; one list per (genus, bound, n)."""
     two_n = 2 * index
-    table = enumeration.index_classes(genus + 1, trace_bound + two_n).restrict(
-        lambda t: t.entries[genus][genus] == two_n)
-    keys = tuple((GramTarget(tuple(row[:genus] for row in t.entries[:genus])), t.entries[genus][:genus])
-                 for t in table.targets)
-    return keys, table
+    table = enumeration.index_classes(genus + 1, trace_bound + two_n)
+    table = table.restrict([t.entries[genus][genus] == two_n for t in table.targets])
+    cut = operator.itemgetter(slice(genus))
+    entries = [t.entries for t in table.targets]
+    rows = [tuple(map(cut, e[:genus])) for e in entries]
+    s_of = {s: GramTarget(s) for s in dict.fromkeys(rows)}
+    return tuple(zip(map(s_of.__getitem__, rows), [cut(e[genus]) for e in entries])), table
 
 
 def jacobi_coefficient(lat: "Lattice", genus: int, index: int, trace_bound: int, jobs: int = 1) -> JacobiCoefficient:
@@ -194,8 +203,5 @@ def heat_profile_check(lat: "Lattice", genus: int, trace_bound: int, c: Fraction
 
 
 def _heat_identity(r2: int, s: GramTarget, r_s: int, c: Fraction, jacobi: JacobiCoefficient) -> bool:
-    for i in range(s.genus):
-        for j in range(i, s.genus):
-            if r2 * s.entries[i][j] * r_s * c.denominator != c.numerator * jacobi.second_moment(s, i, j):
-                return False
-    return True
+    sums = jacobi.moments.get(s) or [0] * len(s.upper())
+    return all(r2 * x * r_s * c.denominator == c.numerator * m for x, m in zip(s.upper(), sums))

@@ -635,6 +635,41 @@ def index_classes_by_product(genus, trace_bound):
     return {t: enumeration.class_representative(t) for t in out}
 
 
+def signed_permutation_max(rows):
+    """The permutation and sign normal form by exhaustive search: over every
+    permutation that leaves the diagonal non-decreasing, with the best signs
+    for it, the matrix whose upper off-diagonal entries (row-major) are
+    lexicographically largest.  For a fixed permutation the greedy choice is
+    the best: each nonzero entry in turn is made positive unless the signs
+    chosen so far fix it (comp[k] labels the slots whose signs are fixed
+    relative to slot k)."""
+    g = len(rows)
+    order = sorted(range(g), key=lambda i: rows[i][i])
+    groups = [list(grp) for _, grp in itertools.groupby(order, key=lambda i: rows[i][i])]
+    pairs = list(itertools.combinations(range(g), 2))
+    best = None
+    for parts in itertools.product(*(itertools.permutations(grp) for grp in groups)):
+        perm = [i for part in parts for i in part]
+        sign = [1] * g
+        comp = list(range(g))
+        off = []
+        for a, b in pairs:
+            v = rows[perm[a]][perm[b]]
+            if v and comp[a] != comp[b]:
+                old = comp[b]
+                flip = sign[a] * sign[b] * v < 0
+                for k in range(g):
+                    if comp[k] == old:
+                        comp[k] = comp[a]
+                        if flip:
+                            sign[k] = -sign[k]
+            off.append(sign[a] * sign[b] * v)
+        if best is None or off > best[0]:
+            best = (off, perm, sign)
+    _, perm, sign = best
+    return tuple(tuple(sign[a] * sign[b] * rows[perm[a]][perm[b]] for b in range(g)) for a in range(g))
+
+
 def signed_permutation_orbits(targets):
     """The orbits of T -> P T P^T on a set of indices closed under it, P a
     permutation matrix times a diagonal sign matrix, each generated whole."""

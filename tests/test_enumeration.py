@@ -43,6 +43,7 @@ from oracles import (
     root_tuple_count,
     shell_pair_histogram,
     shells_in_basis,
+    signed_permutation_max,
     signed_permutation_orbits,
     span_rank_types,
     tuple_gram_counts,
@@ -358,6 +359,41 @@ def test_index_table_sizes():
     assert _table_items(en.index_classes(4, 8)) == list(index_classes_by_product(4, 8).items())
 
 
+def test_pruned_normal_form_matches_exhaustive_oracle():
+    # The search tries only the permutations that can maximise row 0 of the
+    # off-diagonal entries; on seeded random symmetric matrices of genus <= 5
+    # and on a signed permutation of each it gives the exhaustive search's
+    # normal form (an orbit invariant, so both give the same).
+    pruned = en._signed_permutation_max.__wrapped__
+    rng = random.Random(24)
+    for _ in range(10_000):
+        g = rng.randint(1, 5)
+        rows = [[0] * g for _ in range(g)]
+        for i in range(g):
+            rows[i][i] = rng.choice((0, 2, 4, 6, 8))
+            for j in range(i):
+                rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+        p, s = rng.sample(range(g), g), [rng.choice((1, -1)) for _ in range(g)]
+        image = tuple(tuple(s[a] * s[b] * rows[p[a]][p[b]] for b in range(g)) for a in range(g))
+        expect = signed_permutation_max(tuple(map(tuple, rows)))
+        assert pruned(tuple(map(tuple, rows))) == expect == pruned(image)
+
+
+def test_fresh_table_reduces_once_per_orbit(monkeypatch):
+    # On a built (2, 8) table, a fresh (3, 8) table takes its indices with a
+    # zero row from it and reduces one index per signed-permutation orbit of
+    # the others, each met first in its normal form.
+    lower = en.index_classes(2, 8)
+    calls = Counter()
+    reduce = en._reduce
+    monkeypatch.setattr(en, "_reduce", lambda rows: calls.update(["_reduce"]) or reduce(rows))
+    table = en.index_classes.__wrapped__(3, 8)
+    monkeypatch.undo()
+    assert table == en.index_classes(3, 8) and en.index_classes(2, 8) is lower
+    full = [t for t in table.targets if all(t.entries[i][i] for i in range(3))]
+    assert calls["_reduce"] == len(signed_permutation_orbits(full))
+
+
 def test_general_counts_agree_in_both_slot_orders(monkeypatch):
     # From genus 3 on the counter walks a class's slots in reverse, so the
     # orbit slot gets the largest shell.  The reversed index is walked in the
@@ -426,6 +462,15 @@ def test_domain_errors():
         representation_count(e8, [[2, 3], [3, 2]])  # not PSD
     with pytest.raises(RepresentationDomainError):
         representation_count(e8, [[2, 1], [0, 2]])  # not symmetric
+
+
+def test_ragged_index_is_not_square():
+    # Every row's length is checked before any entry is read across rows.
+    for rows in ([[2, 0], []], [[2], [0, 2]], [[2, 0, 0], [0, 2], [0, 0, 2]]):
+        with pytest.raises(RepresentationDomainError, match="not square"):
+            GramTarget.from_rows(rows).check_valid()
+        with pytest.raises(RepresentationDomainError, match="not square"):
+            representation_count(builtin("E8"), rows)
 
 
 def test_index_entries_are_integers_only():
