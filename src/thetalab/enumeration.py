@@ -59,7 +59,7 @@ Everything runs in one process.
 
 Every engine that stores shells gets them from `_LatticeContext`, which sizes
 them from the shell counts first and refuses more than
-`_SHELL_VECTORS_LIMIT` vectors.  The Fourier-Jacobi tables of `jacobi` are
+`_SHELL_VECTORS_LIMIT` vectors, and keeps one vector of each +-pair.  The Fourier-Jacobi tables of `jacobi` are
 representation numbers one degree up and go through `class_counts` too, on
 a restriction of the degree-(g+1) table (`IndexTable.restrict`).
 
@@ -251,6 +251,7 @@ class _LatticeContext:
         # date; every walk reads them.
         self.gs = (d, lam)
         self._shells_np: dict[int, np.ndarray] = {}
+        self._shells_top: dict[int, int] = {}
         self._shells_bound = 0
         self._counts: dict[int, int] = {0: 1}
         self._counts_bound = 0
@@ -286,11 +287,12 @@ class _LatticeContext:
         return self._counts.get(norm, 0)
 
     def shell_arrays_upto(self, bound: int) -> dict[int, np.ndarray]:
-        """Numpy arrays of reduced-basis coordinates for each norm <= bound.
+        """For each norm 0 < q <= bound, one vector of each +-pair of the
+        shell (`shells_upto`), as int32 rows of reduced-basis coordinates.
 
         The store is sized from the shell counts (coset dynamic programs on
         glued lattices) before it is built, and refused above
-        _SHELL_VECTORS_LIMIT vectors."""
+        _SHELL_VECTORS_LIMIT vectors, counting both vectors of each pair."""
         if bound > self._shells_bound:
             size = sum(c for q, c in self.counts_upto(bound).items() if q)
             if size > _SHELL_VECTORS_LIMIT:
@@ -298,15 +300,20 @@ class _LatticeContext:
                     f"shells to norm {bound} at rank {self.rank} too large: {size} vectors"
                 )
             self._shells_np = shells_upto(self.gs, bound)
+            self._shells_top = {q: int(np.abs(a).max()) for q, a in self._shells_np.items()}
             self._shells_bound = bound
         return {q: a for q, a in self._shells_np.items() if q <= bound}
 
     def shell_array(self, norm: int) -> np.ndarray:
-        if norm == 0:
-            return np.zeros((1, self.rank), dtype=np.int32)
+        """One vector of each +-pair of the norm-q shell, q > 0."""
         if norm > self._shells_bound:
             self.shell_arrays_upto(norm)
         return self._shells_np.get(norm, np.zeros((0, self.rank), dtype=np.int32))
+
+    def shell_top(self, norm: int) -> int:
+        """The largest |coordinate| in the stored norm shell, and so in any
+        subset of it or of its negatives."""
+        return self._shells_top.get(norm, 0)
 
     # ---- roots and Weyl-group orbits ----------------------------------------
 
@@ -317,24 +324,29 @@ class _LatticeContext:
         give the order of the Weyl group W.
 
         Roots come in +-pairs and (-x, y) = -(x, y), so everything is found
-        from one root of each pair: the h roots whose first nonzero
+        from one root of each pair: the h stored roots, whose last nonzero
         coordinate is positive, which are the positive roots of the
-        lexicographic order, followed by their negatives.  Root i + h is
-        -(root i), and only the h x h inner products are computed."""
-        half = _sign_half(self.shell_array(2))
+        lexicographic order from the last coordinate, followed by their
+        negatives.  Root i + h is -(root i), and only the h x h inner products
+        are computed.  On norm-2 vectors |(x, y)| = 2 only for y = +-x, so
+        masks[2] and masks[-2] of root i are root i and its negative, and
+        only the products +-1 are read from the matrix; masks[0] and
+        `linked` are the complements."""
+        half = self.shell_array(2)
         h = len(half)
         long = half.astype(np.int64)
         dots = long @ self._gram_red_np @ long.T
         assert dots.max(initial=0) <= 2 and dots.min(initial=0) >= -2
-        packed = {d: _bit_rows(dots == d) for d in range(-2, 3)}
-        masks = {}
-        for d in range(-2, 3):
-            a, b = packed[d], packed[-d]
-            masks[d] = [x | y << h for x, y in zip(a, b)] + [y | x << h for x, y in zip(a, b)]
+        plus, minus = _bit_rows(dots == 1), _bit_rows(dots == -1)
+        # Root i + h is -(root i): masks[-d] is masks[d] with the halves swapped.
+        ones = [x | y << h for x, y in zip(plus, minus)] + [y | x << h for x, y in zip(plus, minus)]
+        same = [1 << i for i in range(2 * h)]
+        swap = lambda rows: rows[h:] + rows[:h]  # noqa: E731
+        linked = [a | b | c | e for a, b, c, e in zip(ones, swap(ones), same, swap(same))]
         everything = (1 << 2 * h) - 1
-        linked = [everything & ~m for m in masks[0]]
-        # Lexicographic order, coordinate 0 first, is compatible with addition.
-        simple = weyl.simple_roots(np.lexsort(half.T[::-1]).tolist(), masks[1])
+        masks = {-2: swap(same), -1: swap(ones), 0: [everything & ~m for m in linked], 1: ones, 2: same}
+        # Lexicographic order, last coordinate first, is compatible with addition.
+        simple = weyl.simple_roots(np.lexsort(half.T).tolist(), masks[1])
         components = list(weyl.components(linked, simple, everything))
         order = weyl.group_order(symbol for symbol, _ in components)
         return _RootSystem(np.concatenate([half, -half]), masks, linked, simple, components, order)
@@ -358,7 +370,7 @@ class _LatticeContext:
                 orthogonal = [m | m << h for m in on_half]
                 weights = np.array(weyl.orbit_sizes(orthogonal, rs.linked, rs.simple, rs.order), dtype=np.int64)
             else:
-                rows = _sign_half(self.shell_array(norm))
+                rows = self.shell_array(norm)
                 weights = np.full(len(rows), 2, dtype=np.int64)
             assert int(weights.sum()) == self.count(norm), f"orbit sizes do not sum to the norm-{norm} shell"
             got = self._orbits[norm] = (rows, weights)
@@ -368,13 +380,13 @@ class _LatticeContext:
         """The vectors of the norm shell in the closed dominant chamber: from
         the weight lattice when the simple roots number the rank (one walk,
         to max(norm, reach), serves every norm it covers), else filtered from
-        the stored shell."""
+        the stored shell and its negatives."""
         chamber = self._chamber
         if chamber is None:
             shell = self.shell_array(norm)
             rs = self.root_system
             gs = self._gram_red_np @ rs.vectors[list(iter_bits(rs.simple))].T.astype(np.int64)
-            return shell[_nonnegative_rows(shell, gs)]
+            return _dominant_signs(shell, gs, self.shell_top(norm))
         if norm > self._dominant_bound:
             self._dominant_bound = max(norm, reach)
             self._dominant = _weight_lattice_walk(chamber, self._dominant_bound)
@@ -429,38 +441,35 @@ def _weight_lattice_walk(chamber: _Chamber, bound: int) -> dict[int, np.ndarray]
     return by_norm(ys.astype(np.int32), norms // chamber.scale)
 
 
-def _int32_factor(arr: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, int]:
-    """(`factor` as int32, a bound on |every partial sum of arr @ factor|),
-    after asserting that the bound fits in int32, so the product is exact."""
-    bound = int(np.abs(arr).max(initial=0)) * int(np.abs(factor).max(initial=0)) * arr.shape[1]
+def _int32_factor(factor: np.ndarray, top: int, width: int) -> tuple[np.ndarray, int]:
+    """(`factor` as int32, a bound on |every partial sum of arr @ factor|)
+    for rows arr of `width` coordinates of magnitude <= top, after asserting
+    that the bound fits in int32, so the product is exact."""
+    bound = top * int(np.abs(factor).max(initial=0)) * width
     assert bound < 2**31, "int32 overflow bound exceeded"
     return factor.astype(np.int32), bound
 
 
-def _nonnegative_rows(arr: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """Mask of the rows of arr whose product with `factor` has no negative
-    entry; blocked, so no |arr| x columns matrix is built at once."""
-    factor, _ = _int32_factor(arr, factor)
+def _dominant_signs(arr: np.ndarray, factor: np.ndarray, top: int) -> np.ndarray:
+    """The rows v of arr and of -arr whose product with `factor` has no
+    negative entry, for rows of magnitude <= top; blocked, so no
+    |arr| x columns matrix is built at once."""
+    factor, _ = _int32_factor(factor, top, arr.shape[1])
     step = max(1, _BLOCK_ENTRIES // max(factor.shape[1], 1))
-    keep = np.ones(len(arr), dtype=bool)
+    plus = np.ones(len(arr), dtype=bool)
+    minus = np.ones(len(arr), dtype=bool)
     for start in range(0, len(arr), step):
-        keep[start : start + step] = (arr[start : start + step] @ factor >= 0).all(axis=1)
-    return keep
+        p = arr[start : start + step] @ factor
+        plus[start : start + step] = (p >= 0).all(axis=1)
+        minus[start : start + step] = (p <= 0).all(axis=1)
+    return np.concatenate([arr[plus], -arr[minus]])
 
 
-def _sign_half(arr: np.ndarray) -> np.ndarray:
-    """Rows whose first nonzero coordinate is positive (one of each +-v pair)."""
-    if len(arr) == 0:
-        return arr
-    lead = arr[np.arange(len(arr)), (arr != 0).argmax(axis=1)]
-    half = arr[lead > 0]
-    assert 2 * len(half) == len(arr), "shell not closed under negation"
-    return half
-
-
-def _dot_histogram(gram: np.ndarray, x_arr: np.ndarray, y_arr: np.ndarray, weights: np.ndarray) -> dict[int, int]:
+def _dot_histogram(gram: np.ndarray, x_arr: np.ndarray, y_arr: np.ndarray, weights: np.ndarray,
+                   top: int) -> dict[int, int]:
     """Exact sum over the rows x of x_arr of weights[x] times the histogram
-    of x G y^T over the rows y of y_arr.
+    of x G y^T over the rows y of y_arr, whose coordinates are at most `top`
+    in magnitude.
 
     Blocked integer products: for a block of x rows, one bincount per block
     of y rows gives each x its own histogram (int64), and the block's
@@ -468,7 +477,7 @@ def _dot_histogram(gram: np.ndarray, x_arr: np.ndarray, y_arr: np.ndarray, weigh
     """
     if len(x_arr) == 0 or len(y_arr) == 0:
         return {}
-    gx, offset = _int32_factor(y_arr, gram @ x_arr.astype(np.int64).T)
+    gx, offset = _int32_factor(gram @ x_arr.astype(np.int64).T, top, y_arr.shape[1])
     assert int(weights.sum()) * len(y_arr) < 2**62, "int64 histogram bound exceeded"
     nbins = 2 * offset + 1
     x_step = max(1, _BLOCK_ENTRIES // nbins)
@@ -924,6 +933,7 @@ def _count_general(lat: "Lattice", t: GramTarget, reach: int = 0) -> int:
     diag = [rows[i][i] for i in range(g)]
     ctx.shell_arrays_upto(max(diag[1:]))
     shells = [ctx.shell_array(d) for d in diag[1:]]
+    tops = [ctx.shell_top(d) for d in diag[1:]]
     if not ctx.count(diag[0]) or any(len(s) == 0 for s in shells):
         return 0
     upper = tuple(rows[i][j] for i in range(g) for j in range(i, g))
@@ -933,13 +943,14 @@ def _count_general(lat: "Lattice", t: GramTarget, reach: int = 0) -> int:
         gm = ctx._gram_red_np
         firsts, weights = ctx.orbits(diag[0], reach)
         if g == 2:
-            # z and -z have opposite products: multiply one of each pair.
-            half = _dot_histogram(gm, firsts, _sign_half(shells[0]), weights)
+            # The store holds one z of each +-pair, and z and -z have
+            # opposite products.
+            half = _dot_histogram(gm, firsts, shells[0], weights, tops[0])
             hist = {b: half.get(b, 0) + half.get(-b, 0) for b in half.keys() | {-b for b in half}}
         else:
             work = len(firsts)
             for s in shells:
-                work *= max(1, min(len(s), 64))
+                work *= max(1, min(2 * len(s), 64))
             if work > 5 * 10**7:
                 raise RepresentationDomainError(
                     f"general representation count too large for {t.key()} at rank {ctx.rank}"
@@ -947,11 +958,15 @@ def _count_general(lat: "Lattice", t: GramTarget, reach: int = 0) -> int:
             hist = {}
 
             def walk(level: int, x: np.ndarray, w: int, later: list[np.ndarray]) -> None:
-                # Slot `level` is x; later[k] holds the rows left for slot level + 1 + k.
+                # Slot `level` is x; later[k] holds the rows left for slot
+                # level + 1 + k (at level 0, one of each +-pair of its shell:
+                # h is kept for (h, x) = v and -h for (h, x) = -v).
                 gx = gm @ x
                 left = []
                 for j, c in enumerate(later, start=level + 1):
-                    c = c[c @ _int32_factor(c, gx)[0] == rows[level][j]]
+                    dots = c @ _int32_factor(gx, tops[j - 1], ctx.rank)[0]
+                    want = rows[level][j]
+                    c = np.concatenate([c[dots == want], -c[dots == -want]]) if level == 0 else c[dots == want]
                     if not len(c):
                         return
                     left.append(c)
@@ -959,7 +974,8 @@ def _count_general(lat: "Lattice", t: GramTarget, reach: int = 0) -> int:
                     for v in left[0]:
                         walk(level + 1, v, w, left[1:])
                     return
-                for b, v in _dot_histogram(gm, left[0], left[1], np.full(len(left[0]), w, dtype=np.int64)).items():
+                pairs = _dot_histogram(gm, left[0], left[1], np.full(len(left[0]), w, dtype=np.int64), tops[-1])
+                for b, v in pairs.items():
                     hist[b] = hist.get(b, 0) + v
 
             for y, w in zip(firsts, weights.tolist()):

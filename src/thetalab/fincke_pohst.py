@@ -15,16 +15,21 @@ so the division is exact) and N_0 = x G x^T.  A prefix is kept while
 N_i <= bound D_i, that is t_i^2 <= bound D_i D_{i+1} - D_i N_{i+1}.
 
 The walk runs in numpy: each level expands a frontier of prefixes at once
-(np.repeat over the number of children of each), depth first in chunks of
-at most _CHUNK children, so memory stays bounded.  Square roots are integer
-Newton iterations.  Every intermediate is bounded from D and the bound
-before the walk starts; when that bound does not fit int64 the same code
-runs on arrays of Python ints.  Nothing uses floating point, so the output
-is complete and duplicate-free by construction.
+(one gather per level from each child to its prefix), depth first in chunks
+of at most _CHUNK children, so memory stays bounded.  Every intermediate is
+bounded from D and the bound before the walk starts; when that bound does
+not fit int64 the same code runs on arrays of Python ints.  The coordinates
+are kept in the narrowest signed dtype that holds their bound.  Square roots
+come from a table when the walk is int64 and every radicand lies below
+_TABLE_LIMIT, else from math.isqrt per entry or integer Newton steps.
+Nothing uses floating point, so the output is complete and duplicate-free
+by construction.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from fractions import Fraction
 from math import isqrt
 from typing import Iterator
@@ -112,6 +117,20 @@ _CHUNK = 1 << 15
 _NEWTON_MIN = 512
 
 
+# An int64 walk whose radicands all lie below this takes its square roots
+# from a table (`_root_table`); any other walk takes `_isqrt`.
+_TABLE_LIMIT = 1 << 16
+
+
+@functools.cache
+def _root_table(size: int) -> np.ndarray:
+    """floor(sqrt(r)) for 0 <= r < size, as int64: k repeated 2k + 1 times.
+    A walk takes the table of the least power of two above its radicands,
+    so a process builds a few tables at most, each once."""
+    k = np.arange(isqrt(size - 1) + 1)
+    return k.repeat(2 * k + 1)[:size]
+
+
 def _isqrt(a, powers):
     """Elementwise floor(sqrt(a)) of a nonnegative integer array: math.isqrt
     per entry on small arrays, integer Newton steps on large ones, whose
@@ -140,67 +159,104 @@ def _half_shell_chunks(gs: GramSchmidt, bound: int, orthant: bool = False) -> It
     if n == 0 or bound <= 0:
         return
     # Bounds, from the top level down: |t_i| <= root[i], |c_i| <= centre[i]
-    # (c_i the sum over j > i), |x_i| <= coord[i].
+    # (c_i the sum over j > i, and so each of its partial sums), and
+    # |x_i| <= coord[i].
+    radicand = [bound * d[i] * d[i + 1] for i in range(n)]
     root, centre, coord = [0] * n, [0] * n, [0] * n
+    columns = list(zip(*lam))
     for i in reversed(range(n)):
-        root[i] = isqrt(bound * d[i] * d[i + 1])
-        centre[i] = sum(abs(lam[j][i]) * coord[j] for j in range(i + 1, n))
+        root[i] = isqrt(radicand[i])
+        centre[i] = sum(map(operator.mul, map(abs, columns[i][i + 1 :]), coord[i + 1 :]))
         coord[i] = (root[i] + centre[i]) // d[i + 1]
     # Largest magnitude of any intermediate: bound D_i D_{i+1} bounds the
     # radicand, D_i N_{i+1} and t_i^2 + D_i N_{i+1}; (root + 2)^2 the square
     # roots' check; root + centre the interval ends, D_{i+1} x_i and t_i.
     # Newton's x + a // x and the interval lengths stay below 2 top.
-    top = max(max((root[i] + 2) ** 2, bound * d[i] * d[i + 1], root[i] + centre[i] + d[i + 1]) for i in range(n))
+    top = max(max((root[i] + 2) ** 2, radicand[i], root[i] + centre[i] + d[i + 1]) for i in range(n))
     dtype = np.int64 if 2 * top < 2**63 else object
-    powers = np.array([1 << b for b in range(top.bit_length() + 1)], dtype=dtype)
-    lam_t = np.array([[lam[j][i] for j in range(n)] for i in range(n)], dtype=dtype)
+    if dtype is np.int64 and max(radicand) < _TABLE_LIMIT:
+        sqrt = _root_table(1 << max(radicand).bit_length()).take
+    else:
+        powers = np.array([1 << b for b in range(top.bit_length() + 1)], dtype=dtype)
+        sqrt = functools.partial(_isqrt, powers=powers)
+    # Coordinates in the narrowest signed dtype that holds every |x_i|
+    # (object beyond int64).
+    bits = max(coord).bit_length()
+    narrow = next((t for t, b in ((np.int8, 8), (np.int16, 16), (np.int32, 32), (np.int64, 64)) if bits < b), object)
+    lam_t = np.array(columns, dtype=dtype)
 
     def expand(i, xs, norm):
-        # xs: coordinates i+1..n-1 of each prefix; norm: its N_{i+1}.
-        c = xs @ lam_t[i, i + 1 :]
-        dn = d[i] * norm
-        s = _isqrt(bound * d[i] * d[i + 1] - dn, powers)
-        lo = -((s + c) // d[i + 1])
-        # N_{i+1} = 0 only on the zero prefix; x_i >= 0 there keeps one of
-        # each +-x.  In the orthant every x_i >= 0, and a clipped interval
-        # can be empty.
-        lo = np.maximum(lo, 0) if orthant else np.where(norm == 0, np.maximum(lo, 0), lo)
-        k = np.maximum((s - c) // d[i + 1] - lo + 1, 0).astype(np.int64, copy=False)
+        # xs: one row per prefix, coordinates i+1..n-1 set; norm: its N_{i+1}.
+        c = xs[:, i + 1 :] @ lam_t[i, i + 1 :]
+        dn = norm * d[i]
+        s = sqrt(radicand[i] - dn)
+        # x_i runs from lo = ceil((-s - c) / D) = -up to hi = floor((s - c) / D).
+        up = s + c
+        up //= d[i + 1]
+        hi1 = s - c
+        hi1 += d[i + 1]
+        hi1 //= d[i + 1]  # hi + 1
+        if orthant:
+            # Every x_i >= 0; a clipped interval can be empty.
+            np.minimum(up, 0, out=up)
+            k = np.maximum(hi1 + up, 0)
+        else:
+            # Only the first row can be the zero prefix (N_{i+1} = 0 and
+            # c = 0); x_i >= 0 there keeps one of each +-x.  No count needs
+            # clipping at 0: s >= 0, so hi >= floor((-s - c) / D) >= lo - 1,
+            # and at the zero prefix hi >= 0 = lo.
+            if not dn[0]:
+                up[0] = 0
+            k = hi1 + up
+        k = k.astype(np.int64, copy=False)
         ends = k.cumsum()
-        # Child j of the whole level (children numbered across prefixes) has
-        # x_i = lo + j - (first child of its prefix) = shift[prefix] + j.
-        shift = lo - (ends - k)
-        a = 0
+        # Child j of the level (children numbered across prefixes) has
+        # x_i = lo + j - (its prefix's first child) = j - first[prefix].
+        first = ends - hi1
+        total = int(ends[-1])
+        a = base = 0
         while a < len(k):
-            base = int(ends[a - 1]) if a else 0
-            b = max(int(ends.searchsorted(base + _CHUNK, side="right")), a + 1)
-            kk = k[a:b]
-            m = int(ends[b - 1]) - base
-            x = shift[a:b].repeat(kk) + np.arange(base, base + m)
-            t = d[i + 1] * x + c[a:b].repeat(kk)
-            child = (t * t + dn[a:b].repeat(kk)) // d[i + 1]
-            xs_child = np.empty((m, n - i), dtype=dtype)
-            xs_child[:, 0] = x
-            xs_child[:, 1:] = xs[a:b].repeat(kk, axis=0)
-            if i:
-                yield from expand(i - 1, xs_child, child)
+            # Prefixes a..b-1 have children base..base+m-1: all of them when
+            # they fit in one chunk, else as many as keep m <= _CHUNK.
+            if total <= _CHUNK:
+                b, m = len(k), total
             else:
-                keep = child > 0
-                yield xs_child[keep], child[keep]
+                base = int(ends[a - 1]) if a else 0
+                b = max(int(ends.searchsorted(base + _CHUNK, side="right")), a + 1)
+                m = int(ends[b - 1]) - base
+            parent = np.arange(a, b).repeat(k[a:b])
             a = b
+            if not m:
+                continue
+            x = np.arange(base, base + m, dtype=dtype)
+            x -= first[parent]
+            t = x * d[i + 1]
+            t += c[parent]
+            t *= t
+            t += dn[parent]
+            t //= d[i + 1]  # N_i
+            coords = xs[parent]
+            coords[:, i] = x
+            if i:
+                yield from expand(i - 1, coords, t)
+            elif t[0]:
+                yield coords, t
+            else:  # the zero vector, first of the first chunk
+                yield coords[1:], t[1:]
 
-    yield from expand(n - 1, np.zeros((1, 0), dtype=dtype), np.zeros(1, dtype=dtype))
+    yield from expand(n - 1, np.zeros((1, n), dtype=narrow), np.zeros(1, dtype=dtype))
 
 
 def shells_upto(gs: GramSchmidt, bound: int) -> dict[int, np.ndarray]:
-    """All nonzero vectors with norm <= bound, grouped by norm: one int32
+    """The nonzero vectors with norm <= bound, one of each +-x pair (the one
+    whose last nonzero coordinate is positive), grouped by norm: one int32
     array of rows (coordinates in the basis of G) per norm, from gs = (d, lam),
     the integral Gram-Schmidt data of the Gram matrix G."""
     parts: dict[int, list] = {}
     for xs, norms in _half_shell_chunks(gs, bound):
-        assert xs.size == 0 or int(abs(xs).max()) < 2**31
+        assert xs.dtype.itemsize <= 4 or xs.size == 0 or int(abs(xs).max()) < 2**31
         for q, part in by_norm(xs.astype(np.int32), norms).items():
-            parts.setdefault(q, []).extend((part, -part))
+            parts.setdefault(q, []).append(part)
     return {q: np.concatenate(ps) for q, ps in sorted(parts.items())}
 
 
@@ -209,7 +265,9 @@ def by_norm(xs: np.ndarray, norms: np.ndarray) -> dict[int, np.ndarray]:
     in the order of xs."""
     order = np.argsort(norms, kind="stable")
     values, starts = np.unique(norms[order], return_index=True)
-    return dict(zip(values.tolist(), np.split(xs[order], starts[1:])))
+    xs = xs[order]
+    cuts = starts.tolist() + [len(xs)]
+    return {q: xs[a:b] for q, a, b in zip(values.tolist(), cuts, cuts[1:])}
 
 
 def orthant_upto(gs: GramSchmidt, bound: int) -> tuple[np.ndarray, np.ndarray]:

@@ -103,20 +103,24 @@ class VenkovReport:
     verified_vectors: int  # vectors covered by the direct sum (orbits by their sizes)
 
 
-def _root_moment_matrix(lat: "Lattice") -> tuple[int, list[list[int]], "np.ndarray"]:
-    """(r2, M, half) with M = sum over roots y of (G y)(G y)^T, exactly: y and
-    -y give the same term, so M is twice the sum over `half`, one root of
-    each pair in reduced-basis coordinates."""
+def _root_moment_matrix(lat: "Lattice", gram: "np.ndarray") -> tuple[int, "np.ndarray", "np.ndarray"]:
+    """(r2, M, half) with M = sum over roots y of (G y)(G y)^T, exactly, as
+    int64, G = gram the lattice's Gram matrix: y and -y give the same term,
+    so M is twice the sum over `half`, the stored roots, one of each pair in
+    reduced-basis coordinates.  G y in the original basis is
+    half @ (transform @ G), transform's rows being the reduced basis."""
     ctx = enumeration._context(lat)
-    half = enumeration._sign_half(ctx.shell_array(2))
+    half = ctx.shell_array(2)
     r2 = 2 * len(half)
     if r2 == 0:
         raise LatticeError("no roots: the moment identity is vacuous")
-    y = half.astype(np.int64) @ np.array(ctx.transform, dtype=np.int64)  # original basis
-    gy = y @ np.array(lat.gram, dtype=np.int64)  # rows are (G y)^T
+    u = np.array(ctx.transform, dtype=np.int64)
+    assert int(np.abs(u).max()) * int(np.abs(gram).max()) * lat.rank < 2**63
+    ug = u @ gram
+    assert ctx.shell_top(2) * int(np.abs(ug).max()) * lat.rank < 2**63
+    gy = half.astype(np.int64) @ ug  # rows are (G y)^T
     assert int(np.abs(gy).max()) ** 2 * r2 < 2**62  # r2 / 2 terms, doubled
-    m = 2 * (gy.T @ gy)
-    return r2, [[int(x) for x in row] for row in m], half
+    return r2, 2 * (gy.T @ gy), half
 
 
 def venkov_constant(lat: "Lattice", norm_bound: int = 8, per_vector_norm_cap: int = 4) -> VenkovReport:
@@ -125,19 +129,22 @@ def venkov_constant(lat: "Lattice", norm_bound: int = 8, per_vector_norm_cap: in
     Both sides are quadratic forms in v, so the identity for all v (any norm
     bound) is exactly the matrix equality r2 * G = c * M with M the root
     second-moment matrix; that equality is what is checked, in integers,
-    with c = num/den read from the first nonzero entry of M and every
-    comparison cross-multiplied.  Vectors with norm up to
-    per_vector_norm_cap are additionally re-verified by the direct sum over
-    roots: the roots themselves, and above norm 2 one dominant vector per
-    Weyl orbit.  `verified_vectors` counts the vectors so covered, each
-    orbit by its size.
+    with c = num/den read from the first nonzero entry of M and
+    r2 * G * den = num * M compared as one integer array.  Vectors with norm
+    up to per_vector_norm_cap are additionally re-verified by the direct
+    sum over roots: the roots themselves, and above norm 2 one dominant
+    vector per Weyl orbit.  `verified_vectors` counts the vectors so
+    covered, each orbit by its size.
     """
-    r2, m, half = _root_moment_matrix(lat)
-    gram = lat.gram
+    gram = np.array(lat.gram, dtype=np.int64)
+    r2, m, half = _root_moment_matrix(lat, gram)
     n = lat.rank
-    sides = [(r2 * gram[i][j], m[i][j]) for i in range(n) for j in range(n)]
-    num, den = next(((a, b) for a, b in sides if b), (0, 0))
-    consistent = bool(den) and all(a * den == num * b for a, b in sides)
+    nonzero = np.flatnonzero(m)
+    num, den = (r2 * int(gram.flat[nonzero[0]]), int(m.flat[nonzero[0]])) if nonzero.size else (0, 0)
+    # |r2 G den| and |num M| are at most r2 max|G| max|M|; beyond int64, Python ints.
+    if r2 * int(np.abs(gram).max()) * int(np.abs(m).max()) >= 2**63:
+        gram, m = gram.astype(object), m.astype(object)
+    consistent = bool(den) and bool((r2 * den * gram == num * m).all())
     verified = 0
     if consistent and per_vector_norm_cap > 0:
         # Both sides are invariant under the Weyl group W (it permutes the

@@ -214,8 +214,8 @@ def e_coset_counts(rank, bound):
     tables = [{} for _ in range(det)]
     tables[0][Fraction(0)] = 1
     dual_scaled = [[int(x * det) for x in row] for row in ginv]
-    for qscaled, vecs in shells_upto(integral_gram_schmidt(dual_scaled), bound * det).items():
-        classes = vecs.astype(np.int64) @ np.array(labels, dtype=np.int64) % det
+    for qscaled, half in shells_upto(integral_gram_schmidt(dual_scaled), bound * det).items():
+        classes = whole_shell(half).astype(np.int64) @ np.array(labels, dtype=np.int64) % det
         for cls, cnt in zip(*np.unique(classes, return_counts=True)):
             tables[int(cls)][Fraction(qscaled, det)] = int(cnt)
     return tables
@@ -425,20 +425,52 @@ def whole_shell_root_record(roots, gram):
     return masks, linked, simple, components, weyl.group_order(symbol for symbol, _ in components)
 
 
+def five_mask_root_record(half, gram):
+    """(masks, linked, simple, components, |W|) of the roots [half; -half]
+    (`half` one root of each +-pair, root i + h = -(root i)) built from all
+    five products -2..2 of half G half^T: each value's masks packed from the
+    product matrix and its negation, `linked` the complement of masks[0],
+    and the simple roots of the order that compares the last coordinate
+    first."""
+    h = len(half)
+    long = np.asarray(half, dtype=np.int64).reshape(h, len(gram))
+    dots = long @ np.array(gram, dtype=np.int64) @ long.T
+
+    def bit_rows(flags):
+        return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in flags]
+
+    packed = {d: bit_rows(dots == d) for d in range(-2, 3)}
+    masks = {}
+    for d in range(-2, 3):
+        a, b = packed[d], packed[-d]
+        masks[d] = [x | y << h for x, y in zip(a, b)] + [y | x << h for x, y in zip(a, b)]
+    everything = (1 << 2 * h) - 1
+    linked = [everything & ~m for m in masks[0]]
+    positive = sorted(range(h), key=lambda i: long[i].tolist()[::-1])
+    simple = weyl.simple_roots(positive, masks[1])
+    components = list(weyl.components(linked, simple, everything))
+    return masks, linked, simple, components, weyl.group_order(symbol for symbol, _ in components)
+
+
 def in_z_span(basis, v):
     """Whether v lies in the Z-span of the given independent basis rows (exact)."""
     coords = solve_coordinates(basis, v)
     return coords is not None and all(c.denominator == 1 for c in coords)
 
 
+def whole_shell(half):
+    """A stored shell (one vector of each +-pair) with the negatives of its rows."""
+    return np.concatenate([half, -half])
+
+
 def shells_in_basis(lat, bound):
     """The lattice's vectors of each norm <= bound, as tuples of coordinates in
-    its own basis: the context's stored shells (reduced coordinates) mapped
-    through its change of basis."""
+    its own basis: the context's stored shells (reduced coordinates, one of
+    each +-pair) with their negatives, mapped through its change of basis."""
     ctx = enumeration._context(lat)
     u = np.array(ctx.transform, dtype=np.int64).reshape(lat.rank, lat.rank)
     return {
-        q: [tuple(map(int, row)) for row in arr.astype(np.int64) @ u]
+        q: [tuple(map(int, row)) for row in whole_shell(arr).astype(np.int64) @ u]
         for q, arr in ctx.shell_arrays_upto(bound).items()
     }
 

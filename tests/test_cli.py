@@ -16,7 +16,7 @@ from thetalab.cli import (
     run,
 )
 from thetalab.enumeration import CACHE_ENV
-from thetalab.niemeier import BUILTIN_NAMES
+from thetalab.niemeier import BUILTIN_NAMES, RANK24_NAMES
 from thetalab.theta import CURATED_GENUS4, parse_series
 
 
@@ -409,11 +409,12 @@ def test_oversized_fourier_jacobi_shell_exits_3_quickly():
     assert int(max_rss_kb) < 1024 * 1024  # ru_maxrss is in KiB on Linux
 
 
-def test_heat_at_genus3_on_d4_6(capsys):
-    # The genus-3, trace-6 heat check on D4^6 reaches the classes
-    # [[2, b], [b, 6]], counted from the norm-6 orbits of the weight lattice
-    # against the stored roots: every S holds.
-    code, out = run_capture(capsys, ["heat", "--lattice", "D4^6", "--genus", "3", "--trace-bound", "6"])
+@pytest.mark.parametrize("name", RANK24_NAMES)
+def test_heat_at_genus3_on_rank24(capsys, name):
+    # The genus-3, trace-6 heat check on each rank-24 lattice reaches the
+    # classes [[2, b], [b, 6]], counted from the norm-6 orbits of the weight
+    # lattice against the stored roots: every S holds.
+    code, out = run_capture(capsys, ["heat", "--lattice", name, "--genus", "3", "--trace-bound", "6"])
     assert code == EXIT_PASS
     rows = [line for line in out.splitlines() if line.startswith("S [")]
     assert len(rows) == 104 and all(line.endswith(": ok") for line in rows)

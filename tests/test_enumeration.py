@@ -35,6 +35,7 @@ from thetalab.theta import k_identity_check, theta_truncated
 
 from oracles import (
     e8_ambient_counts,
+    five_mask_root_record,
     index_classes_by_product,
     ldl_box_counts,
     ldl_box_vectors,
@@ -47,6 +48,7 @@ from oracles import (
     signed_permutation_orbits,
     span_rank_types,
     tuple_gram_counts,
+    whole_shell,
     whole_shell_root_record,
 )
 
@@ -256,7 +258,8 @@ def test_parallel_determinism():
         en._MEM_CACHE.pop((e8.fingerprint, t.key()), None)
         counts.append(representation_count(e8, t, jobs=jobs))
         hists.append(ctx._hists[(8, 6)])
-    assert hists[0] == hists[1] == shell_pair_histogram(ctx._gram_red_np, ctx.shell_array(6), ctx.shell_array(8))
+    want = shell_pair_histogram(ctx._gram_red_np, whole_shell(ctx.shell_array(6)), whole_shell(ctx.shell_array(8)))
+    assert hists[0] == hists[1] == want
     assert counts[0] == counts[1] == hists[0][3] > 0
 
 
@@ -873,14 +876,15 @@ def test_orbit_histograms_match_whole_shell_oracle_on_builtins(name):
     orbits = []
     for q in range(2, top + 1, 2):
         rows, weights = ctx.orbits(q)
-        assert int(weights.sum()) == len(ctx.shell_array(q))
+        assert int(weights.sum()) == 2 * len(ctx.shell_array(q))
         assert len(rows) == len({r.tobytes() for r in rows})
         orbits.append(len(rows))
     assert tuple(orbits) == PINNED_ORBITS.get(name, tuple(orbits))
     for a, c in [(2, 4)] + ([(4, 4), (2, 6)] if lat.rank <= 16 else []):
         rows, weights = ctx.orbits(a)
-        got = en._dot_histogram(ctx._gram_red_np, rows, ctx.shell_array(c), weights)
-        assert got == shell_pair_histogram(ctx._gram_red_np, ctx.shell_array(a), ctx.shell_array(c)), (a, c)
+        shell = whole_shell(ctx.shell_array(c))
+        got = en._dot_histogram(ctx._gram_red_np, rows, shell, weights, ctx.shell_top(c))
+        assert got == shell_pair_histogram(ctx._gram_red_np, whole_shell(ctx.shell_array(a)), shell), (a, c)
         # The counter takes the slots in reverse: the histogram is kept under
         # (c, a), from the orbits of the norm-c shell.
         ctx._hists.pop((c, a), None)
@@ -889,8 +893,8 @@ def test_orbit_histograms_match_whole_shell_oracle_on_builtins(name):
 
 
 def test_rootless_store_is_one_of_each_sign_pair():
-    # Four copies of [[4, 1], [1, 4]]: no roots, so W = 1 and the store
-    # holds one of each +-v pair with weight 2.
+    # Four copies of [[4, 1], [1, 4]]: no roots, so W = 1 and the orbits are
+    # the stored rows, one of each +-v pair, with weight 2.
     n = 8
     gram = [[4 if i == j else int(i // 2 == j // 2) for j in range(n)] for i in range(n)]
     lat = from_gram("rootless8", gram)
@@ -898,13 +902,13 @@ def test_rootless_store_is_one_of_each_sign_pair():
     ctx.shell_arrays_upto(10)
     for q in (4, 6, 8, 10):
         rows, weights = ctx.orbits(q)
-        shell = ctx.shell_array(q)
-        assert set(weights.tolist()) == {2} and 2 * len(rows) == len(shell)
-        assert {r.tobytes() for r in np.concatenate([rows, -rows])} == {r.tobytes() for r in shell}
+        assert set(weights.tolist()) == {2} and 2 * len(rows) == ctx.count(q)
+        assert rows is ctx.shell_array(q)
+        assert len({r.tobytes() for r in whole_shell(rows)}) == 2 * len(rows)
     for a, c in [(4, 4), (4, 10), (6, 8), (8, 10)]:
         # The counter takes the slots in reverse: the histogram is kept
         # under (c, a).
-        want = shell_pair_histogram(ctx._gram_red_np, ctx.shell_array(a), ctx.shell_array(c))
+        want = shell_pair_histogram(ctx._gram_red_np, whole_shell(ctx.shell_array(a)), whole_shell(ctx.shell_array(c)))
         ctx._hists.pop((c, a), None)
         assert en._count_general(lat, GramTarget.diagonal([a, c])) == want.get(0, 0)
         assert ctx._hists[(c, a)] == want, (a, c)
@@ -953,7 +957,7 @@ def test_roots_that_do_not_span_take_the_store_path():
     assert ctx._chamber is None and ctx.root_system.simple.bit_count() == 2
     ctx.shell_arrays_upto(8)
     for a, c in [(2, 4), (4, 4), (2, 6), (4, 8), (6, 8)]:
-        want = shell_pair_histogram(ctx._gram_red_np, ctx.shell_array(a), ctx.shell_array(c))
+        want = shell_pair_histogram(ctx._gram_red_np, whole_shell(ctx.shell_array(a)), whole_shell(ctx.shell_array(c)))
         ctx._hists.pop((c, a), None)
         assert en._count_general(lat, GramTarget.diagonal([a, c])) == want.get(0, 0)
         assert ctx._hists[(c, a)] == want, (a, c)
@@ -1086,17 +1090,20 @@ def _mask_matrix(rows, n):
 
 
 def _check_pm_record(lat):
-    # The record built from one root of each +-pair against the one built
-    # from the whole norm-2 shell with the big-int functional of the oracle.
+    # The record built from the stored roots, one of each +-pair, and their
+    # +-1 products against the five-mask construction over the same roots,
+    # and against the one built from the whole norm-2 shell with the big-int
+    # functional of the oracle.
     ctx = en._context(lat)
     rs = ctx.root_system
-    shell = ctx.shell_array(2)
-    n, h = len(shell), len(rs.vectors) // 2
-    half = rs.vectors[:h]
+    half = ctx.shell_array(2)
+    shell = whole_shell(half)
+    n, h = len(shell), len(half)
     assert len(rs.vectors) == n == 2 * h
-    assert (rs.vectors[h:] == -half).all()
-    lead = half[np.arange(h), (half != 0).argmax(axis=1)]
-    assert (lead > 0).all()
+    assert (rs.vectors == shell).all()
+    last = half[np.arange(h), half.shape[1] - 1 - (half[:, ::-1] != 0).argmax(axis=1)]
+    assert (last > 0).all()
+    assert five_mask_root_record(half, ctx.gram_red) == (rs.masks, rs.linked, rs.simple, rs.components, rs.order)
     masks, linked, simple, components, order = whole_shell_root_record(shell.tolist(), ctx.gram_red)
     # idx[i]: the record's index of the oracle's root i (the same root set).
     where = {tuple(v): i for i, v in enumerate(rs.vectors.tolist())}
@@ -1111,9 +1118,9 @@ def _check_pm_record(lat):
         return sum(1 << idx[i] for i in weyl.iter_bits(mask))
 
     assert sorted((symbol, mapped(m)) for symbol, m in components) == sorted(rs.components)
-    assert sorted((mapped(m), (m & simple).bit_count()) for _, m in components) == sorted(
-        (m, (m & rs.simple).bit_count()) for _, m in rs.components
-    )
+    # The oracle's functional is positive where the last nonzero coordinate
+    # is, as the stored roots are: the same positive system and simple roots.
+    assert mapped(simple) == rs.simple
     assert rs.simple < 1 << h  # simple roots are positive
     assert rs.order == order
 

@@ -1,6 +1,8 @@
 """The Fincke-Pohst walk: shells checked row by row against exact norms, the
 coset counts and a brute-force box scan."""
 
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,10 @@ def _sorted_row_keys(x):
 
 @pytest.mark.parametrize("name,bound", [(name, 4) for name in BUILTIN_NAMES] + [(name, 6) for name in RANK16])
 def test_builtin_shells_are_exact(name, bound):
+    # Each stored half and its negatives: vectors of the norm, all distinct
+    # (so no stored row is the negative of another), as many as the coset
+    # counts give, so the whole shell; the stored one of each pair has its
+    # last nonzero coordinate positive.
     lat = builtin(name)
     ctx = en._context(lat)
     gram = ctx.gram_red
@@ -41,20 +47,27 @@ def test_builtin_shells_are_exact(name, bound):
     g = np.array(gram, dtype=np.int64)
     for q, rows in shells.items():
         assert rows.dtype == np.int32 and rows.shape[1] == lat.rank
-        x = rows.astype(np.int64)
+        x = np.concatenate([rows, -rows]).astype(np.int64)
         assert (int(np.abs(x).max()) * int(np.abs(g).max()) * lat.rank) ** 2 < 2**62
         assert (np.einsum("ij,ij->i", x @ g, x) == q).all()
         keys = _sorted_row_keys(x)
         assert (keys[:, 1:] != keys[:, :-1]).any(axis=0).all()  # distinct rows
-        assert (_sorted_row_keys(-x) == keys).all()  # closed under negation
+        last = rows[np.arange(len(rows)), rows.shape[1] - 1 - (rows[:, ::-1] != 0).argmax(axis=1)]
+        assert (last > 0).all()
     comps, words = lat.decomposition
     want = glued_shell_counts(tuple(comps), tuple(words), bound)
-    assert {0: 1, **{q: len(rows) for q, rows in shells.items()}} == want
+    assert {0: 1, **{q: 2 * len(rows) for q, rows in shells.items()}} == want
     assert {0: 1, **counts_upto(ctx.gs, bound)} == want
 
 
 def _as_sets(shells):
-    return {q: set(map(tuple, rows.tolist())) for q, rows in shells.items()}
+    """Each stored half with its negatives, as a set of tuples, after checking
+    that no stored row is another's negative or a repeat."""
+    out = {}
+    for q, rows in shells.items():
+        out[q] = set(map(tuple, np.concatenate([rows, -rows]).tolist()))
+        assert len(out[q]) == 2 * len(rows)
+    return out
 
 
 def _box_sets(gram, bound):
@@ -126,3 +139,66 @@ def test_scaled_e8_walk_beyond_int64(monkeypatch, newton_min):
     want = {q * scale: rows for q, rows in _as_sets(shells_upto(ctx.gs, 4)).items()}
     scaled = integral_gram_schmidt([[scale * x for x in row] for row in ctx.gram_red])
     assert _as_sets(shells_upto(scaled, 4 * scale)) == want
+
+
+def _walk_sets(gs, bound, orthant):
+    """(vector, norm) pairs of a walk: the orthant walk as it is, the half
+    walk with each row's negative."""
+    got = [(tuple(x), q) for xs, norms in fp._half_shell_chunks(gs, bound, orthant)
+           for x, q in zip(xs.tolist(), norms.tolist())]
+    if not orthant:
+        got += [(tuple(-c for c in x), q) for x, q in got]
+    assert len(got) == len(set(got))
+    return set(got)
+
+
+def _box_pairs(gram, bound, orthant):
+    return {(v, q) for q, vecs in ldl_box_vectors(gram, bound).items() for v in vecs if not orthant or min(v) >= 0}
+
+
+@pytest.mark.parametrize("orthant", [False, True], ids=["half", "orthant"])
+@pytest.mark.parametrize("chunk", [1, 5])
+def test_chunked_walk_matches_box_scan(monkeypatch, orthant, chunk):
+    # Levels split into chunks of at most `chunk` children give the same
+    # vectors, each once.
+    monkeypatch.setattr(fp, "_CHUNK", chunk)
+    gram = [[4, 1, 0], [1, 3, 1], [0, 1, 5]]
+    assert _walk_sets(integral_gram_schmidt(gram), 12, orthant) == _box_pairs(gram, 12, orthant)
+
+
+@pytest.mark.parametrize("orthant", [False, True], ids=["half", "orthant"])
+@pytest.mark.parametrize("side", ["table", "isqrt"])
+def test_table_limit_boundary_matches_box_scan(monkeypatch, orthant, side):
+    # The largest radicand bound D_i D_{i+1} of the walk just below the
+    # table limit takes the table, at the limit `_isqrt`; both give the box
+    # scan's vectors.
+    gram = [[4, 1, 0], [1, 3, 1], [0, 1, 5]]
+    bound = 12
+    gs = integral_gram_schmidt(gram)
+    d = gs[0]
+    radicand = max(bound * d[i] * d[i + 1] for i in range(len(gram)))
+    monkeypatch.setattr(fp, "_TABLE_LIMIT", radicand + (side == "table"))
+    calls = []
+    monkeypatch.setattr(fp, "_isqrt", lambda a, powers: calls.append(len(a)) or fp.np.array(
+        [isqrt(v) for v in a.tolist()], dtype=a.dtype))
+    assert _walk_sets(gs, bound, orthant) == _box_pairs(gram, bound, orthant)
+    assert bool(calls) == (side == "isqrt")
+
+
+@pytest.mark.parametrize("orthant", [False, True], ids=["half", "orthant"])
+@pytest.mark.parametrize("scale", [1, 2**60], ids=["int64", "python-int"])
+@pytest.mark.parametrize(
+    "rank,coord,narrow",
+    [(2, 127, np.int8), (2, 128, np.int16), (1, 32767, np.int16), (1, 32768, np.int32)],
+)
+def test_coordinate_dtype_boundary_matches_box_scan(orthant, scale, rank, coord, narrow):
+    # scale * I to norm scale * coord^2: the proven bound on every |x_i| is
+    # coord, which sets the narrowest dtype of the coordinates; int64 or
+    # Python-int arithmetic as bound * D_i * D_{i+1} fits or not.
+    gram = [[scale * (i == j) for j in range(rank)] for i in range(rank)]
+    bound = scale * coord * coord
+    gs = integral_gram_schmidt(gram)
+    assert {xs.dtype for xs, _ in fp._half_shell_chunks(gs, bound, orthant)} == {np.dtype(narrow)}
+    want = {(v, q * scale) for v, q in _box_pairs([[int(i == j) for j in range(rank)] for i in range(rank)],
+                                                  coord * coord, orthant)}
+    assert _walk_sets(gs, bound, orthant) == want
