@@ -38,16 +38,16 @@ Three engines cover the shapes of the representatives:
   slots are one weighted histogram of blocked integer products (at genus 2,
   against one of each +-z pair).  Only the slots after the first are stored.
 
-The orbits come from the weight lattice when the simple roots number the
-rank (every built-in lattice, and every sum of root lattices): a dominant y
-is determined by c_i = (y, alpha_i) >= 0 over the simple roots alpha_i, so a
-Fincke-Pohst walk on c, clipped at 0 on every level, under the form
-scale * C^-1 (C the Cartan matrix) visits every dominant weight of the
-weight lattice P(R) of the roots, and the integral ones are the dominant
-vectors of L (`_weight_lattice_walk`).  Its work grows with [P(R) : L]
-(1 for E8+E8, 2 for D16+) and no shell is stored.  When the roots do not
-span, the dominant vectors are filtered from the stored shell instead.
-Either way the orbit sizes must sum to the shell count.
+The orbits come from one walk on L when the simple roots number the rank
+(every built-in lattice, and every sum of root lattices): a dominant y is
+determined by c_i = (y, alpha_i) >= 0 over the simple roots alpha_i, and
+in a basis of L whose c-coordinates are upper triangular (from one echelon
+form, `_LatticeContext._chamber`), c_i >= 0 is a lower bound on x_i once
+x_{i+1..n-1} are fixed.  So a Fincke-Pohst walk clipped to that cone
+yields exactly the dominant vectors of L (`_cone_walk`), and no shell is
+stored.  When the roots do not span, the dominant vectors are filtered
+from the stored shell instead.  Either way the orbit sizes must sum to the
+shell count.
 
 The root engine and the orbit counter share one root-system record per
 lattice (`_LatticeContext.root_system`), found once from one root of each
@@ -76,12 +76,12 @@ import operator
 import os
 import zlib
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from . import cosets, weyl
-from .exactnum import GramSchmidt, integral_gram_schmidt, is_positive_semidefinite, scaled_inverse
-from .fincke_pohst import by_norm, counts_upto, lll_gram, orthant_upto, shells_upto
+from .exactnum import GramSchmidt, _hnf_int_rows, integral_gram_schmidt, is_positive_semidefinite
+from .fincke_pohst import by_norm, cone_upto, counts_upto, lll_gram, shells_upto
 from .lazy import lazy_module
 from .weyl import iter_bits
 
@@ -226,14 +226,13 @@ class _RootSystem(NamedTuple):
 
 
 class _Chamber(NamedTuple):
-    """The weight-lattice walk: the dominant chamber in the coordinates
-    c_i = (y, alpha_i) over the simple roots alpha_i (rows of A), with
-    M = A G, c = M y^T and C = A G A^T = M G^-1 M^T the Cartan matrix."""
+    """The closed dominant chamber as a cone of L: in the coordinates
+    c_i = (y, alpha_i) over the simple roots alpha_i, c = H x^T for the
+    lattice vector y = x V, with H upper triangular of positive diagonal."""
 
-    gs: GramSchmidt  # integral Gram-Schmidt data of K = scale * C^-1
-    scale: int  # the least integer that makes scale * C^-1 integral
-    inverse: np.ndarray  # R as Python ints: M R = det I, so y^T = R c / det
-    det: int
+    gs: GramSchmidt  # integral Gram-Schmidt data of V G V^T
+    cone: list[list[int]]  # H
+    basis: np.ndarray  # V, int64 rows of reduced-basis coordinates
 
 
 def _bit_rows(flags: np.ndarray) -> list[int]:
@@ -357,8 +356,8 @@ class _LatticeContext:
         sum to the shell count.  Without roots W = 1, and the orbits are
         those of -1 instead (it too preserves every lattice and every count
         with a fixed first vector): one of each +-v pair, of weight 2.
-        A weight-lattice walk goes on to norm `reach`, so that later norms
-        up to it need no walk of their own."""
+        A cone walk goes on to norm `reach`, so that later norms up to it
+        need no walk of their own."""
         got = self._orbits.get(norm)
         if got is None:
             rs = self.root_system
@@ -378,8 +377,8 @@ class _LatticeContext:
 
     def _dominant_rows(self, norm: int, reach: int) -> np.ndarray:
         """The vectors of the norm shell in the closed dominant chamber: from
-        the weight lattice when the simple roots number the rank (one walk,
-        to max(norm, reach), serves every norm it covers), else filtered from
+        the cone walk when the simple roots number the rank (one walk, to
+        max(norm, reach), serves every norm it covers), else filtered from
         the stored shell and its negatives."""
         chamber = self._chamber
         if chamber is None:
@@ -389,30 +388,30 @@ class _LatticeContext:
             return _dominant_signs(shell, gs, self.shell_top(norm))
         if norm > self._dominant_bound:
             self._dominant_bound = max(norm, reach)
-            self._dominant = _weight_lattice_walk(chamber, self._dominant_bound)
+            self._dominant = _cone_walk(chamber, self._dominant_bound)
         return self._dominant.get(norm, np.zeros((0, self.rank), dtype=np.int32))
 
     @functools.cached_property
     def _chamber(self) -> _Chamber | None:
-        """The data of the weight-lattice walk, or None when the simple roots
-        do not number the rank (then they do not span L (x) Q).
-
-        A dominant y has c = M y^T >= 0, y^T = M^-1 c, and norm c^T C^-1 c
-        with C^-1 = M^-T G M^-1 = R^T G R / det^2, from the one inverse
-        R = det M^-1 that also gives y.  The simple roots are taken
-        component by component, so C is block diagonal."""
+        """The data of the cone walk, or None when the simple roots do not
+        number the rank (then they do not span L (x) Q).  c = A G y^T (A the
+        simple roots, component by component), so c of the basis vector e_j
+        is row j of G A^T.  The echelon form (`_hnf_int_rows`) of the rows
+        (c of e_j, last coordinate first, then e_j) has n rows with positive
+        pivots in columns 0..n-1; read in reverse, row k is (c of v_k
+        reversed, v_k), and c of v_k is 0 beyond c_k and positive at c_k."""
         rs = self.root_system
         simple = [i for _, comp in rs.components for i in iter_bits(comp & rs.simple)]
-        if len(simple) != self.rank:
+        n, g = self.rank, self._gram_red_np
+        if len(simple) != n:
             return None
         a = rs.vectors[simple].astype(np.int64)
-        assert int(np.abs(a).max()) * int(np.abs(self._gram_red_np).max()) * self.rank < 2**63
-        det, r = scaled_inverse((a @ self._gram_red_np).tolist())
-        inverse = np.array(r, dtype=object)
-        squared = (inverse.T @ np.array(self.gram_red, dtype=object) @ inverse).tolist()  # det^2 C^-1
-        common = gcd(det * det, *(x for row in squared for x in row))
-        k = [[x // common for x in row] for row in squared]
-        return _Chamber(integral_gram_schmidt(k), det * det // common, inverse, det)
+        assert int(np.abs(a).max()) * int(np.abs(g).max()) * n < 2**63
+        rows = _hnf_int_rows([c[::-1] + [int(i == j) for i in range(n)] for j, c in enumerate((g @ a.T).tolist())])
+        v = np.array([r[n:] for r in reversed(rows)], dtype=np.int64)
+        assert int(np.abs(v).max()) ** 2 * int(np.abs(g).max()) * n * n < 2**63
+        cone = [list(c) for c in zip(*(r[n - 1 :: -1] for r in reversed(rows)))]
+        return _Chamber(integral_gram_schmidt((v @ g @ v.T).tolist()), cone, v)
 
     def highest_root_orbits(self, comp: int) -> weyl.HighestRootOrbits:
         """`weyl.highest_root_orbits` of one irreducible root component, found once."""
@@ -423,22 +422,16 @@ class _LatticeContext:
         return got
 
 
-def _weight_lattice_walk(chamber: _Chamber, bound: int) -> dict[int, np.ndarray]:
+def _cone_walk(chamber: _Chamber, bound: int) -> dict[int, np.ndarray]:
     """Every nonzero lattice vector of norm <= bound in the closed dominant
-    chamber, as int32 rows grouped by norm.  The walk visits the nonzero
-    c >= 0 with c^T K c <= scale * bound, every dominant weight of the root
-    system's weight lattice P(R), which contains L; y^T = R c / det keeps the
-    integral ones.  Its work grows with the index [P(R) : L]."""
-    cs, norms = orthant_upto(chamber.gs, chamber.scale * bound)
-    r = chamber.inverse
-    # |entries of c R^T| <= max|c| max|R| rank; beyond int64, Python ints.
-    top = int(np.abs(cs).max(initial=0)) * int(np.abs(r).max(initial=0)) * len(r)
-    ys = cs @ r.T.astype(np.int64) if top < 2**63 else cs.astype(object) @ r.T
-    keep = (ys % chamber.det == 0).all(axis=1)
-    ys, norms = ys[keep] // chamber.det, norms[keep]
-    assert (norms % chamber.scale == 0).all(), "a lattice vector of fractional norm"
+    chamber, as int32 rows grouped by norm: the walk visits the x with
+    H x^T >= 0 under the form V G V^T, and y = x V."""
+    xs, norms = cone_upto(chamber.gs, bound, chamber.cone)
+    v = chamber.basis
+    assert int(np.abs(xs).max(initial=0)) * int(np.abs(v).max()) * len(v) < 2**63
+    ys = xs @ v
     assert ys.size == 0 or int(np.abs(ys).max()) < 2**31
-    return by_norm(ys.astype(np.int32), norms // chamber.scale)
+    return by_norm(ys.astype(np.int32), norms)
 
 
 def _int32_factor(factor: np.ndarray, top: int, width: int) -> tuple[np.ndarray, int]:

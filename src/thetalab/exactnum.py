@@ -178,7 +178,10 @@ def rank_int(rows: Sequence[Sequence[int]]) -> int:
 
 
 def _hnf_int_rows(rows: list[list[int]]) -> list[list[int]]:
-    """Hermite-style row reduction of integer rows; returns a basis of the row Z-module."""
+    """A basis of the Z-span of the integer rows in echelon form: the first
+    nonzero entry (pivot) of each row is positive and right of the one
+    above, so rows of rank r whose first r columns have rank r give r rows
+    with their pivots in columns 0..r-1."""
     work = [list(r) for r in rows if any(r)]
     if not work:
         return []
@@ -210,7 +213,8 @@ def _hnf_int_rows(rows: list[list[int]]) -> list[list[int]]:
         basis.append(p)
         work = rest
         col += 1
-    # Reduce entries above pivots for a canonical-ish form.
+    # Entries above each pivot into [0, pivot), last pivot first; a later
+    # step can move them again, so the form is not canonical.
     for i in reversed(range(len(basis))):
         pcol = next(j for j, x in enumerate(basis[i]) if x != 0)
         for k in range(i):

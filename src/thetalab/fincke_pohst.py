@@ -149,30 +149,34 @@ def _isqrt(a, powers):
     return x
 
 
-def _half_shell_chunks(gs: GramSchmidt, bound: int, orthant: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _half_shell_chunks(
+    gs: GramSchmidt, bound: int, cone: list[list[int]] | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (coords, norms) chunks of every nonzero x with x G x^T <= bound
     whose last nonzero coordinate is positive (one of each +-x pair), from
-    gs = (d, lam), the integral Gram-Schmidt data of G; with `orthant`, of
-    every nonzero x with no negative coordinate instead."""
+    gs = (d, lam), the integral Gram-Schmidt data of G; with a `cone` H, an
+    upper-triangular integer matrix of positive diagonal, of every nonzero x
+    with H x^T >= 0 instead (H = I: no negative coordinate)."""
     d, lam = gs
     n = len(lam)
     if n == 0 or bound <= 0:
         return
     # Bounds, from the top level down: |t_i| <= root[i], |c_i| <= centre[i]
-    # (c_i the sum over j > i, and so each of its partial sums), and
-    # |x_i| <= coord[i].
+    # (c_i the sum over j > i, and so each of its partial sums), |e_i| <=
+    # offset[i] (e_i = sum_{j>i} H_ij x_j, likewise) and |x_i| <= coord[i].
     radicand = [bound * d[i] * d[i + 1] for i in range(n)]
-    root, centre, coord = [0] * n, [0] * n, [0] * n
+    root, centre, offset, coord = [0] * n, [0] * n, [0] * n, [0] * n
     columns = list(zip(*lam))
     for i in reversed(range(n)):
         root[i] = isqrt(radicand[i])
         centre[i] = sum(map(operator.mul, map(abs, columns[i][i + 1 :]), coord[i + 1 :]))
+        offset[i] = sum(map(operator.mul, map(abs, cone[i][i + 1 :]), coord[i + 1 :])) if cone else 0
         coord[i] = (root[i] + centre[i]) // d[i + 1]
     # Largest magnitude of any intermediate: bound D_i D_{i+1} bounds the
     # radicand, D_i N_{i+1} and t_i^2 + D_i N_{i+1}; (root + 2)^2 the square
-    # roots' check; root + centre the interval ends, D_{i+1} x_i and t_i.
-    # Newton's x + a // x and the interval lengths stay below 2 top.
-    top = max(max((root[i] + 2) ** 2, radicand[i], root[i] + centre[i] + d[i + 1]) for i in range(n))
+    # roots' check; root + centre the interval ends, D_{i+1} x_i and t_i;
+    # offset the cone's clip.  Newton's x + a // x and the lengths stay below 2 top.
+    top = max(max((root[i] + 2) ** 2, radicand[i], root[i] + centre[i] + d[i + 1], offset[i]) for i in range(n))
     dtype = np.int64 if 2 * top < 2**63 else object
     if dtype is np.int64 and max(radicand) < _TABLE_LIMIT:
         sqrt = _root_table(1 << max(radicand).bit_length()).take
@@ -184,6 +188,7 @@ def _half_shell_chunks(gs: GramSchmidt, bound: int, orthant: bool = False) -> It
     bits = max(coord).bit_length()
     narrow = next((t for t, b in ((np.int8, 8), (np.int16, 16), (np.int32, 32), (np.int64, 64)) if bits < b), object)
     lam_t = np.array(columns, dtype=dtype)
+    cone_t = None if cone is None else np.array(cone, dtype=dtype)
 
     def expand(i, xs, norm):
         # xs: one row per prefix, coordinates i+1..n-1 set; norm: its N_{i+1}.
@@ -196,9 +201,10 @@ def _half_shell_chunks(gs: GramSchmidt, bound: int, orthant: bool = False) -> It
         hi1 = s - c
         hi1 += d[i + 1]
         hi1 //= d[i + 1]  # hi + 1
-        if orthant:
-            # Every x_i >= 0; a clipped interval can be empty.
-            np.minimum(up, 0, out=up)
+        if cone_t is not None:
+            # (H x^T)_i = H_ii x_i + e_i >= 0, so x_i >= ceil(-e_i / H_ii) =
+            # -(e_i // H_ii); a clipped interval can be empty.
+            np.minimum(up, xs[:, i + 1 :] @ cone_t[i, i + 1 :] // cone[i][i], out=up)
             k = np.maximum(hi1 + up, 0)
         else:
             # Only the first row can be the zero prefix (N_{i+1} = 0 and
@@ -270,14 +276,12 @@ def by_norm(xs: np.ndarray, norms: np.ndarray) -> dict[int, np.ndarray]:
     return {q: xs[a:b] for q, a, b in zip(values.tolist(), cuts, cuts[1:])}
 
 
-def orthant_upto(gs: GramSchmidt, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """(coords, norms): every nonzero x with no negative coordinate and
-    x G x^T <= bound, as int64 rows and their norms, from gs = (d, lam) as in
-    `shells_upto`."""
-    chunks = list(_half_shell_chunks(gs, bound, orthant=True))
-    n = len(gs[1])
-    xs = np.concatenate([xs for xs, _ in chunks]) if chunks else np.zeros((0, n), dtype=np.int64)
-    norms = np.concatenate([q for _, q in chunks]) if chunks else np.zeros(0, dtype=np.int64)
+def cone_upto(gs: GramSchmidt, bound: int, cone: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(coords, norms): every nonzero x with H x^T >= 0 and x G x^T <= bound,
+    H = `cone` as in `_half_shell_chunks`, as int64 rows and their norms,
+    from gs = (d, lam) as in `shells_upto`."""
+    empty = np.zeros((0, len(gs[1])), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    xs, norms = map(np.concatenate, zip(*_half_shell_chunks(gs, bound, cone), empty))
     # The norms are at most bound; a walk on Python ints converts exactly
     # (astype raises, never wraps, on an entry beyond int64).
     return xs.astype(np.int64), norms.astype(np.int64)

@@ -12,12 +12,11 @@ orbits, with the orbit sizes |W| / |W_y| as weights.
 
 When the simple roots a_1..a_n span the space, y is determined by the
 integers c_i = (y, a_i), its coordinates over the fundamental weights, and
-the closed dominant chamber is the orthant c >= 0 of the weight lattice
-P(R) (the dual of the root lattice), which contains every integral lattice
-holding the roots.  Its vectors of norm c^T C^-1 c <= q, C the Cartan
-matrix, are found by a walk on c alone, with no shell to filter
-(`enumeration._weight_lattice_walk`); the lattice vectors among them are
-those with integer coordinates in the lattice's basis.
+the closed dominant chamber is the cone c >= 0.  In a basis of the lattice
+in which c is upper triangular, that cone bounds each coordinate from below
+once the later ones are fixed, so a walk on the lattice alone finds the
+dominant vectors of norm <= q, with no shell to filter
+(`enumeration._cone_walk`).
 
 The same holds one slot further on.  The stabiliser W_J of a dominant y is a
 reflection group with base J, the simple roots orthogonal to y, and keeps

@@ -19,6 +19,8 @@ from thetalab.enumeration import CACHE_ENV
 from thetalab.niemeier import BUILTIN_NAMES, RANK24_NAMES
 from thetalab.theta import CURATED_GENUS4, parse_series
 
+from test_lattices import NIEMEIER_13
+
 
 def run_capture(capsys, argv):
     code = run(argv)
@@ -412,9 +414,22 @@ def test_oversized_fourier_jacobi_shell_exits_3_quickly():
 @pytest.mark.parametrize("name", RANK24_NAMES)
 def test_heat_at_genus3_on_rank24(capsys, name):
     # The genus-3, trace-6 heat check on each rank-24 lattice reaches the
-    # classes [[2, b], [b, 6]], counted from the norm-6 orbits of the weight
-    # lattice against the stored roots: every S holds.
+    # classes [[2, b], [b, 6]], counted from the norm-6 dominant vectors
+    # against the stored roots: every S holds.
     code, out = run_capture(capsys, ["heat", "--lattice", name, "--genus", "3", "--trace-bound", "6"])
     assert code == EXIT_PASS
     rows = [line for line in out.splitlines() if line.startswith("S [")]
     assert len(rows) == 104 and all(line.endswith(": ok") for line in rows)
+
+
+def test_theta_on_a1_24_spec_at_genus2(tmp_path, capsys):
+    # A1^24, of index 2^12 in the weight lattice of its roots: the dominant
+    # vectors come from a walk on L alone, and the degree-1 column is the
+    # rank-24 law with 48 roots.
+    spec = NIEMEIER_13["A1^24"]
+    path = tmp_path / "a1_24.json"
+    path.write_text(json.dumps({"name": "A1^24", "components": spec.components, "glue_words": spec.glue_words}))
+    code, out = run_capture(capsys, ["theta", "--spec", str(path), "--genus", "2", "--trace-bound", "6"])
+    assert code == EXIT_PASS
+    assert [line for line in out.splitlines() if line.startswith("0 0 ")] == [
+        "0 0 0 = 1", "0 0 2 = 48", "0 0 4 = 195408", "0 0 6 = 16785216"]

@@ -27,7 +27,7 @@ from thetalab.enumeration import (
 from thetalab.exactnum import NotPositiveDefiniteError, det_exact, integral_gram_schmidt, rank_int
 from thetalab.fincke_pohst import lll_gram
 from thetalab.jacobi import jacobi_coefficient
-from thetalab.lattices import direct_sum, from_gram, root_lattice, root_system
+from thetalab.lattices import direct_sum, from_gram, glue, root_lattice, root_system
 from thetalab.niemeier import BUILTIN_NAMES, builtin
 from thetalab.rootdata import ade_gram
 from thetalab.theta import k_identity_check, theta_truncated
@@ -51,6 +51,7 @@ from oracles import (
     whole_shell,
     whole_shell_root_record,
 )
+from test_lattices import NIEMEIER_13
 
 
 @pytest.mark.parametrize(
@@ -948,6 +949,20 @@ def test_weight_lattice_orbits_match_shell_filter_on_random_bases(pair):
     _check_weight_lattice_orbits(from_gram("changed", changed), (2, 4, 6))
 
 
+@pytest.mark.parametrize("name", ["A1^24", "A2^12", "A3^8"])
+def test_weight_lattice_orbits_match_shell_filter_on_glue_heavy_niemeier(name):
+    # L has index 2^12, 3^6 and 4^4 in the weight lattice of its roots; the
+    # cone walk visits L alone.
+    _check_weight_lattice_orbits(glue(NIEMEIER_13[name], name), (2, 4))
+
+
+def test_a1_24_norm6_orbits():
+    # The dominant vectors of the A1^24 norm-6 shell, whose orbit sizes sum
+    # to the rank-24 count with 48 roots (`orbits` asserts it).
+    rows, weights = en._context(glue(NIEMEIER_13["A1^24"], "A1^24")).orbits(6)
+    assert len(rows) == 16744 and int(weights.sum()) == 16785216
+
+
 def test_roots_that_do_not_span_take_the_store_path():
     # A2 + [[4, 1], [1, 4]]: two simple roots at rank 4, so the orbits come
     # from the stored shells, and the counts match the whole-shell histograms.
@@ -1291,7 +1306,7 @@ def test_cold_profiles_walk_once_per_kind(monkeypatch):
     # of it stores, and its first orbit walk goes on to the table's largest
     # orbit-slot entry, so on a lattice without glue data, cold profiles at
     # genus 1, 2 and 3 walk the shell counts once (to 8), the stored shells
-    # once (to 4, for the classes [[4, b], [b, 4]]) and the weight lattice
+    # once (to 4, for the classes [[4, b], [b, 4]]) and the dominant cone
     # once (to 6, for [[2, b], [b, 6]]).
     _, changed = _a2_cubed_under_random_basis(11)
     lat = from_gram("A2^3#basis", changed)
@@ -1305,11 +1320,10 @@ def test_cold_profiles_walk_once_per_kind(monkeypatch):
             return walk(*args)
         return counted
 
-    for name in ("counts_upto", "shells_upto", "orthant_upto"):
+    for name in ("counts_upto", "shells_upto", "cone_upto"):
         monkeypatch.setattr(en, name, counting(name, getattr(en, name)))
     series = [theta_truncated(lat, genus, 8) for genus in (1, 2, 3)]
-    scale = en._context(lat)._chamber.scale
-    assert walks == {("counts_upto", 8): 1, ("shells_upto", 4): 1, ("orthant_upto", 6 * scale): 1}
+    assert walks == {("counts_upto", 8): 1, ("shells_upto", 4): 1, ("cone_upto", 6): 1}
     for s in series:
         assert s.coeffs == _per_index_profile(lat, s.genus, 8)
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thetalab.exactnum import (
@@ -210,6 +210,28 @@ def test_row_basis_independent_of_row_order():
     # Same lattice: mutual membership of basis vectors.
     assert all(in_z_span(b1, v) for v in b2)
     assert all(in_z_span(b2, v) for v in b1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n)
+    ),
+    st.booleans(),
+)
+def test_hnf_of_full_rank_rows_is_echelon_with_positive_pivots(a, with_unit):
+    # n independent rows, optionally each followed by e_j (the shape the
+    # cone walk gives it): n rows, row r zero before column r and positive
+    # there, with the same Z-span.
+    n = len(a)
+    assume(rank_int(a) == n)
+    rows = [r + [int(i == j) for i in range(n)] for j, r in enumerate(a)] if with_unit else a
+    basis = _hnf_int_rows(rows)
+    assert len(basis) == n
+    for r, row in enumerate(basis):
+        assert not any(row[:r]) and row[r] > 0
+    assert all(in_z_span(basis, v) for v in rows)
+    assert all(in_z_span(rows, v) for v in basis)
 
 
 def test_rank_int():

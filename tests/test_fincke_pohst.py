@@ -5,14 +5,14 @@ from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetalab import enumeration as en
 from thetalab import fincke_pohst as fp
 from thetalab.cosets import glued_shell_counts
 from thetalab.exactnum import integral_gram_schmidt
-from thetalab.fincke_pohst import counts_upto, orthant_upto, shells_upto
+from thetalab.fincke_pohst import cone_upto, counts_upto, shells_upto
 from thetalab.niemeier import BUILTIN_NAMES, builtin
 
 from oracles import ldl_box_vectors
@@ -91,20 +91,38 @@ def test_random_gram_shells_match_box_scan(a, bound):
     assert counts_upto(gs, bound) == {q: len(v) for q, v in want.items()}
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 4).flatmap(
-        lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
-    ),
-    st.integers(0, 12),
-)
-def test_orthant_walk_matches_box_scan(a, bound):
-    # The walk clipped at 0 on every level: the box scan's vectors with no
-    # negative coordinate, each once, with its norm.
-    n = len(a)
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _in_cone(cone, v):
+    return all(sum(h * x for h, x in zip(row, v)) >= 0 for row in cone)
+
+
+@st.composite
+def _gram_and_cone(draw):
+    """A positive definite Gram matrix A^T A + I of rank 1..4, and either the
+    identity cone (the orthant) or a random upper-triangular one of
+    positive diagonal."""
+    n = draw(st.integers(1, 4))
+    a = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n))
     gram = [[sum(a[k][i] * a[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]
-    want = {(v, q) for q, vecs in ldl_box_vectors(gram, bound).items() for v in vecs if min(v) >= 0}
-    xs, norms = orthant_upto(integral_gram_schmidt(gram), bound)
+    if draw(st.booleans()):
+        return gram, _identity(n)
+    cone = [[draw(st.integers(1, 3)) if j == i else draw(st.integers(-3, 3)) if j > i else 0 for j in range(n)]
+            for i in range(n)]
+    return gram, cone
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gram_and_cone(), st.integers(0, 12))
+@example(([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [[2, -1, 1], [0, 3, -2], [0, 0, 1]]), 8)
+def test_orthant_walk_matches_box_scan(gram_cone, bound):
+    # The walk clipped to the cone H x^T >= 0 on every level: the box scan's
+    # vectors in the cone, each once, with its norm.  H = I is the orthant.
+    gram, cone = gram_cone
+    want = {(v, q) for q, vecs in ldl_box_vectors(gram, bound).items() for v in vecs if _in_cone(cone, v)}
+    xs, norms = cone_upto(integral_gram_schmidt(gram), bound, cone)
     got = list(zip(map(tuple, xs.tolist()), norms.tolist()))
     assert xs.dtype == norms.dtype == np.int64
     assert len(got) == len(set(got)) and set(got) == want
@@ -142,9 +160,10 @@ def test_scaled_e8_walk_beyond_int64(monkeypatch, newton_min):
 
 
 def _walk_sets(gs, bound, orthant):
-    """(vector, norm) pairs of a walk: the orthant walk as it is, the half
-    walk with each row's negative."""
-    got = [(tuple(x), q) for xs, norms in fp._half_shell_chunks(gs, bound, orthant)
+    """(vector, norm) pairs of a walk: the orthant walk (the identity cone)
+    as it is, the half walk with each row's negative."""
+    cone = _identity(len(gs[1])) if orthant else None
+    got = [(tuple(x), q) for xs, norms in fp._half_shell_chunks(gs, bound, cone)
            for x, q in zip(xs.tolist(), norms.tolist())]
     if not orthant:
         got += [(tuple(-c for c in x), q) for x, q in got]
@@ -198,7 +217,7 @@ def test_coordinate_dtype_boundary_matches_box_scan(orthant, scale, rank, coord,
     gram = [[scale * (i == j) for j in range(rank)] for i in range(rank)]
     bound = scale * coord * coord
     gs = integral_gram_schmidt(gram)
-    assert {xs.dtype for xs, _ in fp._half_shell_chunks(gs, bound, orthant)} == {np.dtype(narrow)}
-    want = {(v, q * scale) for v, q in _box_pairs([[int(i == j) for j in range(rank)] for i in range(rank)],
-                                                  coord * coord, orthant)}
+    cone = _identity(rank) if orthant else None
+    assert {xs.dtype for xs, _ in fp._half_shell_chunks(gs, bound, cone)} == {np.dtype(narrow)}
+    want = {(v, q * scale) for v, q in _box_pairs(_identity(rank), coord * coord, orthant)}
     assert _walk_sets(gs, bound, orthant) == want
