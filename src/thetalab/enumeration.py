@@ -38,30 +38,30 @@ Three engines cover the shapes of the representatives:
   slots are one weighted histogram of blocked integer products (at genus 2,
   against one of each +-z pair).  Only the slots after the first are stored.
 
-The orbits come from one walk on L when the simple roots number the rank
-(every built-in lattice, and every sum of root lattices): a dominant y is
-determined by c_i = (y, alpha_i) >= 0 over the simple roots alpha_i, and
-in a basis of L whose c-coordinates are upper triangular (from one echelon
-form, `_LatticeContext._chamber`), c_i >= 0 is a lower bound on x_i once
-x_{i+1..n-1} are fixed.  So a Fincke-Pohst walk clipped to that cone
-yields exactly the dominant vectors of L (`_cone_walk`), and no shell is
-stored.  When the roots do not span, the dominant vectors are filtered
-from the stored shell instead.  Either way the orbit sizes must sum to the
-shell count.
+The orbits come from one walk on L, whatever the number m <= n of simple
+roots alpha_i: a dominant y has c_i = (y, alpha_i) >= 0, and in a basis of
+L (`_LatticeContext._chamber`) whose first n - m vectors are orthogonal to
+every root and in which c of the last m is triangular, c_i >= 0 bounds
+x_{i+n-m} from below once the later coordinates are fixed.  A Fincke-Pohst
+walk clipped to that cone on its top m levels, and keeping one of each +-y
+where c(y) = 0, yields the dominant vectors (`_cone_walk`); no shell is
+stored.  The orbit sizes must sum to the shell count.  A lattice without
+roots has W = 1 and m = 0; its orbits are then those of -1.
 
 The root engine and the orbit counter share one root-system record per
 lattice (`_LatticeContext.root_system`), found once from one root of each
 +-pair of the norm-2 shell, as (-x, y) = -(x, y): the roots, their
 inner-product masks, the simple roots of the lexicographic positive system,
 the components, each typed by its simple roots (`weyl.components`), and |W|.
-A lattice without roots has W = 1; its orbits are then those of -1.
 Everything runs in one process.
 
 Every engine that stores shells gets them from `_LatticeContext`, which sizes
 them from the shell counts first and refuses more than
-`_SHELL_VECTORS_LIMIT` vectors, and keeps one vector of each +-pair.  The Fourier-Jacobi tables of `jacobi` are
-representation numbers one degree up and go through `class_counts` too, on
-a restriction of the degree-(g+1) table (`IndexTable.restrict`).
+`_SHELL_VECTORS_LIMIT` vectors, and keeps one vector of each +-pair; the
+cone walk is refused once it yields more rows than that.  The
+Fourier-Jacobi tables of `jacobi` are representation numbers one degree up
+and go through `class_counts` too, on a restriction of the degree-(g+1)
+table (`IndexTable.restrict`).
 
 All numpy arithmetic is integer-typed with proven no-overflow bounds, so the
 results are exact; nothing here uses floating point.
@@ -81,7 +81,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from . import cosets, weyl
 from .exactnum import GramSchmidt, _hnf_int_rows, integral_gram_schmidt, is_positive_semidefinite
-from .fincke_pohst import by_norm, cone_upto, counts_upto, lll_gram, shells_upto
+from .fincke_pohst import _half_shell_chunks, by_norm, counts_upto, lll_gram, shells_upto
 from .lazy import lazy_module
 from .weyl import iter_bits
 
@@ -227,8 +227,9 @@ class _RootSystem(NamedTuple):
 
 class _Chamber(NamedTuple):
     """The closed dominant chamber as a cone of L: in the coordinates
-    c_i = (y, alpha_i) over the simple roots alpha_i, c = H x^T for the
-    lattice vector y = x V, with H upper triangular of positive diagonal."""
+    c_i = (y, alpha_i) over the m simple roots alpha_i, c = H x^T for the
+    lattice vector y = x V, with H m x n, its row i zero before column
+    i + n - m and positive there."""
 
     gs: GramSchmidt  # integral Gram-Schmidt data of V G V^T
     cone: list[list[int]]  # H
@@ -352,65 +353,49 @@ class _LatticeContext:
 
     def orbits(self, norm: int, reach: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """(rows, weights): the vectors of the norm shell in the closed
-        dominant chamber, one per W-orbit, and the orbit sizes.  The weights
-        sum to the shell count.  Without roots W = 1, and the orbits are
-        those of -1 instead (it too preserves every lattice and every count
-        with a fixed first vector): one of each +-v pair, of weight 2.
-        A cone walk goes on to norm `reach`, so that later norms up to it
-        need no walk of their own."""
+        dominant chamber (`_cone_walk`) and their orbit sizes under W and -1,
+        which both preserve every count with a fixed first vector: 2 for a
+        y orthogonal to every root (W fixes it, and the walk keeps one of
+        y, -y), else |W| / |W_y|.  The weights sum to the shell count.  One
+        walk, to max(norm, reach), serves every norm it covers."""
         got = self._orbits.get(norm)
         if got is None:
             rs = self.root_system
-            if rs.simple:
-                rows = self._dominant_rows(norm, reach)
-                # y is orthogonal to -x exactly when it is orthogonal to x.
-                h = len(rs.vectors) // 2
-                on_half = _bit_rows(rows.astype(np.int64) @ self._gram_red_np @ rs.vectors[:h].T.astype(np.int64) == 0)
-                orthogonal = [m | m << h for m in on_half]
-                weights = np.array(weyl.orbit_sizes(orthogonal, rs.linked, rs.simple, rs.order), dtype=np.int64)
-            else:
-                rows = self.shell_array(norm)
-                weights = np.full(len(rows), 2, dtype=np.int64)
+            if norm > self._dominant_bound:
+                self._dominant_bound = max(norm, reach)
+                self._dominant = _cone_walk(self._chamber, self._dominant_bound)
+            rows = self._dominant.get(norm, np.zeros((0, self.rank), dtype=np.int32))
+            # y is orthogonal to -x exactly when it is orthogonal to x.
+            h = len(rs.vectors) // 2
+            on_half = _bit_rows(rows.astype(np.int64) @ self._gram_red_np @ rs.vectors[:h].T.astype(np.int64) == 0)
+            orthogonal = [m | m << h for m in on_half]
+            sizes = weyl.orbit_sizes(orthogonal, rs.linked, rs.simple, rs.order)
+            everything = (1 << 2 * h) - 1
+            weights = np.array([2 * w if m == everything else w for w, m in zip(sizes, orthogonal)], dtype=np.int64)
             assert int(weights.sum()) == self.count(norm), f"orbit sizes do not sum to the norm-{norm} shell"
             got = self._orbits[norm] = (rows, weights)
         return got
 
-    def _dominant_rows(self, norm: int, reach: int) -> np.ndarray:
-        """The vectors of the norm shell in the closed dominant chamber: from
-        the cone walk when the simple roots number the rank (one walk, to
-        max(norm, reach), serves every norm it covers), else filtered from
-        the stored shell and its negatives."""
-        chamber = self._chamber
-        if chamber is None:
-            shell = self.shell_array(norm)
-            rs = self.root_system
-            gs = self._gram_red_np @ rs.vectors[list(iter_bits(rs.simple))].T.astype(np.int64)
-            return _dominant_signs(shell, gs, self.shell_top(norm))
-        if norm > self._dominant_bound:
-            self._dominant_bound = max(norm, reach)
-            self._dominant = _cone_walk(chamber, self._dominant_bound)
-        return self._dominant.get(norm, np.zeros((0, self.rank), dtype=np.int32))
-
     @functools.cached_property
-    def _chamber(self) -> _Chamber | None:
-        """The data of the cone walk, or None when the simple roots do not
-        number the rank (then they do not span L (x) Q).  c = A G y^T (A the
-        simple roots, component by component), so c of the basis vector e_j
-        is row j of G A^T.  The echelon form (`_hnf_int_rows`) of the rows
-        (c of e_j, last coordinate first, then e_j) has n rows with positive
-        pivots in columns 0..n-1; read in reverse, row k is (c of v_k
-        reversed, v_k), and c of v_k is 0 beyond c_k and positive at c_k."""
+    def _chamber(self) -> _Chamber:
+        """The data of the cone walk.  c = A G y^T (A the m independent simple
+        roots, component by component), so c of e_j is row j of G A^T.  The
+        echelon form (`_hnf_int_rows`) of the rows (c of e_j, last coordinate
+        first, then e_j) has m rows with positive pivots in columns 0..m-1,
+        then n - m rows with c = 0, a basis v_0..v_{n-m-1} of the vectors
+        orthogonal to every root (for m = 0 the reduced basis itself).  The
+        first m rows, read in reverse, are (c of v_k reversed, v_k) for
+        k >= n - m: c of v_k is 0 beyond c_{k-n+m} and positive there."""
         rs = self.root_system
         simple = [i for _, comp in rs.components for i in iter_bits(comp & rs.simple)]
-        n, g = self.rank, self._gram_red_np
-        if len(simple) != n:
-            return None
+        n, m, g = self.rank, len(simple), self._gram_red_np
         a = rs.vectors[simple].astype(np.int64)
-        assert int(np.abs(a).max()) * int(np.abs(g).max()) * n < 2**63
+        assert int(np.abs(a).max(initial=0)) * int(np.abs(g).max()) * n < 2**63
         rows = _hnf_int_rows([c[::-1] + [int(i == j) for i in range(n)] for j, c in enumerate((g @ a.T).tolist())])
-        v = np.array([r[n:] for r in reversed(rows)], dtype=np.int64)
+        rows = rows[m:] + rows[:m][::-1]
+        v = np.array([r[m:] for r in rows], dtype=np.int64)
         assert int(np.abs(v).max()) ** 2 * int(np.abs(g).max()) * n * n < 2**63
-        cone = [list(c) for c in zip(*(r[n - 1 :: -1] for r in reversed(rows)))]
+        cone = [list(c) for c in zip(*(r[:m][::-1] for r in rows))]
         return _Chamber(integral_gram_schmidt((v @ g @ v.T).tolist()), cone, v)
 
     def highest_root_orbits(self, comp: int) -> weyl.HighestRootOrbits:
@@ -424,10 +409,18 @@ class _LatticeContext:
 
 def _cone_walk(chamber: _Chamber, bound: int) -> dict[int, np.ndarray]:
     """Every nonzero lattice vector of norm <= bound in the closed dominant
-    chamber, as int32 rows grouped by norm: the walk visits the x with
-    H x^T >= 0 under the form V G V^T, and y = x V."""
-    xs, norms = cone_upto(chamber.gs, bound, chamber.cone)
+    chamber, one of each +-y where y is orthogonal to every root, as int32
+    rows grouped by norm: the walk visits the x with H x^T >= 0 under the
+    form V G V^T, and y = x V.  Refused beyond _SHELL_VECTORS_LIMIT rows."""
     v = chamber.basis
+    chunks, size = [(np.zeros((0, len(v)), dtype=np.int64), np.zeros(0, dtype=np.int64))], 0
+    for xs, norms in _half_shell_chunks(chamber.gs, bound, chamber.cone):
+        size += len(xs)
+        if size > _SHELL_VECTORS_LIMIT:
+            raise RepresentationDomainError(f"dominant vectors to norm {bound} at rank {len(v)} too large")
+        chunks.append((xs, norms))
+    # astype raises, never wraps, on a Python int beyond int64.
+    xs, norms = (np.concatenate(a).astype(np.int64) for a in zip(*chunks))
     assert int(np.abs(xs).max(initial=0)) * int(np.abs(v).max()) * len(v) < 2**63
     ys = xs @ v
     assert ys.size == 0 or int(np.abs(ys).max()) < 2**31
@@ -441,21 +434,6 @@ def _int32_factor(factor: np.ndarray, top: int, width: int) -> tuple[np.ndarray,
     bound = top * int(np.abs(factor).max(initial=0)) * width
     assert bound < 2**31, "int32 overflow bound exceeded"
     return factor.astype(np.int32), bound
-
-
-def _dominant_signs(arr: np.ndarray, factor: np.ndarray, top: int) -> np.ndarray:
-    """The rows v of arr and of -arr whose product with `factor` has no
-    negative entry, for rows of magnitude <= top; blocked, so no
-    |arr| x columns matrix is built at once."""
-    factor, _ = _int32_factor(factor, top, arr.shape[1])
-    step = max(1, _BLOCK_ENTRIES // max(factor.shape[1], 1))
-    plus = np.ones(len(arr), dtype=bool)
-    minus = np.ones(len(arr), dtype=bool)
-    for start in range(0, len(arr), step):
-        p = arr[start : start + step] @ factor
-        plus[start : start + step] = (p >= 0).all(axis=1)
-        minus[start : start + step] = (p <= 0).all(axis=1)
-    return np.concatenate([arr[plus], -arr[minus]])
 
 
 def _dot_histogram(gram: np.ndarray, x_arr: np.ndarray, y_arr: np.ndarray, weights: np.ndarray,

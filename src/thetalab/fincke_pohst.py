@@ -32,7 +32,7 @@ import functools
 import operator
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .exactnum import GramSchmidt, integral_gram_schmidt
 from .lazy import lazy_module
@@ -150,27 +150,30 @@ def _isqrt(a, powers):
 
 
 def _half_shell_chunks(
-    gs: GramSchmidt, bound: int, cone: list[list[int]] | None = None
+    gs: GramSchmidt, bound: int, cone: Sequence[Sequence[int]] = ()
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (coords, norms) chunks of every nonzero x with x G x^T <= bound
-    whose last nonzero coordinate is positive (one of each +-x pair), from
-    gs = (d, lam), the integral Gram-Schmidt data of G; with a `cone` H, an
-    upper-triangular integer matrix of positive diagonal, of every nonzero x
-    with H x^T >= 0 instead (H = I: no negative coordinate)."""
+    and H x^T >= 0, where H x^T = 0 the one of each +-x whose last nonzero
+    coordinate is positive, from gs = (d, lam), the integral Gram-Schmidt
+    data of G.  H = `cone` has m rows, row r zero before column r + n - m
+    and positive there (level r + n - m clips by it).  No rows: one of each
+    +-x pair; H = I: no negative coordinate."""
     d, lam = gs
     n = len(lam)
     if n == 0 or bound <= 0:
         return
+    lead = n - len(cone)  # the first level with a row of H
     # Bounds, from the top level down: |t_i| <= root[i], |c_i| <= centre[i]
     # (c_i the sum over j > i, and so each of its partial sums), |e_i| <=
-    # offset[i] (e_i = sum_{j>i} H_ij x_j, likewise) and |x_i| <= coord[i].
+    # offset[i] (e_i = sum_{j>i} H_rj x_j for r = i - lead, likewise; 0
+    # below lead) and |x_i| <= coord[i].
     radicand = [bound * d[i] * d[i + 1] for i in range(n)]
     root, centre, offset, coord = [0] * n, [0] * n, [0] * n, [0] * n
     columns = list(zip(*lam))
     for i in reversed(range(n)):
         root[i] = isqrt(radicand[i])
         centre[i] = sum(map(operator.mul, map(abs, columns[i][i + 1 :]), coord[i + 1 :]))
-        offset[i] = sum(map(operator.mul, map(abs, cone[i][i + 1 :]), coord[i + 1 :])) if cone else 0
+        offset[i] = sum(map(operator.mul, map(abs, cone[i - lead][i + 1 :]), coord[i + 1 :])) if i >= lead else 0
         coord[i] = (root[i] + centre[i]) // d[i + 1]
     # Largest magnitude of any intermediate: bound D_i D_{i+1} bounds the
     # radicand, D_i N_{i+1} and t_i^2 + D_i N_{i+1}; (root + 2)^2 the square
@@ -188,7 +191,7 @@ def _half_shell_chunks(
     bits = max(coord).bit_length()
     narrow = next((t for t, b in ((np.int8, 8), (np.int16, 16), (np.int32, 32), (np.int64, 64)) if bits < b), object)
     lam_t = np.array(columns, dtype=dtype)
-    cone_t = None if cone is None else np.array(cone, dtype=dtype)
+    cone_t = np.array(cone, dtype=dtype)
 
     def expand(i, xs, norm):
         # xs: one row per prefix, coordinates i+1..n-1 set; norm: its N_{i+1}.
@@ -201,16 +204,18 @@ def _half_shell_chunks(
         hi1 = s - c
         hi1 += d[i + 1]
         hi1 //= d[i + 1]  # hi + 1
-        if cone_t is not None:
-            # (H x^T)_i = H_ii x_i + e_i >= 0, so x_i >= ceil(-e_i / H_ii) =
-            # -(e_i // H_ii); a clipped interval can be empty.
-            np.minimum(up, xs[:, i + 1 :] @ cone_t[i, i + 1 :] // cone[i][i], out=up)
+        if i >= lead:
+            # (H x^T)_r = H_ri x_i + e_r >= 0 for r = i - lead, so
+            # x_i >= ceil(-e_r / H_ri) = -(e_r // H_ri); a clipped interval
+            # can be empty.
+            np.minimum(up, xs[:, i + 1 :] @ cone_t[i - lead, i + 1 :] // cone[i - lead][i], out=up)
             k = np.maximum(hi1 + up, 0)
         else:
             # Only the first row can be the zero prefix (N_{i+1} = 0 and
-            # c = 0); x_i >= 0 there keeps one of each +-x.  No count needs
-            # clipping at 0: s >= 0, so hi >= floor((-s - c) / D) >= lo - 1,
-            # and at the zero prefix hi >= 0 = lo.
+            # c = 0; a level with a row of H clips it at x_i >= 0, so it
+            # stays first); x_i >= 0 there keeps one of each +-x.  No count
+            # needs clipping at 0: s >= 0, so hi >= floor((-s - c) / D) >=
+            # lo - 1, and at the zero prefix hi >= 0 = lo.
             if not dn[0]:
                 up[0] = 0
             k = hi1 + up
@@ -274,17 +279,6 @@ def by_norm(xs: np.ndarray, norms: np.ndarray) -> dict[int, np.ndarray]:
     xs = xs[order]
     cuts = starts.tolist() + [len(xs)]
     return {q: xs[a:b] for q, a, b in zip(values.tolist(), cuts, cuts[1:])}
-
-
-def cone_upto(gs: GramSchmidt, bound: int, cone: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """(coords, norms): every nonzero x with H x^T >= 0 and x G x^T <= bound,
-    H = `cone` as in `_half_shell_chunks`, as int64 rows and their norms,
-    from gs = (d, lam) as in `shells_upto`."""
-    empty = np.zeros((0, len(gs[1])), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    xs, norms = map(np.concatenate, zip(*_half_shell_chunks(gs, bound, cone), empty))
-    # The norms are at most bound; a walk on Python ints converts exactly
-    # (astype raises, never wraps, on an entry beyond int64).
-    return xs.astype(np.int64), norms.astype(np.int64)
 
 
 def counts_upto(gs: GramSchmidt, bound: int) -> dict[int, int]:

@@ -10,12 +10,12 @@ simple roots orthogonal to y as a base (Humphreys, Reflection Groups and
 Coxeter Groups, 1.12).  So the dominant vectors of a shell stand for its
 orbits, with the orbit sizes |W| / |W_y| as weights.
 
-When the simple roots a_1..a_n span the space, y is determined by the
-integers c_i = (y, a_i), its coordinates over the fundamental weights, and
-the closed dominant chamber is the cone c >= 0.  In a basis of the lattice
-in which c is upper triangular, that cone bounds each coordinate from below
-once the later ones are fixed, so a walk on the lattice alone finds the
-dominant vectors of norm <= q, with no shell to filter
+The closed dominant chamber is the cone c >= 0 of the integers
+c_i = (y, a_i) over the simple roots a_1..a_m.  In a basis of the lattice
+whose first n - m vectors are orthogonal to every root and in which c of
+the last m is triangular, that cone bounds each of the last m coordinates
+from below once the later ones are fixed, so a walk on the lattice alone
+finds the dominant vectors of norm <= q, with no shell to filter
 (`enumeration._cone_walk`).
 
 The same holds one slot further on.  The stabiliser W_J of a dominant y is a

@@ -463,6 +463,19 @@ def whole_shell(half):
     return np.concatenate([half, -half])
 
 
+def dominant_filter(shell, gram, simple):
+    """The rows y of a whole shell in the closed dominant chamber, those with
+    (y, a) >= 0 for every simple root a (the rows of `simple`; with none,
+    every row), by blocked integer products under `gram`."""
+    factor = np.asarray(gram, dtype=np.int64) @ simple.astype(np.int64).T
+    assert int(np.abs(shell).max(initial=0)) * int(np.abs(factor).max(initial=0)) * shell.shape[1] < 2**63
+    keep = np.zeros(len(shell), dtype=bool)
+    step = 1 << 16
+    for start in range(0, len(shell), step):
+        keep[start : start + step] = (shell[start : start + step].astype(np.int64) @ factor >= 0).all(axis=1)
+    return shell[keep]
+
+
 def shells_in_basis(lat, bound):
     """The lattice's vectors of each norm <= bound, as tuples of coordinates in
     its own basis: the context's stored shells (reduced coordinates, one of

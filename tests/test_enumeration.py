@@ -25,7 +25,7 @@ from thetalab.enumeration import (
     shell_counts_upto,
 )
 from thetalab.exactnum import NotPositiveDefiniteError, det_exact, integral_gram_schmidt, rank_int
-from thetalab.fincke_pohst import lll_gram
+from thetalab.fincke_pohst import lll_gram, shells_upto
 from thetalab.jacobi import jacobi_coefficient
 from thetalab.lattices import direct_sum, from_gram, glue, root_lattice, root_system
 from thetalab.niemeier import BUILTIN_NAMES, builtin
@@ -34,6 +34,7 @@ from thetalab.theta import k_identity_check, theta_truncated
 
 
 from oracles import (
+    dominant_filter,
     e8_ambient_counts,
     five_mask_root_record,
     index_classes_by_product,
@@ -893,67 +894,102 @@ def test_orbit_histograms_match_whole_shell_oracle_on_builtins(name):
         assert ctx._hists[(c, a)] == got
 
 
-def test_rootless_store_is_one_of_each_sign_pair():
-    # Four copies of [[4, 1], [1, 4]]: no roots, so W = 1 and the orbits are
-    # the stored rows, one of each +-v pair, with weight 2.
-    n = 8
-    gram = [[4 if i == j else int(i // 2 == j // 2) for j in range(n)] for i in range(n)]
-    lat = from_gram("rootless8", gram)
+ROOTLESS8 = [[4 if i == j else int(i // 2 == j // 2) for j in range(8)] for i in range(8)]
+A2_R2 = [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 4, 1], [0, 0, 1, 4]]
+
+
+def _check_pair_histograms(monkeypatch, lat, pairs):
+    # Each genus-2 diagonal class (a, c) against the histogram of the whole
+    # shells, on a fresh context: the counter takes the slots in reverse, so
+    # the histogram is kept under (c, a), and it stores the shells of its
+    # second slot alone, to norm a.
+    half = shells_upto(en._context(lat).gs, max(max(p) for p in pairs))
+    for a, c in pairs:
+        monkeypatch.setattr(en, "_CONTEXTS", {})
+        ctx = en._context(lat)
+        want = shell_pair_histogram(ctx._gram_red_np, whole_shell(half[a]), whole_shell(half[c]))
+        assert en._count_general(lat, GramTarget.diagonal([a, c])) == want.get(0, 0)
+        assert ctx._hists[(c, a)] == want, (a, c)
+        assert ctx._shells_bound == a
+
+
+def test_rootless_orbits_are_one_of_each_sign_pair(monkeypatch):
+    # Four copies of [[4, 1], [1, 4]]: no roots, so W = 1, the cone has no
+    # rows, and the walk is the shell walk on the reduced basis: the orbits
+    # are one of each +-v pair, with weight 2.
+    lat = from_gram("rootless8", ROOTLESS8)
     ctx = en._context(lat)
-    ctx.shell_arrays_upto(10)
+    assert ctx._chamber.cone == []
+    _check_dominant_orbits(lat, (4, 6, 8, 10))
+    half = shells_upto(ctx.gs, 10)
     for q in (4, 6, 8, 10):
         rows, weights = ctx.orbits(q)
         assert set(weights.tolist()) == {2} and 2 * len(rows) == ctx.count(q)
-        assert rows is ctx.shell_array(q)
+        assert np.array_equal(rows, half[q])
         assert len({r.tobytes() for r in whole_shell(rows)}) == 2 * len(rows)
-    for a, c in [(4, 4), (4, 10), (6, 8), (8, 10)]:
-        # The counter takes the slots in reverse: the histogram is kept
-        # under (c, a).
-        want = shell_pair_histogram(ctx._gram_red_np, whole_shell(ctx.shell_array(a)), whole_shell(ctx.shell_array(c)))
-        ctx._hists.pop((c, a), None)
-        assert en._count_general(lat, GramTarget.diagonal([a, c])) == want.get(0, 0)
-        assert ctx._hists[(c, a)] == want, (a, c)
+    _check_pair_histograms(monkeypatch, lat, [(4, 4), (4, 10), (6, 8), (8, 10)])
+    # The walk is refused once it has yielded more rows than the store limit.
+    monkeypatch.setattr(en, "_CONTEXTS", {})
+    monkeypatch.setattr(en, "_SHELL_VECTORS_LIMIT", 100)
+    with pytest.raises(RepresentationDomainError, match="dominant vectors to norm 10 .* too large"):
+        en._count_general(lat, GramTarget.diagonal([4, 10]))
 
 
 def _orbit_set(rows, weights):
     return sorted(zip((r.tobytes() for r in rows), weights.tolist()))
 
 
-def _check_weight_lattice_orbits(lat, norms):
-    # The orbits from the weight-lattice walk against the dominance filter
-    # over the stored shell (the path a lattice takes when its roots do not
-    # span): the same rows, each once, with the same weights.
+def _check_dominant_orbits(lat, norms):
+    # The orbits from the cone walk against the dominance filter over the
+    # whole shell (`dominant_filter`): the walked rows, each once, with -y
+    # added wherever y is orthogonal to every root, are the filter's rows.
+    # The filter's rows carry their W-orbit sizes, which sum to the shell
+    # count; a walked y orthogonal to every root has weight 2 and stands for
+    # y and -y, each of W-orbit size 1, and every other walked y has its
+    # W-orbit size.
     ctx = en._context(lat)
-    assert ctx._chamber is not None
-    walked = {q: ctx.orbits(q) for q in norms}
-    ctx.shell_arrays_upto(max(norms))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(vars(ctx), "_chamber", None)
-        mp.setattr(ctx, "_orbits", {})
-        for q in norms:
-            rows, weights = walked[q]
-            assert len({r.tobytes() for r in rows}) == len(rows)
-            assert _orbit_set(rows, weights) == _orbit_set(*ctx.orbits(q)), q
+    rs = ctx.root_system
+    gm = ctx._gram_red_np
+    simple = rs.vectors[list(weyl.iter_bits(rs.simple))]
+    half = shells_upto(ctx.gs, max(norms))
+    empty = np.zeros((0, ctx.rank), dtype=np.int32)
+
+    def orthogonal(rows):
+        return en._bit_rows(rows.astype(np.int64) @ gm @ rs.vectors.T.astype(np.int64) == 0)
+
+    for q in norms:
+        shell = whole_shell(half.get(q, empty))
+        want = dominant_filter(shell, gm, simple)
+        sizes = weyl.orbit_sizes(orthogonal(want), rs.linked, rs.simple, rs.order)
+        assert sum(sizes) == len(shell), q
+        rows, weights = ctx.orbits(q)
+        assert len({r.tobytes() for r in rows}) == len(rows)
+        fixed = (rows.astype(np.int64) @ gm @ simple.T.astype(np.int64) == 0).all(axis=1)
+        assert all(w == 2 for w, f in zip(weights.tolist(), fixed) if f), q
+        got = [(r, w) for r, w, f in zip(rows, weights.tolist(), fixed) if not f]
+        got += [(s * r, 1) for r, f in zip(rows, fixed) if f for s in (1, -1)]
+        assert sorted((r.tobytes(), w) for r, w in got) == _orbit_set(want, np.array(sizes, dtype=np.int64)), q
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_weight_lattice_orbits_match_shell_filter_on_builtins(name):
     lat = builtin(name)
-    _check_weight_lattice_orbits(lat, (2, 4, 6) if lat.rank <= 16 else (2, 4))
+    _check_dominant_orbits(lat, (2, 4, 6) if lat.rank <= 16 else (2, 4))
 
 
 @settings(max_examples=12, deadline=None)
-@given(small_ade_lattices(max_rank=8, max_parts=4))
+@given(small_ade_lattices(kinds=(*SMALL_ADE, ROOTLESS), max_rank=8, max_parts=4))
+@example(([[4, 1, 0], [1, 4, 0], [0, 0, 2]], [[4, 5, 1], [5, 10, 5], [1, 5, 6]]))
 def test_weight_lattice_orbits_match_shell_filter_on_random_bases(pair):
     _, changed = pair
-    _check_weight_lattice_orbits(from_gram("changed", changed), (2, 4, 6))
+    _check_dominant_orbits(from_gram("changed", changed), (2, 4, 6))
 
 
 @pytest.mark.parametrize("name", ["A1^24", "A2^12", "A3^8"])
 def test_weight_lattice_orbits_match_shell_filter_on_glue_heavy_niemeier(name):
     # L has index 2^12, 3^6 and 4^4 in the weight lattice of its roots; the
     # cone walk visits L alone.
-    _check_weight_lattice_orbits(glue(NIEMEIER_13[name], name), (2, 4))
+    _check_dominant_orbits(glue(NIEMEIER_13[name], name), (2, 4))
 
 
 def test_a1_24_norm6_orbits():
@@ -963,19 +999,16 @@ def test_a1_24_norm6_orbits():
     assert len(rows) == 16744 and int(weights.sum()) == 16785216
 
 
-def test_roots_that_do_not_span_take_the_store_path():
-    # A2 + [[4, 1], [1, 4]]: two simple roots at rank 4, so the orbits come
-    # from the stored shells, and the counts match the whole-shell histograms.
-    gram = [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 4, 1], [0, 0, 1, 4]]
-    lat = from_gram("A2+R2", gram)
+def test_roots_that_do_not_span_take_the_cone_walk(monkeypatch):
+    # A2 + [[4, 1], [1, 4]]: two simple roots at rank 4, so the cone has two
+    # rows, and the first two basis vectors of the walk span the vectors
+    # orthogonal to the roots; the counts match the whole-shell histograms.
+    lat = from_gram("A2+R2", A2_R2)
     ctx = en._context(lat)
-    assert ctx._chamber is None and ctx.root_system.simple.bit_count() == 2
-    ctx.shell_arrays_upto(8)
-    for a, c in [(2, 4), (4, 4), (2, 6), (4, 8), (6, 8)]:
-        want = shell_pair_histogram(ctx._gram_red_np, whole_shell(ctx.shell_array(a)), whole_shell(ctx.shell_array(c)))
-        ctx._hists.pop((c, a), None)
-        assert en._count_general(lat, GramTarget.diagonal([a, c])) == want.get(0, 0)
-        assert ctx._hists[(c, a)] == want, (a, c)
+    assert ctx.root_system.simple.bit_count() == 2 and len(ctx._chamber.cone) == 2
+    assert not (ctx._chamber.basis[:2] @ ctx._gram_red_np @ ctx.root_system.vectors.T.astype(np.int64)).any()
+    _check_dominant_orbits(lat, (2, 4, 6, 8))
+    _check_pair_histograms(monkeypatch, lat, [(2, 4), (4, 4), (2, 6), (4, 8), (6, 8), (2, 8)])
 
 
 @pytest.mark.parametrize("name,counts", [("D4^6", (1322176896, 530540928)), ("E8^3", (6636320640, 2696768640))])
@@ -1320,10 +1353,10 @@ def test_cold_profiles_walk_once_per_kind(monkeypatch):
             return walk(*args)
         return counted
 
-    for name in ("counts_upto", "shells_upto", "cone_upto"):
+    for name in ("counts_upto", "shells_upto", "_cone_walk"):
         monkeypatch.setattr(en, name, counting(name, getattr(en, name)))
     series = [theta_truncated(lat, genus, 8) for genus in (1, 2, 3)]
-    assert walks == {("counts_upto", 8): 1, ("shells_upto", 4): 1, ("cone_upto", 6): 1}
+    assert walks == {("counts_upto", 8): 1, ("shells_upto", 4): 1, ("_cone_walk", 6): 1}
     for s in series:
         assert s.coeffs == _per_index_profile(lat, s.genus, 8)
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from thetalab.exactnum import (
@@ -215,23 +215,31 @@ def test_row_basis_independent_of_row_order():
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(1, 6).flatmap(
-        lambda n: st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n)
+        lambda n: st.integers(0, n).flatmap(
+            lambda m: st.lists(st.lists(st.integers(-5, 5), min_size=m, max_size=m), min_size=n, max_size=n)
+        )
     ),
     st.booleans(),
 )
+@example([[1, 2], [2, 4], [0, 1]], True)
+@example([[], []], True)
 def test_hnf_of_full_rank_rows_is_echelon_with_positive_pivots(a, with_unit):
-    # n independent rows, optionally each followed by e_j (the shape the
-    # cone walk gives it): n rows, row r zero before column r and positive
-    # there, with the same Z-span.
-    n = len(a)
-    assume(rank_int(a) == n)
+    # n rows of m <= n columns and rank m, optionally each followed by e_j
+    # (the shape the cone walk gives it): row r < m zero before column r and
+    # positive there; with e_j, n - m more rows zero in the first m columns,
+    # their pivots positive and further right row by row; the same Z-span
+    # (checked both ways when the rows are independent).
+    n, m = len(a), len(a[0])
+    assume(rank_int(a) == m)
     rows = [r + [int(i == j) for i in range(n)] for j, r in enumerate(a)] if with_unit else a
     basis = _hnf_int_rows(rows)
-    assert len(basis) == n
-    for r, row in enumerate(basis):
-        assert not any(row[:r]) and row[r] > 0
+    assert len(basis) == (n if with_unit else m)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    assert pivots[:m] == list(range(m)) and all(p >= m for p in pivots[m:])
+    assert pivots == sorted(set(pivots)) and all(row[p] > 0 for row, p in zip(basis, pivots))
     assert all(in_z_span(basis, v) for v in rows)
-    assert all(in_z_span(rows, v) for v in basis)
+    if with_unit or m == n:
+        assert all(in_z_span(rows, v) for v in basis)
 
 
 def test_rank_int():

@@ -12,7 +12,7 @@ from thetalab import enumeration as en
 from thetalab import fincke_pohst as fp
 from thetalab.cosets import glued_shell_counts
 from thetalab.exactnum import integral_gram_schmidt
-from thetalab.fincke_pohst import cone_upto, counts_upto, shells_upto
+from thetalab.fincke_pohst import counts_upto, shells_upto
 from thetalab.niemeier import BUILTIN_NAMES, builtin
 
 from oracles import ldl_box_vectors
@@ -95,36 +95,55 @@ def _identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
+def _dot(row, v):
+    return sum(h * x for h, x in zip(row, v))
+
+
 def _in_cone(cone, v):
-    return all(sum(h * x for h, x in zip(row, v)) >= 0 for row in cone)
+    return all(_dot(row, v) >= 0 for row in cone)
+
+
+def _last_nonzero_positive(v):
+    return next(x for x in reversed(v) if x) > 0
+
+
+def _cone_pairs(gs, bound, cone):
+    """(vector, norm) pairs of the walk clipped to `cone`, in walk order."""
+    return [(tuple(x), q) for xs, norms in fp._half_shell_chunks(gs, bound, cone)
+            for x, q in zip(xs.tolist(), norms.tolist())]
 
 
 @st.composite
 def _gram_and_cone(draw):
-    """A positive definite Gram matrix A^T A + I of rank 1..4, and either the
-    identity cone (the orthant) or a random upper-triangular one of
-    positive diagonal."""
+    """A positive definite Gram matrix A^T A + I of rank n = 1..4, and either
+    the identity cone (the orthant) or m = 0..n random rows, row r zero
+    before column r + n - m and positive there."""
     n = draw(st.integers(1, 4))
     a = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n))
     gram = [[sum(a[k][i] * a[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]
     if draw(st.booleans()):
         return gram, _identity(n)
+    lead = n - draw(st.integers(0, n))
     cone = [[draw(st.integers(1, 3)) if j == i else draw(st.integers(-3, 3)) if j > i else 0 for j in range(n)]
-            for i in range(n)]
+            for i in range(lead, n)]
     return gram, cone
 
 
 @settings(max_examples=60, deadline=None)
 @given(_gram_and_cone(), st.integers(0, 12))
 @example(([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [[2, -1, 1], [0, 3, -2], [0, 0, 1]]), 8)
+@example(([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [[0, 2, -1], [0, 0, 1]]), 8)
+@example(([[4, 1, 0], [1, 3, 1], [0, 1, 5]], [[0, 0, 2]]), 12)
+@example(([[4, 1, 0], [1, 3, 1], [0, 1, 5]], []), 12)
 def test_orthant_walk_matches_box_scan(gram_cone, bound):
-    # The walk clipped to the cone H x^T >= 0 on every level: the box scan's
-    # vectors in the cone, each once, with its norm.  H = I is the orthant.
+    # The walk clipped to the cone H x^T >= 0, H of m <= n rows: the box
+    # scan's vectors in the cone, each once, with its norm, and of those
+    # with H x^T = 0 the one of each +-x whose last nonzero coordinate is
+    # positive.  H = I is the orthant, no rows the half walk.
     gram, cone = gram_cone
-    want = {(v, q) for q, vecs in ldl_box_vectors(gram, bound).items() for v in vecs if _in_cone(cone, v)}
-    xs, norms = cone_upto(integral_gram_schmidt(gram), bound, cone)
-    got = list(zip(map(tuple, xs.tolist()), norms.tolist()))
-    assert xs.dtype == norms.dtype == np.int64
+    want = {(v, q) for q, vecs in ldl_box_vectors(gram, bound).items() for v in vecs
+            if _in_cone(cone, v) and (any(_dot(row, v) for row in cone) or _last_nonzero_positive(v))}
+    got = _cone_pairs(integral_gram_schmidt(gram), bound, cone)
     assert len(got) == len(set(got)) and set(got) == want
 
 
@@ -162,9 +181,7 @@ def test_scaled_e8_walk_beyond_int64(monkeypatch, newton_min):
 def _walk_sets(gs, bound, orthant):
     """(vector, norm) pairs of a walk: the orthant walk (the identity cone)
     as it is, the half walk with each row's negative."""
-    cone = _identity(len(gs[1])) if orthant else None
-    got = [(tuple(x), q) for xs, norms in fp._half_shell_chunks(gs, bound, cone)
-           for x, q in zip(xs.tolist(), norms.tolist())]
+    got = _cone_pairs(gs, bound, _identity(len(gs[1])) if orthant else [])
     if not orthant:
         got += [(tuple(-c for c in x), q) for x, q in got]
     assert len(got) == len(set(got))
@@ -217,7 +234,7 @@ def test_coordinate_dtype_boundary_matches_box_scan(orthant, scale, rank, coord,
     gram = [[scale * (i == j) for j in range(rank)] for i in range(rank)]
     bound = scale * coord * coord
     gs = integral_gram_schmidt(gram)
-    cone = _identity(rank) if orthant else None
+    cone = _identity(rank) if orthant else []
     assert {xs.dtype for xs, _ in fp._half_shell_chunks(gs, bound, cone)} == {np.dtype(narrow)}
     want = {(v, q * scale) for v, q in _box_pairs(_identity(rank), coord * coord, orthant)}
     assert _walk_sets(gs, bound, orthant) == want

@@ -9,10 +9,11 @@ from thetalab.jacobi import (
     jacobi_coefficient,
     venkov_constant,
 )
-from thetalab.lattices import LatticeError, from_gram
+from thetalab.lattices import LatticeError, from_gram, glue
 from thetalab.niemeier import builtin
 
-from oracles import by_target, pairwise_dots, shells_in_basis
+from oracles import by_target, coxeter_number, pairwise_dots, shells_in_basis
+from test_lattices import NIEMEIER_13
 
 S0 = GramTarget.from_rows([[0]])
 S2 = GramTarget.from_rows([[2]])
@@ -87,6 +88,19 @@ def test_venkov_e8_constant_rank_over_two():
     assert rep.constant == Fraction(4)  # rank / 2
     assert rep.r2 == 240
     assert rep.verified_vectors == 240 + 2160
+
+
+@pytest.mark.parametrize("name", list(NIEMEIER_13))
+def test_venkov_on_the_other_niemeier_lattices(name):
+    # c = 12 on each of the 13 glued Niemeier lattices, checked on every
+    # vector of norm <= 4, the norm-4 ones through one dominant vector per
+    # orbit: 24 h roots (h the common Coxeter number) and the degree-1
+    # law's 196560 - 24 r2 vectors of norm 4 (theta = E4^3 + (r2 - 720) Delta).
+    spec = NIEMEIER_13[name]
+    rep = venkov_constant(glue(spec, name), norm_bound=8, per_vector_norm_cap=4)
+    assert rep.constant == Fraction(12) and rep.consistent
+    assert rep.r2 == 24 * coxeter_number(*spec.components[0])
+    assert rep.verified_vectors == rep.r2 + 196560 - 24 * rep.r2
 
 
 def test_venkov_direct_double_loop_oracle():
